@@ -15,6 +15,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -231,6 +232,19 @@ class SpectralCatalog:
 
     def kernel_dim(self) -> int:
         return len(self.zero_idx)
+
+    @cached_property
+    def tensor_index(self) -> np.ndarray:
+        """Flat position of each torus mode in the box (2K+1)^dim x (2L+1), axes (k_1.., l)."""
+        if self.domain.kind != TORUS:
+            raise ValueError("only torus catalogs fill a coefficient box")
+        shift = np.array((self.k_max,) * self.domain.dim + (self.l_max,))
+        coords = np.array([m.space + (m.l,) for m in self.modes], dtype=int).reshape(-1, len(shift))
+        index = np.ravel_multi_index((coords + shift).T, tuple(2 * shift + 1))
+        if len(index) != np.prod(2 * shift + 1) or len(np.unique(index)) != len(index):
+            raise ValueError("catalog modes do not fill the coefficient box exactly once")
+        index.flags.writeable = False
+        return index
 
     def to_json(self):
         return {

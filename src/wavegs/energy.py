@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _accel
 from .catalog import SpectralCatalog
-from .fields import ProductGrid, SpectralField, WeightField, basis_matrix, energy_norms
+from .fields import ProductGrid, SpectralField, TensorTransform, WeightField, energy_norms, synthesize
 
 
 @dataclass(frozen=True)
@@ -87,14 +87,14 @@ class EnergyContext:
         self.grid = grid
         self.weight = weight
         self.nonlinearity = nonlinearity
-        self._basis = basis_matrix(catalog, grid)
+        self._transform = TensorTransform(catalog, grid)
         self._qw = weight.values * grid.quad_weight
 
     def synth(self, coeffs: np.ndarray) -> np.ndarray:
-        return coeffs @ self._basis
+        return self._transform.synth(coeffs)
 
     def analyze_values(self, values: np.ndarray) -> np.ndarray:
-        return self._basis @ values * self.grid.quad_weight
+        return self._transform.analyze(values)
 
     def potential_from_values(self, values: np.ndarray) -> float:
         F = _accel.quasipoly_prim(values, self.nonlinearity.amplitudes, self.nonlinearity.exponents)
@@ -103,7 +103,7 @@ class EnergyContext:
     def nonlinear_coeffs(self, values: np.ndarray) -> np.ndarray:
         """Analyzed coefficients of q f(u): the I'(u) part of the gradient."""
         f = _accel.quasipoly_f(values, self.nonlinearity.amplitudes, self.nonlinearity.exponents)
-        return self._basis @ (self.weight.values * f) * self.grid.quad_weight
+        return self._transform.analyze(self.weight.values * f)
 
 
 def I_eval(u: SpectralField, ctx: EnergyContext) -> float:
@@ -133,12 +133,12 @@ def residual_dual_norm(g: SpectralField) -> float:
 def quadrature_refinement_gap(u: SpectralField, ctx: EnergyContext) -> float:
     """|I(u) on the working grid - I(u) on a 2x refined grid|.
 
-    Reported alongside solves as the fractional-power quadrature error proxy;
-    the refined weight is resampled only for constant weights, otherwise the
-    weight is synthesized by nearest-node lookup.
+    Reported alongside solves as the fractional-power quadrature error proxy.
+    The weight is not resampled: coarse node i's value is repeated onto fine
+    nodes 2i and 2i+1 along each axis, so only a constant weight is exact there.
     """
     fine = ProductGrid(ctx.grid.dims, 2 * ctx.grid.nx, 2 * ctx.grid.nt)
-    vals = u.coeffs @ basis_matrix(u.catalog, fine)
+    vals = synthesize(u, fine)
     coarse_vals = ctx.weight.values.reshape((ctx.grid.nx,) * ctx.grid.dims + (ctx.grid.nt,))
     reps = np.repeat(coarse_vals, 2, axis=-1)
     for ax in range(ctx.grid.dims):

@@ -1,11 +1,11 @@
 """Coefficient fields over a spectral catalog and the product-grid transforms.
 
 Fields are plain real coefficient vectors in the catalog's orthonormal basis.
-Synthesis/analysis go through a dense basis-value matrix on a uniform tensor
-grid; the rectangle rule is spectrally exact there, so round trips on
-truncated trig polynomials hold to roundoff as long as the grid satisfies
-G >= 2*cutoff + 2 per axis.  Spheres carry no grid (degree/multiplicity
-bookkeeping only), so synthesis is a torus/circle affair.
+Synthesis/analysis on a uniform tensor grid contract one small cos/sin table
+per axis (sum factorization); the rectangle rule is spectrally exact there, so
+round trips on truncated trig polynomials hold to roundoff as long as the grid
+satisfies G >= 2*cutoff + 2 per axis.  Spheres carry no grid (degree and
+multiplicity bookkeeping only), so synthesis is a torus/circle affair.
 """
 
 from __future__ import annotations
@@ -105,31 +105,23 @@ class ProductGrid:
         return [m.ravel() for m in mesh]
 
 
-def _circle_basis_values(index: int, nodes: np.ndarray) -> np.ndarray:
-    if index == 0:
-        return np.full(len(nodes), _INV_SQRT_2PI)
-    if index > 0:
-        return np.cos(index * nodes) * _INV_SQRT_PI
-    return np.sin(-index * nodes) * _INV_SQRT_PI
+def _axis_table(cutoff: int, nodes: np.ndarray) -> np.ndarray:
+    """(2*cutoff+1, len(nodes)) circle factor values: rows are signed indices -cutoff..cutoff."""
+    angles = np.arange(1, cutoff + 1)[:, None] * nodes
+    const = np.full((1, len(nodes)), _INV_SQRT_2PI)
+    return np.vstack([np.sin(angles[::-1]) * _INV_SQRT_PI, const, np.cos(angles) * _INV_SQRT_PI])
 
 
-_matrix_cache: dict = {}
-
-# dense transforms are sized for desk-scale runs; ~1 GB of basis table max
-_MAX_MATRIX_ELEMENTS = 120_000_000
+def _axis_tables(catalog: SpectralCatalog, grid: ProductGrid):
+    if not grid.compliant_with(catalog):
+        raise ValueError("grid too coarse (or wrong shape) for catalog")
+    return _axis_table(catalog.k_max, grid.x_nodes), _axis_table(catalog.l_max, grid.t_nodes)
 
 
 def basis_rows(catalog: SpectralCatalog, grid: ProductGrid, mode_indices) -> np.ndarray:
     """Basis-value table for a subset of modes, (len(idx), n_points); uncached."""
-    if not grid.compliant_with(catalog):
-        raise ValueError("grid too coarse (or wrong shape) for catalog")
+    x_table, t_table = _axis_tables(catalog, grid)
     mode_indices = np.asarray(mode_indices, dtype=int)
-    x_table = np.stack(
-        [_circle_basis_values(k, grid.x_nodes) for k in range(-catalog.k_max, catalog.k_max + 1)]
-    )
-    t_table = np.stack(
-        [_circle_basis_values(l, grid.t_nodes) for l in range(-catalog.l_max, catalog.l_max + 1)]
-    )
     modes = [catalog.modes[i] for i in mode_indices]
     rows = np.ones((len(modes), 1))
     for axis in range(grid.dims):
@@ -140,22 +132,32 @@ def basis_rows(catalog: SpectralCatalog, grid: ProductGrid, mode_indices) -> np.
     return rows
 
 
-def basis_matrix(catalog: SpectralCatalog, grid: ProductGrid) -> np.ndarray:
-    """Dense (n_modes, n_points) table of basis values; cached per pair."""
-    if not grid.compliant_with(catalog):
-        raise ValueError("grid too coarse (or wrong shape) for catalog")
-    if catalog.size * grid.n_points > _MAX_MATRIX_ELEMENTS:
-        raise ValueError(
-            f"basis table would hold {catalog.size} x {grid.n_points} entries; "
-            "reduce the cutoffs or the oversampling factor"
-        )
-    key = (catalog.digest, grid.dims, grid.nx, grid.nt)
-    cached = _matrix_cache.get(key)
-    if cached is not None:
-        return cached
-    rows = basis_rows(catalog, grid, np.arange(catalog.size))
-    _matrix_cache[key] = rows
-    return rows
+class TensorTransform:
+    """Synthesis/analysis as dims+1 per-axis products; values are in the grid's C order.
+
+    Each product contracts the box's leading axis and appends the grid axis at the back.
+    """
+
+    def __init__(self, catalog: SpectralCatalog, grid: ProductGrid):
+        x_table, t_table = _axis_tables(catalog, grid)
+        self.index = catalog.tensor_index
+        self.quad_weight = grid.quad_weight
+        self._to_grid = [x_table] * grid.dims + [t_table]
+        self._to_box = [table.T for table in self._to_grid]
+
+    @staticmethod
+    def _contract(a: np.ndarray, tables) -> np.ndarray:
+        for table in tables:
+            a = a.reshape(table.shape[0], -1).T @ table
+        return a.ravel()
+
+    def synth(self, coeffs: np.ndarray) -> np.ndarray:
+        box = np.empty(len(self.index))
+        box[self.index] = coeffs
+        return self._contract(box, self._to_grid)
+
+    def analyze(self, values: np.ndarray) -> np.ndarray:
+        return self._contract(values, self._to_box)[self.index] * self.quad_weight
 
 
 @dataclass
@@ -246,7 +248,7 @@ def energy_norms(u: SpectralField):
 
 def synthesize(u: SpectralField, grid: ProductGrid) -> np.ndarray:
     """Pointwise values of the basis expansion on the grid (flattened, C-order)."""
-    return u.coeffs @ basis_matrix(u.catalog, grid)
+    return TensorTransform(u.catalog, grid).synth(u.coeffs)
 
 
 def analyze(values: np.ndarray, catalog: SpectralCatalog, grid: ProductGrid) -> SpectralField:
@@ -254,8 +256,7 @@ def analyze(values: np.ndarray, catalog: SpectralCatalog, grid: ProductGrid) -> 
     values = np.asarray(values, dtype=np.float64).ravel()
     if values.shape != (grid.n_points,):
         raise ValueError("value array does not match grid")
-    coeffs = basis_matrix(catalog, grid) @ values * grid.quad_weight
-    return SpectralField(catalog, coeffs)
+    return SpectralField(catalog, TensorTransform(catalog, grid).analyze(values))
 
 
 def wave_apply(u: SpectralField) -> SpectralField:

@@ -21,6 +21,8 @@ from wavegs import (
     phi_gradient,
     residual_dual_norm,
 )
+from wavegs.energy import quadrature_refinement_gap
+from wavegs.fields import basis_rows
 from conftest import make_context, random_field
 
 TWO_PI = 2 * np.pi
@@ -208,3 +210,28 @@ def test_context_rejects_mismatched_grid(circle_beam_cat):
     with pytest.raises(ValueError):
         EnergyContext(circle_beam_cat, grid, WeightField.constant(other),
                       NonlinearitySpec.pure_power(4))
+
+
+def test_quadrature_gap_matches_table_reference():
+    cat = build_catalog(DomainSpec.circle(), OperatorSpec.laplacian_power(2), 3, 3)
+    grid = ProductGrid.for_catalog(cat)
+    weight = WeightField.from_function(grid, lambda x, t: 1.0 + 0.5 * np.cos(x) * np.sin(2 * t))
+    ctx = EnergyContext(cat, grid, weight, NonlinearitySpec.pure_power(3.5))
+    u = random_field(cat, np.random.default_rng(11))
+    fine = ProductGrid(1, 2 * grid.nx, 2 * grid.nt)
+    fine_vals = u.coeffs @ basis_rows(cat, fine, np.arange(cat.size))
+    fine_q = np.repeat(np.repeat(weight.values.reshape(grid.nx, grid.nt), 2, 0), 2, 1).ravel()
+    fine_I = float(np.sum(fine_q * np.abs(fine_vals) ** 3.5 / 3.5)) * fine.quad_weight
+    expected = abs(fine_I - I_eval(u, ctx))
+    assert expected > 1e-6
+    assert quadrature_refinement_gap(u, ctx) == pytest.approx(expected, rel=1e-12)
+
+
+def test_torus2_contexts_beyond_old_table_cap():
+    # K = L = 8 was refused at set-up; K = L = 5 failed in the refined-grid gap
+    rng = np.random.default_rng(12)
+    big = make_context(build_catalog(DomainSpec.torus(2), OperatorSpec.laplacian_power(2), 8, 8))
+    g = phi_gradient(random_field(big.catalog, rng, 0.1), big)
+    assert np.all(np.isfinite(g.coeffs))
+    mid = make_context(build_catalog(DomainSpec.torus(2), OperatorSpec.laplacian_power(2), 5, 5))
+    assert math.isfinite(quadrature_refinement_gap(random_field(mid.catalog, rng, 0.1), mid))

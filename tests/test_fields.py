@@ -20,6 +20,8 @@ from wavegs import (
     wave_apply,
     weight_rectangle,
 )
+from wavegs.catalog import SpectralCatalog
+from wavegs.fields import basis_rows
 from conftest import random_field
 
 TWO_PI = 2 * np.pi
@@ -191,6 +193,42 @@ def test_grid_compliance_errors(circle_beam_cat):
         ProductGrid.for_catalog(
             build_catalog(DomainSpec.sphere(2), OperatorSpec.laplacian_power(2), 2, 2)
         )
+
+
+@pytest.mark.parametrize("dims, k_max, l_max", [(1, 8, 8), (2, 3, 3), (3, 2, 2), (2, 3, 1)])
+def test_transforms_match_mode_by_mode_table(dims, k_max, l_max):
+    # basis_rows builds each mode's values as an outer product of its circle
+    # factors, independently of the sum-factorized contraction; unequal
+    # cutoffs catch a mixed-up axis order
+    cat = build_catalog(DomainSpec.torus(dims), OperatorSpec.laplacian_power(2), k_max, l_max)
+    grid = ProductGrid.for_catalog(cat)
+    rows = basis_rows(cat, grid, np.arange(cat.size))
+    rng = np.random.default_rng(dims)
+    u = random_field(cat, rng)
+    values = rng.standard_normal(grid.n_points)
+    np.testing.assert_allclose(synthesize(u, grid), u.coeffs @ rows, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(
+        analyze(values, cat, grid).coeffs, rows @ values * grid.quad_weight, rtol=0, atol=1e-13
+    )
+
+
+def test_round_trip_beyond_old_table_cap():
+    # 4,913 modes x 46,656 points: a dense table would hold 229M entries
+    cat = build_catalog(DomainSpec.torus(2), OperatorSpec.laplacian_power(2), 8, 8)
+    grid = ProductGrid.for_catalog(cat)
+    u = random_field(cat, np.random.default_rng(3))
+    back = analyze(synthesize(u, grid), cat, grid)
+    np.testing.assert_allclose(back.coeffs, u.coeffs, rtol=0, atol=1e-12)
+
+
+def test_transform_rejects_catalog_that_misses_box_modes(torus2_cat):
+    cat = torus2_cat
+    partial = SpectralCatalog(
+        cat.domain, cat.operator, cat.k_max, cat.l_max, cat.modes[:-1], cat.eigenvalues[:-1]
+    )
+    grid = ProductGrid.for_catalog(cat)
+    with pytest.raises(ValueError):
+        synthesize(SpectralField.zeros(partial), grid)
 
 
 def test_weight_field_validation():
