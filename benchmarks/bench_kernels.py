@@ -1,22 +1,29 @@
-"""Benchmark the numba kernels against the pure-numpy fallback.
+"""Time the numpy kernels of ``wavegs._accel``, the kernel Gram and the profiles.
 
-The accelerated path is selected at import time by WAVEGS_NO_NUMBA, so the
-comparison runs each mode in a fresh subprocess and reports wall times and
-speedups.  Usage:
+Sizes are those of the ``wavebench`` diagnostics batch (and, for the
+pointwise nonlinearity, a large solve grid).  Each kernel is timed in this
+process as the best of a few calls; the script prints a table and then one
+JSON line with the seconds per kernel and the machine facts.  Usage:
 
-    python3 benchmarks/bench_kernels.py            # run both modes, print table
-    python3 benchmarks/bench_kernels.py --worker   # internal: time current mode
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeats N]
 """
 
 import argparse
 import json
 import os
-import subprocess
-import sys
+import platform
 import time
 
+import numpy as np
 
-def _time(fn, repeats=3):
+import wavegs
+from wavegs import _accel
+
+# the diagnostics batch's rectangle weight and raster set
+X_SPAN, T_SPAN = (0.0, 4.71), (0.0, 6.2832)
+
+
+def _best(fn, repeats):
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -25,72 +32,64 @@ def _time(fn, repeats=3):
     return best
 
 
-def run_worker():
-    import numpy as np
+def _torus_nu(n, cutoff):
+    """Distinct |k|^2 over the box [0, cutoff]^n, as torus_gap_series sums them."""
+    grids = np.meshgrid(*([np.arange(cutoff + 1)] * n), indexing="ij")
+    return np.unique(sum(g.ravel() ** 2 for g in grids)).astype(np.int64)
 
-    from wavegs import _accel
 
+def cases():
+    """(name, zero-argument call) at the diagnostics sizes."""
     rng = np.random.default_rng(0)
-    timings = {"numba": _accel.NUMBA_ENABLED}
-
     v = rng.standard_normal(2_000_000)
-    amps = np.array([1.0, 0.4])
-    exps = np.array([3.0, 4.5])
-    _accel.quasipoly_f(v[:16], amps, exps)  # compile outside the timer
-    _accel.quasipoly_prim(v[:16], amps, exps)
-    timings["quasipoly_f_2e6"] = _time(lambda: _accel.quasipoly_f(v, amps, exps))
-    timings["quasipoly_prim_2e6"] = _time(lambda: _accel.quasipoly_prim(v, amps, exps))
-
-    nu = np.arange(0, 120, dtype=np.int64)
-    _accel.torus_l_sums(nu[:4], 2, 2.0)
-    timings["torus_l_sums_120"] = _time(lambda: _accel.torus_l_sums(nu, 2, 2.0))
-
+    amps, exps = np.array([1.0, 0.4]), np.array([3.0, 4.5])
+    nu_a, nu_b = _torus_nu(2, 96), _torus_nu(3, 24)
     js = np.arange(-64, 65, dtype=np.int64)
-    _accel.sphere_series_inner(js[:3], 3, 1, 3.0, 1.0, 100, True)
-    timings["sphere_series_kg_l2e4"] = _time(
-        lambda: _accel.sphere_series_inner(js, 3, 1, 3.0, 1.0, 20000, True)
+    mask = wavegs.RasterSet.rectangle(X_SPAN, T_SPAN, 2048).mask
+    cat = wavegs.build_catalog(
+        wavegs.DomainSpec.circle(), wavegs.OperatorSpec.laplacian_power(1), 48, 48
     )
+    grid = wavegs.ProductGrid.for_catalog(cat)
+    weight = wavegs.weight_rectangle(grid, X_SPAN, T_SPAN, 1.0, 0.0, 0.1)
+    coeffs = np.zeros(cat.size)
+    coeffs[cat.zero_idx] = rng.standard_normal(cat.kernel_dim())
+    phi, psi = wavegs.dalembert_split(wavegs.SpectralField(cat, coeffs))
+    xs, ts = np.meshgrid(grid.x_nodes, grid.t_nodes, indexing="ij")
+    return [
+        ("quasipoly_f_2e6", lambda: _accel.quasipoly_f(v, amps, exps)),
+        ("quasipoly_prim_2e6", lambda: _accel.quasipoly_prim(v, amps, exps)),
+        (f"torus_l_sums_T2_96_{len(nu_a)}nu", lambda: _accel.torus_l_sums(nu_a, 2, 3.0)),
+        (f"torus_l_sums_T3_24_{len(nu_b)}nu", lambda: _accel.torus_l_sums(nu_b, 2, 2.0)),
+        # s = p / (p - 2); wexp = 2 p sigma_p / (p - 2) with p = 3: 1.0 on S^3, 0.5 on S^2
+        ("sphere_inner_kg_S3_l1e4",
+         lambda: _accel.sphere_series_inner(js, 3, 1, 3.0, 1.0, 10000, True)),
+        ("sphere_inner_power_S2_l1e4",
+         lambda: _accel.sphere_series_inner(js, 2, 2, 3.0, 0.5, 10000, False)),
+        ("gap_ratio_scan_l1e4", lambda: _accel.gap_ratio_scan(2, 2, 10000)),
+        ("char_slice_counts_2048", lambda: _accel.char_slice_counts(mask)),
+        ("kernel_gram_circle_48", lambda: wavegs.kernel_gram(weight, cat, grid)),
+        ("dalembert_profiles_circle_48", lambda: phi(xs + ts) + psi(xs - ts)),
+    ]
 
-    _accel.gap_ratio_scan(2, 2, 100)
-    timings["gap_ratio_scan_l1e4"] = _time(lambda: _accel.gap_ratio_scan(2, 2, 10000))
 
-    mask = (rng.uniform(size=(1024, 1024)) < 0.4).astype(np.uint8)
-    _accel.char_slice_counts(mask[:64, :64].copy())
-    timings["char_slices_1024"] = _time(lambda: _accel.char_slice_counts(mask))
-
-    print(json.dumps(timings))
-
-
-def run_comparison():
-    results = {}
-    for mode, env_val in (("numba", "0"), ("numpy", "1")):
-        env = dict(os.environ, WAVEGS_NO_NUMBA=env_val)
-        out = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--worker"],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        results[mode] = json.loads(out.stdout.strip().splitlines()[-1])
-    if not results["numba"].pop("numba"):
-        print("warning: numba unavailable, both columns are the numpy path")
-    results["numpy"].pop("numba")
-
-    keys = [k for k in results["numba"] if k in results["numpy"]]
-    width = max(len(k) for k in keys)
-    print(f"{'kernel':<{width}}  {'numba [ms]':>12}  {'numpy [ms]':>12}  {'speedup':>8}")
-    for k in keys:
-        tn = results["numba"][k] * 1e3
-        tp = results["numpy"][k] * 1e3
-        print(f"{k:<{width}}  {tn:12.2f}  {tp:12.2f}  {tp/tn:7.1f}x")
+def main():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--repeats", type=int, default=3)
+    args = parser.parse_args()
+    timings = {name: _best(fn, args.repeats) for name, fn in cases()}
+    width = max(len(k) for k in timings)
+    print(f"{'kernel':<{width}}  {'best [ms]':>10}")
+    for name, sec in timings.items():
+        print(f"{name:<{width}}  {sec * 1e3:10.2f}")
+    facts = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpus": os.cpu_count(),
+        "machine": platform.machine(),
+        "repeats": args.repeats,
+    }
+    print(json.dumps({"seconds": timings, "machine": facts}, sort_keys=True))
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--worker", action="store_true")
-    args = parser.parse_args()
-    if args.worker:
-        run_worker()
-    else:
-        run_comparison()
+    main()

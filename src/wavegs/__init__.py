@@ -8,7 +8,6 @@ kernel-control hypotheses behind the method.
 
 __version__ = "0.1.0"
 
-from ._accel import NUMBA_ENABLED
 from .catalog import (
     DomainSpec,
     ModeKey,

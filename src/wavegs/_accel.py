@@ -1,39 +1,22 @@
-"""Hot numeric kernels with optional numba acceleration.
+"""Numeric kernels of the nonlinearity and the diagnostics, vectorized in numpy.
 
-Every kernel here exists twice: a compiled ``@njit`` version and a vectorized
-pure-numpy twin.  The public names point at the compiled versions when numba
-imports cleanly; setting the environment variable ``WAVEGS_NO_NUMBA=1`` (or
-numba being absent) selects the numpy path instead.  The numpy twins stay
-importable under ``*_numpy`` names so tests and benchmarks can compare both.
-
-All accumulation loops are serial on purpose: reduction order is part of the
-reproducibility contract, so no ``prange``.
+Each kernel has one code path and uses the integer structure of its problem:
+exact integer gaps before any fractional power, a factored gap for the torus
+shell sums, flattened (l, j) pairs for the gap-ratio scan and wrapped-diagonal
+sums for the slice counts.  Callers look the kernels up on this module at call
+time (``_accel.torus_l_sums(...)``).
 """
 
 import math
-import os
 
 import numpy as np
 
-_env = os.environ.get("WAVEGS_NO_NUMBA", "").strip().lower()
-_disabled = _env in ("1", "true", "yes", "on")
-
-if not _disabled:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
+# l values per block of the gap-ratio scan: bounds the flattened (l, j) pair
+# arrays to a few MB at l_max = 1e4
+_GAP_BLOCK = 1024
 
 
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-# ---------------------------------------------------------------------------
-
-def quasipoly_f_numpy(v, amps, exps):
+def quasipoly_f(v, amps, exps):
     """f(s) = sum_i a_i |s|^(p_i - 2) s, evaluated elementwise."""
     out = np.zeros_like(v)
     av = np.abs(v)
@@ -42,7 +25,7 @@ def quasipoly_f_numpy(v, amps, exps):
     return out
 
 
-def quasipoly_prim_numpy(v, amps, exps):
+def quasipoly_prim(v, amps, exps):
     """Primitive F(s) = sum_i (a_i / p_i) |s|^p_i, elementwise."""
     out = np.zeros_like(v)
     av = np.abs(v)
@@ -51,35 +34,45 @@ def quasipoly_prim_numpy(v, amps, exps):
     return out
 
 
-def torus_l_sums_numpy(nu, m, s):
+def torus_l_sums(nu, m, s):
     """For each spatial Laplace eigenvalue nu, sum |nu^m - l^2|^(-s) over l.
 
     l runs over the integers with weight 2 for l != 0 (cos and sin branches)
     and resonant terms skipped; the sum is truncated at l_k + max(64, l_k)
-    where l_k = nu^(m/2).
+    where l_k = nu^(m/2).  nu^m must be a perfect square a^2 (m even, or
+    nu = k^2), so each gap factors as |a - l| * (a + l) and every term is a
+    product of two entries of one power table T[x] = x^(-s), T[0] = 0; the
+    zero entry drops the resonant term.
     """
-    out = np.empty(len(nu), dtype=np.float64)
-    for i, nv in enumerate(nu):
+    roots = []
+    for nv in np.asarray(nu).tolist():
         lam0 = int(nv) ** m
-        lk = math.isqrt(lam0)
-        lmax = lk + max(64, lk)
-        ls = np.arange(0, lmax + 1, dtype=np.int64)
-        gaps = np.abs(lam0 - ls * ls)
-        w = np.full(len(ls), 2.0)
-        w[0] = 1.0
-        nz = gaps > 0
-        out[i] = np.sum(w[nz] * gaps[nz].astype(np.float64) ** (-s))
+        a = math.isqrt(lam0)
+        if a * a != lam0:
+            raise ValueError(f"nu^m = {lam0} is not a perfect square")
+        roots.append(a)
+    top = max(roots, default=0)
+    table = np.zeros(2 * top + max(64, top) + 1)
+    table[1:] = np.arange(1, len(table), dtype=np.float64) ** (-s)
+    out = np.empty(len(roots), dtype=np.float64)
+    for i, a in enumerate(roots):
+        lmax = a + max(64, a)
+        near = table[a::-1] @ table[a : 2 * a + 1]  # l = 0..a
+        far = table[1 : lmax - a + 1] @ table[2 * a + 1 : a + lmax + 1]  # l = a+1..lmax
+        out[i] = 2.0 * (near + far) - table[a] * table[a]
     return out
 
 
-def _mode_shift_scalar(l, N, m):
+def _mode_shift(ls, N, m):
+    """Rounded resonance degrees k_l of frequencies ls on S^N, as int64."""
     c = 0.5 * (N - 1)
-    x = float(l) ** (2.0 / m) if m != 2 else float(l)
-    kst = -c + math.sqrt(x + c * c)
-    return int(math.floor(kst + 0.5))
+    x = ls.astype(np.float64)
+    if m != 2:
+        x = x ** (2.0 / m)
+    return np.floor(-c + np.sqrt(x + c * c) + 0.5).astype(np.int64)
 
 
-def sphere_series_inner_numpy(j_values, N, m, s, wexp, l_cut, klein_gordon):
+def sphere_series_inner(j_values, N, m, s, wexp, l_cut, klein_gordon):
     """Inner l-sums of the sphere embedding series, one value per offset j.
 
     Gaps |nu_{k_l+j} - l^2| are formed in exact integer arithmetic before the
@@ -87,11 +80,7 @@ def sphere_series_inner_numpy(j_values, N, m, s, wexp, l_cut, klein_gordon):
     """
     half = (N - 1) // 2
     ls = np.arange(0, l_cut + 1, dtype=np.int64)
-    if klein_gordon:
-        kl = np.maximum(ls - half, 0)
-        nu_base = None
-    else:
-        kl = np.array([_mode_shift_scalar(int(l), N, m) for l in ls], dtype=np.int64)
+    kl = np.maximum(ls - half, 0) if klein_gordon else _mode_shift(ls, N, m)
     w = np.full(len(ls), 2.0)
     w[0] = 1.0
     out = np.empty(len(j_values), dtype=np.float64)
@@ -114,227 +103,79 @@ def sphere_series_inner_numpy(j_values, N, m, s, wexp, l_cut, klein_gordon):
     return out
 
 
-def gap_ratio_scan_numpy(N, m, l_max):
+def _int_root(ls, m):
+    """Exact floor(l^(1/m)) for positive int64 ls."""
+    r = np.floor(ls.astype(np.float64) ** (1.0 / m)).astype(np.int64)
+    r += (r + 1) ** m <= ls
+    r -= r**m > ls
+    return r
+
+
+def gap_ratio_scan(N, m, l_max):
     """Extremes of |nu_{k_l+j} - l^2| / (2 l^((2m-1)/m) |j*|) over the sampled range.
 
-    j* is the real offset k_l + j - k_l*; the factor 2 is the leading constant
-    of the gap asymptotics (from j*(j* + 2 k_l* + N - 1) ~ 2 j* l^(1/m)).
+    The range is 2 <= l <= l_max and 1 <= |j| <= floor(l^(1/m)) (the exact
+    integer root).  j* is the real offset k_l + j - k_l*; the factor 2 is the
+    leading constant of the gap asymptotics (from
+    j*(j* + 2 k_l* + N - 1) ~ 2 j* l^(1/m)).  The (l, j) pairs are flattened
+    in blocks of l.
     """
     expo = (2.0 * m - 1.0) / m
     c = 0.5 * (N - 1)
     rmin = math.inf
     rmax = 0.0
-    for l in range(2, l_max + 1):
-        jmax = int(math.floor(l ** (1.0 / m)))
-        if jmax < 1:
-            continue
-        x = float(l) ** (2.0 / m) if m != 2 else float(l)
-        k_star = -c + math.sqrt(x + c * c)
-        kl = int(math.floor(k_star + 0.5))
-        js = np.arange(-jmax, jmax + 1, dtype=np.int64)
-        js = js[js != 0]
-        k = kl + js
-        k = k[k >= 0]
+    for start in range(2, l_max + 1, _GAP_BLOCK):
+        ls = np.arange(start, min(start + _GAP_BLOCK, l_max + 1), dtype=np.int64)
+        lf = ls.astype(np.float64)
+        k_star = -c + np.sqrt((lf if m == 2 else lf ** (2.0 / m)) + c * c)
+        kl = np.floor(k_star + 0.5).astype(np.int64)
+        denom = 2.0 * lf**expo
+        jmax = _int_root(ls, m)
+        # pair p of row i takes j = -jmax..-1, 1..jmax in order
+        row = np.repeat(np.arange(len(ls)), 2 * jmax)
+        pos = np.arange(len(row)) - np.repeat(np.cumsum(2 * jmax) - 2 * jmax, 2 * jmax)
+        j = pos - jmax[row]
+        j += j >= 0
+        k = kl[row] + j
+        keep = k >= 0
+        row, k = row[keep], k[keep]  # never empty: j = 1 gives k >= 1
         nu = (k * (k + N - 1)) ** m
-        gaps = np.abs(nu - l * l).astype(np.float64)
-        jstar = np.abs(k.astype(np.float64) - k_star)
-        ratios = gaps / (2.0 * float(l) ** expo * jstar)
-        if len(ratios):
-            rmin = min(rmin, float(ratios.min()))
-            rmax = max(rmax, float(ratios.max()))
+        gaps = np.abs(nu - ls[row] * ls[row]).astype(np.float64)
+        jstar = np.abs(k.astype(np.float64) - k_star[row])
+        ratios = gaps / (denom[row] * jstar)
+        rmin = min(rmin, float(ratios.min()))
+        rmax = max(rmax, float(ratios.max()))
     return rmin, rmax
 
 
-def char_slice_counts_numpy(mask):
+def _wrapped_diagonal_sums(mask):
+    """out[off] = sum_ix mask[ix, (ix - off) % r], exact in int64.
+
+    Row ix of a stride view of [mask | mask] starts at column ix, so its
+    column sums are the wrapped-diagonal sums at offsets (r - c) % r.
+    """
+    r = mask.shape[0]
+    doubled = np.concatenate([mask, mask], axis=1)
+    step_row, step_col = doubled.strides
+    diag = np.lib.stride_tricks.as_strided(
+        doubled, shape=(r, r), strides=(step_row + step_col, step_col), writeable=False
+    )
+    sums = diag.sum(axis=0, dtype=np.int64)
+    return sums[(-np.arange(r)) % r]
+
+
+def char_slice_counts(mask):
     """Per-offset cell counts of characteristic slices through a raster mask.
 
     ``mask`` is the (R, R) occupancy of the set on [0, 2pi)^2.  Slices run
     through the time-doubled set; the doubled lookup reduces to an index
-    shift mod R (see control.xi_eta_infimum).
+    shift mod R (see control.xi_eta_infimum), so
+
+        a[off] = sum_ix mask[ix, (off - ix - 1) % R]
+        b[off] = sum_ix mask[ix, (ix - off) % R]
+
+    b is a wrapped-diagonal sum and a the same sum over the column-reversed
+    mask.
     """
-    r = mask.shape[0]
-    ix = np.arange(r)[:, None]
-    offs = np.arange(r)[None, :]
-    a = mask[np.broadcast_to(ix, (r, r)), (offs - ix - 1) % r].sum(axis=0)
-    b = mask[np.broadcast_to(ix, (r, r)), (ix - offs) % r].sum(axis=0)
-    return a.astype(np.int64), b.astype(np.int64)
-
-
-# ---------------------------------------------------------------------------
-# numba versions
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _quasipoly_f_jit(v, amps, exps):
-        out = np.zeros_like(v)
-        for i in range(v.size):
-            x = v[i]
-            ax = abs(x)
-            acc = 0.0
-            for t in range(amps.size):
-                acc += amps[t] * ax ** (exps[t] - 2.0) * x
-            out[i] = acc
-        return out
-
-    @njit(cache=True)
-    def _quasipoly_prim_jit(v, amps, exps):
-        out = np.zeros_like(v)
-        for i in range(v.size):
-            ax = abs(v[i])
-            acc = 0.0
-            for t in range(amps.size):
-                acc += (amps[t] / exps[t]) * ax ** exps[t]
-            out[i] = acc
-        return out
-
-    @njit(cache=True)
-    def _isqrt64(x):
-        if x <= 0:
-            return 0
-        r = int(math.sqrt(float(x)))
-        while r * r > x:
-            r -= 1
-        while (r + 1) * (r + 1) <= x:
-            r += 1
-        return r
-
-    @njit(cache=True)
-    def _torus_l_sums_jit(nu, m, s):
-        out = np.empty(nu.size, dtype=np.float64)
-        for i in range(nu.size):
-            lam0 = np.int64(1)
-            for _ in range(m):
-                lam0 *= nu[i]
-            lk = _isqrt64(lam0)
-            tail = lk if lk > 64 else 64
-            lmax = lk + tail
-            acc = 0.0
-            for l in range(0, lmax + 1):
-                d = lam0 - np.int64(l) * np.int64(l)
-                if d == 0:
-                    continue
-                g = float(abs(d))
-                wl = 1.0 if l == 0 else 2.0
-                acc += wl * g ** (-s)
-            out[i] = acc
-        return out
-
-    @njit(cache=True)
-    def _mode_shift_jit(l, N, m):
-        c = 0.5 * (N - 1)
-        if m == 2:
-            x = float(l)
-        else:
-            x = float(l) ** (2.0 / m)
-        kst = -c + math.sqrt(x + c * c)
-        return int(math.floor(kst + 0.5))
-
-    @njit(cache=True)
-    def _sphere_series_inner_jit(j_values, N, m, s, wexp, l_cut, klein_gordon):
-        half = (N - 1) // 2
-        # hoist the per-l mode shift and the per-k Sogge weight out of the j loop
-        kl_table = np.empty(l_cut + 1, dtype=np.int64)
-        for l in range(0, l_cut + 1):
-            if klein_gordon:
-                kl = l - half
-                kl_table[l] = kl if kl > 0 else 0
-            else:
-                kl_table[l] = _mode_shift_jit(l, N, m)
-        jmax = 0
-        for idx in range(j_values.size):
-            if j_values[idx] > jmax:
-                jmax = j_values[idx]
-        k_top = int(kl_table[l_cut] + jmax + 1)
-        weight = np.empty(k_top + 1, dtype=np.float64)
-        for k in range(k_top + 1):
-            weight[k] = (1.0 + k) ** wexp
-
-        out = np.empty(j_values.size, dtype=np.float64)
-        for idx in range(j_values.size):
-            j = j_values[idx]
-            acc = 0.0
-            for l in range(0, l_cut + 1):
-                k = kl_table[l] + j
-                if k < 0:
-                    continue
-                if klein_gordon:
-                    base = np.int64(k + half)
-                    nu = base * base
-                else:
-                    q = np.int64(k) * np.int64(k + N - 1)
-                    nu = np.int64(1)
-                    for _ in range(m):
-                        nu *= q
-                d = nu - np.int64(l) * np.int64(l)
-                if d == 0:
-                    continue
-                wl = 1.0 if l == 0 else 2.0
-                acc += wl * float(abs(d)) ** (-s) * weight[k]
-            out[idx] = acc
-        return out
-
-    @njit(cache=True)
-    def _gap_ratio_scan_jit(N, m, l_max):
-        expo = (2.0 * m - 1.0) / m
-        c = 0.5 * (N - 1)
-        rmin = 1e300
-        rmax = 0.0
-        for l in range(2, l_max + 1):
-            jmax = int(math.floor(float(l) ** (1.0 / m)))
-            if jmax < 1:
-                continue
-            if m == 2:
-                x = float(l)
-            else:
-                x = float(l) ** (2.0 / m)
-            k_star = -c + math.sqrt(x + c * c)
-            kl = int(math.floor(k_star + 0.5))
-            denom0 = 2.0 * float(l) ** expo
-            for j in range(-jmax, jmax + 1):
-                if j == 0:
-                    continue
-                k = kl + j
-                if k < 0:
-                    continue
-                q = np.int64(k) * np.int64(k + N - 1)
-                nu = np.int64(1)
-                for _ in range(m):
-                    nu *= q
-                gap = abs(nu - np.int64(l) * np.int64(l))
-                ratio = float(gap) / (denom0 * abs(k - k_star))
-                if ratio < rmin:
-                    rmin = ratio
-                if ratio > rmax:
-                    rmax = ratio
-        return rmin, rmax
-
-    @njit(cache=True)
-    def _char_slice_counts_jit(mask):
-        r = mask.shape[0]
-        a = np.zeros(r, dtype=np.int64)
-        b = np.zeros(r, dtype=np.int64)
-        for off in range(r):
-            ca = 0
-            cb = 0
-            for ix in range(r):
-                ca += mask[ix, (off - ix - 1) % r]
-                cb += mask[ix, (ix - off) % r]
-            a[off] = ca
-            b[off] = cb
-        return a, b
-
-    quasipoly_f = _quasipoly_f_jit
-    quasipoly_prim = _quasipoly_prim_jit
-    torus_l_sums = _torus_l_sums_jit
-    sphere_series_inner = _sphere_series_inner_jit
-    gap_ratio_scan = _gap_ratio_scan_jit
-    char_slice_counts = _char_slice_counts_jit
-else:
-    quasipoly_f = quasipoly_f_numpy
-    quasipoly_prim = quasipoly_prim_numpy
-    torus_l_sums = torus_l_sums_numpy
-    sphere_series_inner = sphere_series_inner_numpy
-    gap_ratio_scan = gap_ratio_scan_numpy
-    char_slice_counts = char_slice_counts_numpy
+    mask = np.asarray(mask)
+    return _wrapped_diagonal_sums(mask[:, ::-1]), _wrapped_diagonal_sums(mask)

@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -85,19 +85,7 @@ class RunConfig:
             "nonlinearity": self.nonlinearity.to_json(),
             "weight": self.weight_spec,
             "grid": self.grid_spec,
-            "solver": {
-                "tol_inner": self.solver.tol_inner,
-                "tol_outer": self.solver.tol_outer,
-                "max_inner": self.solver.max_inner,
-                "max_outer": self.solver.max_outer,
-                "n_starts": self.solver.n_starts,
-                "step_inner0": self.solver.step_inner0,
-                "step_outer0": self.solver.step_outer0,
-                "divergence_norm": self.solver.divergence_norm,
-                "divergence_value": self.solver.divergence_value,
-                "eps_kernel": self.solver.eps_kernel,
-                "seed": self.solver.seed,
-            },
+            "solver": asdict(self.solver),
             "series": self.series,
             "witness_count": self.witness_count,
             "raster": self.raster,
@@ -247,19 +235,7 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
         nonlinearity=nonlinearity,
         weight_spec=raw.get("weight", {"kind": "constant", "value": 1.0}),
         grid_spec=raw.get("grid", {"oversample": 2}),
-        solver=SolverConfig(
-            tol_inner=solver.tol_inner,
-            tol_outer=solver.tol_outer,
-            max_inner=solver.max_inner,
-            max_outer=solver.max_outer,
-            n_starts=solver.n_starts,
-            step_inner0=solver.step_inner0,
-            step_outer0=solver.step_outer0,
-            divergence_norm=solver.divergence_norm,
-            divergence_value=solver.divergence_value,
-            eps_kernel=solver.eps_kernel,
-            seed=seed,
-        ),
+        solver=replace(solver, seed=seed),
         series=raw.get("series", {}),
         witness_count=int(raw.get("witness", {}).get("count", 5)),
         raster=raw.get("raster", {"resolution": 256, "set": {"kind": "weight_support"}}),

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import _accel
 from .catalog import TORUS, SpectralCatalog
-from .fields import TWO_PI, ProductGrid, SpectralField, WeightField, basis_rows
+from .fields import TWO_PI, ProductGrid, SpectralField, WeightField, mode_factors
+from .fields import basis_rows  # noqa: F401  (re-exported as control.basis_rows)
 
 _REL_FLOOR_DEFAULT = 1e-8
 
@@ -65,8 +66,17 @@ def kernel_gram(
     dim = catalog.kernel_dim()
     if dim == 0:
         return GramReport(0, np.zeros((0, 0)), 0.0, 0.0, 0.0, [], rel_floor)
-    rows = basis_rows(catalog, grid, catalog.zero_idx)
-    gram = (rows * (q.values * grid.quad_weight)) @ rows.T
+    # G = sum over the nodes of one factor of (f f^T) * (H diag(w) H^T), with
+    # f, H the space/time mode factors, so no modes x points table is formed;
+    # the loop runs over the factor with fewer nodes
+    space, time = mode_factors(catalog, grid, catalog.zero_idx)
+    weights = (q.values * grid.quad_weight).reshape(space.shape[1], time.shape[1])
+    outer, inner = space, time
+    if space.shape[1] > time.shape[1]:
+        outer, inner, weights = time, space, weights.T
+    gram = np.zeros((dim, dim))
+    for f, w in zip(outer.T, weights):
+        gram += np.outer(f, f) * ((inner * w) @ inner.T)
     gram = 0.5 * (gram + gram.T)
     eigvals = np.linalg.eigvalsh(gram)
     eig_min = float(eigvals[0])
@@ -96,11 +106,13 @@ class CircleProfile:
     sin: np.ndarray
 
     def __call__(self, s):
-        s = np.asarray(s, dtype=np.float64)
-        out = np.full(s.shape, self.const)
-        for k in range(1, len(self.cos) + 1):
-            out += self.cos[k - 1] * np.cos(k * s) + self.sin[k - 1] * np.sin(k * s)
-        return out
+        # real part of sum_k (cos_k - i sin_k) z^k by Horner in z = e^{is}:
+        # one exp per point instead of a cos and a sin per point and k
+        z = np.exp(1j * np.asarray(s, dtype=np.float64))
+        acc = np.zeros(z.shape, dtype=complex)
+        for c in (self.cos - 1j * self.sin)[::-1]:
+            acc = (acc + c) * z
+        return self.const + acc.real
 
 
 def dalembert_split(u: SpectralField, atol: float = 1e-12):

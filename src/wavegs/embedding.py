@@ -126,16 +126,9 @@ def torus_gap_series(N: int, m: int, p: float, cutoff: int = 48) -> SeriesReport
     mult = np.prod(np.where(flat > 0, 2.0, 1.0), axis=0)
 
     shells = np.arange(cutoff + 1)
-    sums = np.zeros(cutoff + 1)
-    order = np.argsort(nu, kind="stable")
-    nu_sorted = nu[order].astype(np.int64)
-    uniq, starts = np.unique(nu_sorted, return_index=True)
+    uniq, inverse = np.unique(nu.astype(np.int64), return_inverse=True)
     per_nu = _accel.torus_l_sums(uniq, m, s)
-    lookup = dict(zip(uniq.tolist(), per_nu))
-    for r in shells:
-        in_shell = shell == r
-        vals = np.array([lookup[int(v)] for v in nu[in_shell]])
-        sums[r] = float(vals @ mult[in_shell])
+    sums = np.bincount(shell, weights=per_nu[inverse] * mult, minlength=cutoff + 1)
     tail = tail_exponent(shells, sums)
     total = float(np.sum(sums))
     return SeriesReport(params, shells, sums, total, tail, _verdict_from_tail(tail), p_star)

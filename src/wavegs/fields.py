@@ -118,18 +118,25 @@ def _axis_tables(catalog: SpectralCatalog, grid: ProductGrid):
     return _axis_table(catalog.k_max, grid.x_nodes), _axis_table(catalog.l_max, grid.t_nodes)
 
 
-def basis_rows(catalog: SpectralCatalog, grid: ProductGrid, mode_indices) -> np.ndarray:
-    """Basis-value table for a subset of modes, (len(idx), n_points); uncached."""
+def mode_factors(catalog: SpectralCatalog, grid: ProductGrid, mode_indices):
+    """Space and time factors of a subset of modes: (len(idx), nx^dims) and (len(idx), nt).
+
+    Basis function a at grid point (x, t) is space[a, x] * time[a, t].
+    """
     x_table, t_table = _axis_tables(catalog, grid)
-    mode_indices = np.asarray(mode_indices, dtype=int)
-    modes = [catalog.modes[i] for i in mode_indices]
-    rows = np.ones((len(modes), 1))
+    modes = [catalog.modes[i] for i in np.asarray(mode_indices, dtype=int)]
+    space = np.ones((len(modes), 1))
     for axis in range(grid.dims):
         idx = np.array([m.space[axis] + catalog.k_max for m in modes], dtype=int)
-        rows = (rows[:, :, None] * x_table[idx][:, None, :]).reshape(len(modes), -1)
+        space = (space[:, :, None] * x_table[idx][:, None, :]).reshape(len(modes), -1)
     t_idx = np.array([m.l + catalog.l_max for m in modes], dtype=int)
-    rows = (rows[:, :, None] * t_table[t_idx][:, None, :]).reshape(len(modes), -1)
-    return rows
+    return space, t_table[t_idx]
+
+
+def basis_rows(catalog: SpectralCatalog, grid: ProductGrid, mode_indices) -> np.ndarray:
+    """Basis-value table for a subset of modes, (len(idx), n_points); uncached."""
+    space, time = mode_factors(catalog, grid, mode_indices)
+    return (space[:, :, None] * time[:, None, :]).reshape(len(space), -1)
 
 
 class TensorTransform:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from . import energy
 from .control import GramReport, kernel_gram, kernel_gram_basis
 from .energy import EnergyContext, phi_eval, phi_gradient, residual_dual_norm
 from .fields import SpectralField
@@ -399,15 +400,13 @@ def ground_state(ctx: EnergyContext, cfg: SolverConfig, threads: int = 1) -> Gro
 
     best_i, best = min(finished, key=rank)
     u_star = best["saddle"].m_hat
-    energy = phi_eval(u_star, ctx)
+    e_star = phi_eval(u_star, ctx)
     residual = residual_dual_norm(phi_gradient(u_star, ctx))
     converged = best["converged"]
     message = "converged" if converged else "max_outer reached or stalled; best iterate returned"
-    from .energy import quadrature_refinement_gap
-
     return GroundStateResult(
         u_star=u_star,
-        energy=energy,
+        energy=e_star,
         residual=residual,
         s_w=best["saddle"].s_w,
         converged=converged,
@@ -415,5 +414,5 @@ def ground_state(ctx: EnergyContext, cfg: SolverConfig, threads: int = 1) -> Gro
         history=records,
         kernel_report=kernel_report,
         dropped_kernel=dropped,
-        quadrature_gap=quadrature_refinement_gap(u_star, ctx),
+        quadrature_gap=energy.quadrature_refinement_gap(u_star, ctx),
     )

@@ -1,9 +1,27 @@
-"""The compiled kernels and their pure-numpy twins must agree exactly enough."""
+"""Each vectorized kernel path must agree with an independent scalar reference.
+
+The references are direct Python loops in exact integer arithmetic (gaps,
+integer roots, index shifts), written from the kernels' definitions; the
+kernel Gram is checked against the dense basis-row product.
+"""
+
+import math
 
 import numpy as np
 import pytest
 
-from wavegs import _accel
+from wavegs import (
+    DomainSpec,
+    OperatorSpec,
+    ProductGrid,
+    WeightField,
+    _accel,
+    build_catalog,
+    kernel_gram,
+    sphere_mode_shift,
+    weight_rectangle,
+)
+from wavegs.fields import basis_rows
 
 
 @pytest.fixture(scope="module")
@@ -15,43 +33,131 @@ def test_quasipoly_paths_agree(rng):
     v = rng.standard_normal(4096)
     amps = np.array([1.0, 0.4])
     exps = np.array([3.0, 4.5])
-    f_fast = _accel.quasipoly_f(v, amps, exps)
-    f_ref = _accel.quasipoly_f_numpy(v, amps, exps)
-    np.testing.assert_allclose(f_fast, f_ref, rtol=1e-13, atol=1e-13)
-    F_fast = _accel.quasipoly_prim(v, amps, exps)
-    F_ref = _accel.quasipoly_prim_numpy(v, amps, exps)
-    np.testing.assert_allclose(F_fast, F_ref, rtol=1e-13, atol=1e-13)
+    f_ref = [sum(a * abs(x) ** (p - 2.0) * x for a, p in zip(amps, exps)) for x in v]
+    F_ref = [sum(a / p * abs(x) ** p for a, p in zip(amps, exps)) for x in v]
+    np.testing.assert_allclose(_accel.quasipoly_f(v, amps, exps), f_ref, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(_accel.quasipoly_prim(v, amps, exps), F_ref, rtol=1e-13, atol=1e-13)
+
+
+def _torus_l_sum_loop(nu, m, s):
+    lam0 = nu**m
+    lk = math.isqrt(lam0)
+    acc = 0.0
+    for l in range(lk + max(64, lk) + 1):
+        gap = abs(lam0 - l * l)
+        if gap:
+            acc += (1.0 if l == 0 else 2.0) * float(gap) ** (-s)
+    return acc
 
 
 def test_torus_l_sums_paths_agree():
-    nu = np.arange(0, 40, dtype=np.int64)
-    a = _accel.torus_l_sums(nu, 2, 2.0)
-    b = _accel.torus_l_sums_numpy(nu, 2, 2.0)
-    np.testing.assert_allclose(a, b, rtol=1e-12)
+    # every nu is reachable for even m, only squares nu = k^2 (N = 1) for odd m;
+    # nu = 0 has a resonant l = 0 term
+    every = np.arange(0, 61, dtype=np.int64)
+    squares = np.arange(0, 12, dtype=np.int64) ** 2
+    for nu, m, s in [(every, 2, 2.0), (every, 2, 3.0), (every, 4, 1.5), (squares, 3, 2.0)]:
+        ref = [_torus_l_sum_loop(int(v), m, s) for v in nu]
+        np.testing.assert_allclose(_accel.torus_l_sums(nu, m, s), ref, rtol=1e-12)
+
+
+def test_torus_l_sums_rejects_non_square():
+    with pytest.raises(ValueError, match="perfect square"):
+        _accel.torus_l_sums(np.array([4, 5], dtype=np.int64), 1, 2.0)
+    with pytest.raises(ValueError, match="perfect square"):
+        _accel.torus_l_sums(np.array([2], dtype=np.int64), 3, 2.0)
+
+
+def _sphere_inner_loop(j, N, m, s, wexp, l_cut, klein_gordon):
+    half = (N - 1) // 2
+    acc = 0.0
+    for l in range(l_cut + 1):
+        kl = max(l - half, 0) if klein_gordon else sphere_mode_shift(N, m, l)[1]
+        k = kl + j
+        if k < 0:
+            continue
+        nu = (k + half) ** 2 if klein_gordon else (k * (k + N - 1)) ** m
+        gap = abs(nu - l * l)
+        if gap:
+            acc += (1.0 if l == 0 else 2.0) * float(gap) ** (-s) * (1.0 + k) ** wexp
+    return acc
 
 
 def test_sphere_series_paths_agree():
     js = np.arange(-6, 7, dtype=np.int64)
-    for kg in (False, True):
-        a = _accel.sphere_series_inner(js, 3, 2, 3.0, 1.0, 500, kg)
-        b = _accel.sphere_series_inner_numpy(js, 3, 2, 3.0, 1.0, 500, kg)
-        np.testing.assert_allclose(a, b, rtol=1e-12)
+    for N, m, kg in [(3, 2, False), (2, 4, False), (1, 3, False), (3, 1, True), (5, 1, True)]:
+        got = _accel.sphere_series_inner(js, N, m, 3.0, 1.0, 300, kg)
+        ref = [_sphere_inner_loop(int(j), N, m, 3.0, 1.0, 300, kg) for j in js]
+        np.testing.assert_allclose(got, ref, rtol=1e-12)
+
+
+def _int_root(l, m):
+    r = round(l ** (1.0 / m))
+    while r**m > l:
+        r -= 1
+    while (r + 1) ** m <= l:
+        r += 1
+    return r
+
+
+def _gap_ratio_loop(N, m, l_max):
+    expo = (2.0 * m - 1.0) / m
+    c = 0.5 * (N - 1)
+    ratios = []
+    for l in range(2, l_max + 1):
+        k_star = -c + math.sqrt((float(l) if m == 2 else float(l) ** (2.0 / m)) + c * c)
+        kl = math.floor(k_star + 0.5)
+        jmax = _int_root(l, m)
+        for j in range(-jmax, jmax + 1):
+            k = kl + j
+            if j == 0 or k < 0:
+                continue
+            gap = abs((k * (k + N - 1)) ** m - l * l)
+            ratios.append(gap / (2.0 * float(l) ** expo * abs(k - k_star)))
+    return min(ratios), max(ratios)
 
 
 def test_gap_ratio_paths_agree():
-    a = _accel.gap_ratio_scan(2, 2, 400)
-    b = _accel.gap_ratio_scan_numpy(2, 2, 400)
-    assert a[0] == pytest.approx(b[0], rel=1e-12)
-    assert a[1] == pytest.approx(b[1], rel=1e-12)
+    # l_max = 1400 passes the cubes 8, ..., 1331, where the float cube root falls
+    # short; l_max > 1025 spans two blocks of l
+    for N, m, l_max in [(2, 2, 3000), (3, 2, 1500), (1, 2, 1500), (2, 4, 3000), (1, 3, 1400)]:
+        got = _accel.gap_ratio_scan(N, m, l_max)
+        assert got == pytest.approx(_gap_ratio_loop(N, m, l_max), rel=1e-13)
+    # the range of |j| is the exact integer root, also where float roots of
+    # perfect powers round down
+    ls = np.arange(1, 200_000, dtype=np.int64)
+    for m in (2, 3, 4):
+        roots = _accel._int_root(ls, m)
+        assert np.all(roots**m <= ls) and np.all((roots + 1) ** m > ls)
 
 
 def test_slice_counts_paths_agree(rng):
-    mask = (rng.uniform(size=(128, 128)) < 0.3).astype(np.uint8)
-    a0, b0 = _accel.char_slice_counts(mask)
-    a1, b1 = _accel.char_slice_counts_numpy(mask)
-    np.testing.assert_array_equal(a0, a1)
-    np.testing.assert_array_equal(b0, b1)
+    for r in (64, 65, 97, 128):
+        mask = (rng.uniform(size=(r, r)) < 0.3).astype(np.uint8)
+        a_ref = np.zeros(r, dtype=np.int64)
+        b_ref = np.zeros(r, dtype=np.int64)
+        for off in range(r):
+            for ix in range(r):
+                a_ref[off] += mask[ix, (off - ix - 1) % r]
+                b_ref[off] += mask[ix, (ix - off) % r]
+        a, b = _accel.char_slice_counts(mask)
+        assert a.dtype == np.int64 and b.dtype == np.int64
+        np.testing.assert_array_equal(a, a_ref)
+        np.testing.assert_array_equal(b, b_ref)
 
 
-def test_flag_is_reported():
-    assert isinstance(_accel.NUMBA_ENABLED, bool)
+@pytest.mark.parametrize(
+    "dim, power, k_max, l_max, shape",
+    [(1, 1, 12, 12, None), (2, 2, 4, 16, (12, 64))],
+)
+def test_kernel_gram_matches_dense_rows(dim, power, k_max, l_max, shape):
+    domain = DomainSpec.circle() if dim == 1 else DomainSpec.torus(dim)
+    cat = build_catalog(domain, OperatorSpec.laplacian_power(power), k_max, l_max)
+    grid = ProductGrid(dim, *shape) if shape else ProductGrid.for_catalog(cat)
+    q = weight_rectangle(grid, (0.5, 2.5), (0.5, 2.5), smoothing=0.2)
+    rows = basis_rows(cat, grid, cat.zero_idx)
+    dense = (rows * (q.values * grid.quad_weight)) @ rows.T
+    rep = kernel_gram(q, cat, grid)
+    assert rep.dim == len(cat.zero_idx) > 0
+    np.testing.assert_allclose(rep.gram, dense, rtol=0, atol=1e-13)
+    unit = kernel_gram(WeightField.constant(grid), cat, grid)
+    np.testing.assert_allclose(unit.gram, np.eye(rep.dim), rtol=0, atol=1e-13)

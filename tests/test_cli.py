@@ -50,6 +50,41 @@ def test_validate_minimal_solve(tmp_path):
     assert echo["solver"]["tol_outer"] > 0
 
 
+def test_result_solver_block_is_pinned(tmp_path):
+    # the resolved solver block: every SolverConfig field in declaration order,
+    # with the --seed override applied, written byte for byte into result.json
+    doc = toy_solve_doc(tmp_path / "run")
+    doc["solver"] = {"starts": 2, "tol_inner": 1e-9, "max_outer": 50, "eps_kernel": 1e-7}
+    path = write_config(tmp_path, doc)
+    expected = [
+        ("tol_inner", 1e-9), ("tol_outer", 1e-6), ("max_inner", 4000), ("max_outer", 50),
+        ("n_starts", 2), ("step_inner0", 1.0), ("step_outer0", 0.5),
+        ("divergence_norm", 1e6), ("divergence_value", 1e12), ("eps_kernel", 1e-7),
+        ("seed", 11),
+    ]
+    cfg = validate_config(path, {"seed": 11})
+    assert list(cfg.resolved()["solver"].items()) == expected
+    assert cfg.solver.seed == 11
+    assert main(["solve", "--config", str(path), "--seed", "11"]) == EXIT_OK
+    text = (tmp_path / "run" / "result.json").read_text()
+    block = (
+        '"solver": {\n'
+        '      "divergence_norm": 1000000.0,\n'
+        '      "divergence_value": 1000000000000.0,\n'
+        '      "eps_kernel": 1e-07,\n'
+        '      "max_inner": 4000,\n'
+        '      "max_outer": 50,\n'
+        '      "n_starts": 2,\n'
+        '      "seed": 11,\n'
+        '      "step_inner0": 1.0,\n'
+        '      "step_outer0": 0.5,\n'
+        '      "tol_inner": 1e-09,\n'
+        '      "tol_outer": 1e-06\n'
+        "    }"
+    )
+    assert block in text
+
+
 def test_validate_warns_above_threshold(tmp_path):
     doc = {
         "task": "solve",
