@@ -71,7 +71,7 @@ class RunConfig:
     raster: dict
     seed: int
     out: Path
-    threads: int = 1
+    threads: int = 1  # accepted and recorded; solves run their starts sequentially
     warnings: list = field(default_factory=list)
     refusal: str | None = None
     raw: dict = field(default_factory=dict)
@@ -452,7 +452,8 @@ def main(argv=None) -> int:
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=None)
+        sp.add_argument("--threads", type=int, default=None,
+                        help="accepted for compatibility; starts run sequentially")
     args = parser.parse_args(argv)
 
     overrides = {}

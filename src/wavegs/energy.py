@@ -89,6 +89,10 @@ class EnergyContext:
         self.nonlinearity = nonlinearity
         self._transform = TensorTransform(catalog, grid)
         self._qw = weight.values * grid.quad_weight
+        self._amps = nonlinearity.amplitudes
+        self._exps = nonlinearity.exponents
+        # one-slot memo owned by saddle._kernel_split (the q-Gram split per eps_kernel)
+        self._kernel_memo = None
 
     def synth(self, coeffs: np.ndarray) -> np.ndarray:
         return self._transform.synth(coeffs)
@@ -97,12 +101,12 @@ class EnergyContext:
         return self._transform.analyze(values)
 
     def potential_from_values(self, values: np.ndarray) -> float:
-        F = _accel.quasipoly_prim(values, self.nonlinearity.amplitudes, self.nonlinearity.exponents)
+        F = _accel.quasipoly_prim(values, self._amps, self._exps)
         return float(self._qw @ F)
 
     def nonlinear_coeffs(self, values: np.ndarray) -> np.ndarray:
         """Analyzed coefficients of q f(u): the I'(u) part of the gradient."""
-        f = _accel.quasipoly_f(values, self.nonlinearity.amplitudes, self.nonlinearity.exponents)
+        f = _accel.quasipoly_f(values, self._amps, self._exps)
         return self._transform.analyze(self.weight.values * f)
 
 

@@ -10,12 +10,19 @@ Riesz representative of h -> s_w Phi'(m(w))[h] in the plus inner product.
 Steps use a Barzilai-Borwein guess from successive gradients, safeguarded by
 backtracking so the inner ascent is monotone and the outer descent never
 increases Psi.
+
+An outer trial is accepted only if Psi(trial) <= Psi(w) - drop, so its inner
+ascent gets the ceiling Psi(w) - drop and stops as soon as its value exceeds
+it.  The ascent never lowers its value and every exit returns the current
+value (or a divergence, which is rejected too), so a run that passes the
+ceiling would have ended above it: the trial is rejected exactly as after the
+full ascent.  Accepted trials never reach the ceiling and run unchanged, so
+the solve trajectory does not depend on the ceiling.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,12 +152,14 @@ class _InnerProblem:
         return u
 
     def value(self, t, y, zm):
+        """(G, coefficients, grid values); the values feed ``gradient`` at this state."""
         u = self.assemble(t, y, zm)
+        vals = self.ctx.synth(u)
         quad = 0.5 * t * t - 0.5 * float(np.sum(-self.lam_minus * zm * zm))
-        return quad - self.ctx.potential_from_values(self.ctx.synth(u)), u
+        return quad - self.ctx.potential_from_values(vals), u, vals
 
-    def gradient(self, u):
-        g = self.ctx.nonlinear_coeffs(self.ctx.synth(u))
+    def gradient(self, u, vals):
+        g = self.ctx.nonlinear_coeffs(vals)
         full = self.cat.eig * u - g
         gt = float(full[self.plus] @ self.wp)
         gz = full[self.zero]
@@ -196,7 +205,12 @@ def inner_maximize(
 
     ``kernel_basis`` restricts the kernel block to the columns of an
     orthonormal matrix (the q-Gram subspace computed by the caller); ``warm``
-    is a previous (t, y, zm) state.
+    is a previous (t, y, zm) state, or (t, y, zm, ceiling).  With a ceiling the
+    ascent returns as soon as its value exceeds it, after the warm-start
+    evaluation or after an accepted step (grad_norm inf, not converged).  The
+    ascent is monotone and every other exit returns the current value, so the
+    uncapped run would also end above the ceiling or diverge; a run that stays
+    at or below the ceiling is the uncapped run, bit for bit.
     """
     _check_plus_unit(w)
     problem = _InnerProblem(w, ctx, kernel_basis)
@@ -214,8 +228,11 @@ def inner_maximize(
             _state=(t, y.copy(), zm.copy()),
         )
 
+    ceiling = math.inf
     if warm is not None:
-        t, y, zm = warm
+        t, y, zm, *cap = warm
+        if cap:
+            (ceiling,) = cap
         t = max(float(t), 1e-8)
         y = np.asarray(y, dtype=float).copy()
         zm = np.asarray(zm, dtype=float).copy()
@@ -229,8 +246,10 @@ def inner_maximize(
             return result(1.0, zero_y, zero_m, math.nan, 0, math.inf, True)
         t, y, zm = t0, np.zeros(problem.n_y), np.zeros(len(problem.minus))
 
-    value, u = problem.value(t, y, zm)
-    gt, gy, dm, gnorm = problem.gradient(u)
+    value, u, vals = problem.value(t, y, zm)
+    if value > ceiling:
+        return result(t, y, zm, value, 0, math.inf, False)
+    gt, gy, dm, gnorm = problem.gradient(u, vals)
     eta = cfg.step_inner0
     prev = None  # (t, y, zm, gt, gy, dm)
     stagnant = 0
@@ -261,16 +280,18 @@ def inner_maximize(
                 continue
             y_try = y + eta * gy
             zm_try = zm + eta * dm
-            v_try, u_try = problem.value(t_try, y_try, zm_try)
+            v_try, u_try, vals_try = problem.value(t_try, y_try, zm_try)
             if v_try >= value + 1e-4 * eta * gnorm * gnorm:
                 gain = v_try - value
-                t, y, zm, value, u = t_try, y_try, zm_try, v_try, u_try
+                t, y, zm, value, u, vals = t_try, y_try, zm_try, v_try, u_try, vals_try
                 accepted = True
                 break
             eta *= 0.5
         if not accepted:
             # no ascent left at machine precision
             return result(t, y, zm, value, it, gnorm, False)
+        if value > ceiling:
+            return result(t, y, zm, value, it, math.inf, False)
         if gain <= 16.0 * np.finfo(float).eps * max(1.0, abs(value)):
             stagnant += 1
             if stagnant >= 3:
@@ -278,7 +299,7 @@ def inner_maximize(
                 return result(t, y, zm, value, it, gnorm, False)
         else:
             stagnant = 0
-        gt, gy, dm, gnorm = problem.gradient(u)
+        gt, gy, dm, gnorm = problem.gradient(u, vals)
 
     return result(t, y, zm, value, cfg.max_inner, gnorm, False)
 
@@ -322,34 +343,54 @@ def _run_start(start_id, w, ctx, cfg, kernel_basis, records):
     while gn > cfg.tol_outer and outer < cfg.max_outer:
         outer += 1
         accepted = False
+        backtracks = rejected_iters = 0
         # require a decrease that beats both Armijo and the roundoff floor of Psi
         noise = 32.0 * np.finfo(float).eps * max(1.0, abs(saddle.psi))
         for _ in range(50):
             trial = _normalized_plus(
                 ctx.catalog, (w.coeffs - eta * grad.coeffs)[ctx.catalog.plus_idx]
             )
-            s_trial = inner_maximize(trial, ctx, cfg, kernel_basis, warm=saddle._state)
             drop = max(1e-4 * eta * gn * gn, noise)
-            if (not s_trial.diverged) and s_trial.psi <= saddle.psi - drop:
+            ceiling = saddle.psi - drop
+            # the ceiling rides in ``warm``, so wrappers of the five-argument
+            # call shape pass it on unchanged
+            s_trial = inner_maximize(trial, ctx, cfg, kernel_basis, warm=(*saddle._state, ceiling))
+            if (not s_trial.diverged) and s_trial.psi <= ceiling:
                 w, saddle = trial, s_trial
                 accepted = True
                 eta = min(eta * 1.3, 1e3)
                 break
+            backtracks += 1
+            rejected_iters += s_trial.iterations
             eta *= 0.5
             if eta < 1e-14:
                 break
+        counts = {"backtracks": backtracks, "rejected_inner_iters": rejected_iters}
         if not accepted:
             records.append({"start": start_id, "outer": outer, "event": "stalled",
-                            "psi": saddle.psi, "grad_plus": gn})
+                            "psi": saddle.psi, "grad_plus": gn, **counts})
             break
         grad = psi_gradient(w, saddle, ctx)
         gn = plus_norm(grad)
         records.append(
             {"start": start_id, "outer": outer, "psi": saddle.psi, "grad_plus": gn,
-             "inner_iters": saddle.iterations}
+             "inner_iters": saddle.iterations, **counts}
         )
     return {"w": w, "saddle": saddle, "grad_plus": gn, "outer": outer,
             "converged": gn <= cfg.tol_outer}
+
+
+def _kernel_split(ctx: EnergyContext, eps_kernel: float):
+    """(q-Gram report, kept kernel basis, dropped directions) of ctx's kernel.
+
+    Memoized in one slot on the context: repeated solves on one context with
+    the same floor share one report instead of re-assembling the Gram.
+    """
+    memo = ctx._kernel_memo
+    if memo is None or memo[0] != eps_kernel:
+        report = kernel_gram(ctx.weight, ctx.catalog, ctx.grid, eps_kernel)
+        memo = ctx._kernel_memo = (eps_kernel, report, *kernel_gram_basis(report))
+    return memo[1:]
 
 
 def ground_state(ctx: EnergyContext, cfg: SolverConfig, threads: int = 1) -> GroundStateResult:
@@ -358,6 +399,8 @@ def ground_state(ctx: EnergyContext, cfg: SolverConfig, threads: int = 1) -> Gro
     Before solving, the truncated-kernel q-Gram is diagonalized and directions
     below the eigenvalue floor are dropped from the inner problem (reported in
     the result).  Raises NoCoerciveDirectionError if every start diverges.
+    The starts run one after another; ``threads`` is accepted and ignored
+    (a thread pool gained nothing under the GIL).
     """
     if ctx.weight.is_trivial():
         raise ValueError("weight must not vanish identically for a solve")
@@ -366,28 +409,15 @@ def ground_state(ctx: EnergyContext, cfg: SolverConfig, threads: int = 1) -> Gro
     kernel_basis = None
     dropped: list = []
     if cat.kernel_dim() > 0:
-        kernel_report = kernel_gram(ctx.weight, cat, ctx.grid, cfg.eps_kernel)
-        kernel_basis, dropped = kernel_gram_basis(kernel_report)
+        kernel_report, kernel_basis, dropped = _kernel_split(ctx, cfg.eps_kernel)
 
     rng = np.random.default_rng(cfg.seed)
     starts = [lowest_plus_direction(cat)]
     while len(starts) < cfg.n_starts:
         starts.append(random_plus_direction(cat, rng))
 
-    all_records: list = [[] for _ in starts]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_run_start, i, w, ctx, cfg, kernel_basis, all_records[i])
-                for i, w in enumerate(starts)
-            ]
-            outcomes = [f.result() for f in futures]
-    else:
-        outcomes = [
-            _run_start(i, w, ctx, cfg, kernel_basis, all_records[i])
-            for i, w in enumerate(starts)
-        ]
-    records = [rec for recs in all_records for rec in recs]
+    records: list = []
+    outcomes = [_run_start(i, w, ctx, cfg, kernel_basis, records) for i, w in enumerate(starts)]
 
     finished = [(i, o) for i, o in enumerate(outcomes) if o is not None]
     if not finished:

@@ -17,12 +17,14 @@ from wavegs import (
     build_catalog,
     ground_state,
     inner_maximize,
+    kernel_gram,
     lowest_plus_direction,
     phi_eval,
     plus_norm,
     psi_gradient,
     random_plus_direction,
 )
+from wavegs import saddle as saddle_mod
 from conftest import make_context
 
 
@@ -234,3 +236,97 @@ def test_threaded_starts_match_sequential(beam_ctx):
     b = ground_state(beam_ctx, cfg, threads=2)
     assert a.energy == pytest.approx(b.energy, rel=0, abs=0)
     np.testing.assert_array_equal(a.u_star.coeffs, b.u_star.coeffs)
+
+
+def test_ceiling_keeps_trajectory_through_a_five_argument_hook(beam_ctx, monkeypatch):
+    # wrappers with the trace hook's call shape: one strips the ceiling from
+    # ``warm`` (every rejected trial runs to the end), one passes it through
+    orig = saddle_mod.inner_maximize
+    seen = {"uncapped": 0, "capped": 0, "ceilings": 0}
+
+    def uncapped(w, ctx, cfg, kernel_basis=None, warm=None):
+        res = orig(w, ctx, cfg, kernel_basis, None if warm is None else tuple(warm[:3]))
+        seen["uncapped"] += res.iterations
+        return res
+
+    def capped(w, ctx, cfg, kernel_basis=None, warm=None):
+        seen["ceilings"] += warm is not None and len(warm) == 4
+        res = orig(w, ctx, cfg, kernel_basis, warm)
+        seen["capped"] += res.iterations
+        return res
+
+    cfg = SolverConfig(n_starts=2, seed=1)
+    monkeypatch.setattr(saddle_mod, "inner_maximize", uncapped)
+    full = ground_state(beam_ctx, cfg)
+    monkeypatch.setattr(saddle_mod, "inner_maximize", capped)
+    fast = ground_state(beam_ctx, cfg)
+
+    assert seen["ceilings"] > 0
+    assert sum(r.get("backtracks", 0) for r in full.history) > 0
+    assert seen["capped"] < seen["uncapped"]
+    assert fast.energy == full.energy
+    assert fast.residual == full.residual
+    np.testing.assert_array_equal(fast.u_star.coeffs, full.u_star.coeffs)
+    assert len(fast.history) == len(full.history)
+    for a, b in zip(fast.history, full.history):
+        assert set(a) == set(b)
+        assert {k: v for k, v in a.items() if k != "rejected_inner_iters"} == {
+            k: v for k, v in b.items() if k != "rejected_inner_iters"}
+        if "backtracks" in a:
+            assert a["rejected_inner_iters"] <= b["rejected_inner_iters"]
+
+
+def test_inner_ceiling_decides_like_the_full_ascent(beam_ctx):
+    cfg = SolverConfig()
+    cat = beam_ctx.catalog
+    w = lowest_plus_direction(cat)
+    base = inner_maximize(w, beam_ctx, cfg)
+    rng = np.random.default_rng(31)
+    checked = {"above": 0, "below": 0}
+    for scale in (1e-3, 1e-2, 1e-1, 0.5):
+        h = random_plus_direction(cat, rng)
+        trial = SpectralField(cat, w.coeffs + scale * h.coeffs)
+        trial.coeffs /= plus_norm(trial)
+        full = inner_maximize(trial, beam_ctx, cfg, warm=base._state)
+        assert not full.diverged
+        for ceiling in (base.psi, full.psi, np.nextafter(full.psi, -np.inf),
+                        full.psi + 1.0, base.psi - 1e-4 * scale):
+            res = inner_maximize(trial, beam_ctx, cfg, warm=(*base._state, ceiling))
+            assert (res.psi > ceiling) == (full.psi > ceiling)
+            if full.psi <= ceiling:
+                checked["below"] += 1
+                assert res.psi == full.psi
+                assert res.iterations == full.iterations
+                assert res.converged == full.converged
+                assert res.grad_norm == full.grad_norm
+                assert res._state[0] == full._state[0]
+                np.testing.assert_array_equal(res._state[1], full._state[1])
+                np.testing.assert_array_equal(res._state[2], full._state[2])
+            else:
+                checked["above"] += 1
+                assert res.iterations <= full.iterations
+                assert not res.converged
+    assert checked["above"] > 0 and checked["below"] > 0
+
+
+def test_kernel_gram_is_computed_once_per_context_and_floor(beam_ctx, monkeypatch):
+    cat = beam_ctx.catalog
+    ctx = EnergyContext(cat, beam_ctx.grid, beam_ctx.weight, beam_ctx.nonlinearity)
+    calls = []
+    orig = saddle_mod.kernel_gram
+
+    def counted(*args):
+        calls.append(args[-1])
+        return orig(*args)
+
+    monkeypatch.setattr(saddle_mod, "kernel_gram", counted)
+    cfg = SolverConfig(n_starts=1, seed=0)
+    a = ground_state(ctx, cfg)
+    b = ground_state(ctx, SolverConfig(n_starts=1, seed=4))
+    assert calls == [cfg.eps_kernel]
+    assert b.kernel_report is a.kernel_report
+    c = ground_state(ctx, SolverConfig(n_starts=1, seed=0, eps_kernel=1e-6))
+    assert calls == [cfg.eps_kernel, 1e-6]
+    assert c.kernel_report.floor == 1e-6
+    fresh = kernel_gram(beam_ctx.weight, cat, beam_ctx.grid, cfg.eps_kernel)
+    np.testing.assert_array_equal(a.kernel_report.gram, fresh.gram)
