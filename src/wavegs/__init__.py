@@ -30,6 +30,7 @@ from .control import (
 )
 from .embedding import (
     SeriesReport,
+    compactness_threshold,
     gap_ratio_bracket,
     noncompact_witness,
     resonant_offset,

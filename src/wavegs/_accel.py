@@ -64,12 +64,13 @@ def torus_l_sums(nu, m, s):
 
 
 def _mode_shift(ls, N, m):
-    """Rounded resonance degrees k_l of frequencies ls on S^N, as int64."""
+    """(k_l*, k_l) for frequencies ls on S^N: real resonance degrees, int64 roundings."""
     c = 0.5 * (N - 1)
     x = ls.astype(np.float64)
     if m != 2:
         x = x ** (2.0 / m)
-    return np.floor(-c + np.sqrt(x + c * c) + 0.5).astype(np.int64)
+    k_star = -c + np.sqrt(x + c * c)
+    return k_star, np.floor(k_star + 0.5).astype(np.int64)
 
 
 def sphere_series_inner(j_values, N, m, s, wexp, l_cut, klein_gordon):
@@ -80,7 +81,7 @@ def sphere_series_inner(j_values, N, m, s, wexp, l_cut, klein_gordon):
     """
     half = (N - 1) // 2
     ls = np.arange(0, l_cut + 1, dtype=np.int64)
-    kl = np.maximum(ls - half, 0) if klein_gordon else _mode_shift(ls, N, m)
+    kl = np.maximum(ls - half, 0) if klein_gordon else _mode_shift(ls, N, m)[1]
     w = np.full(len(ls), 2.0)
     w[0] = 1.0
     out = np.empty(len(j_values), dtype=np.float64)
@@ -121,15 +122,12 @@ def gap_ratio_scan(N, m, l_max):
     in blocks of l.
     """
     expo = (2.0 * m - 1.0) / m
-    c = 0.5 * (N - 1)
     rmin = math.inf
     rmax = 0.0
     for start in range(2, l_max + 1, _GAP_BLOCK):
         ls = np.arange(start, min(start + _GAP_BLOCK, l_max + 1), dtype=np.int64)
-        lf = ls.astype(np.float64)
-        k_star = -c + np.sqrt((lf if m == 2 else lf ** (2.0 / m)) + c * c)
-        kl = np.floor(k_star + 0.5).astype(np.int64)
-        denom = 2.0 * lf**expo
+        k_star, kl = _mode_shift(ls, N, m)
+        denom = 2.0 * ls.astype(np.float64) ** expo
         jmax = _int_root(ls, m)
         # pair p of row i takes j = -jmax..-1, 1..jmax in order
         row = np.repeat(np.arange(len(ls)), 2 * jmax)

@@ -191,7 +191,6 @@ CLASS_ZERO = 0
 CLASS_MINUS = -1
 
 _CLASS_NAMES = {CLASS_PLUS: "plus", CLASS_ZERO: "zero", CLASS_MINUS: "minus"}
-_CLASS_CODES = {v: k for k, v in _CLASS_NAMES.items()}
 
 
 class SpectralCatalog:
@@ -213,9 +212,6 @@ class SpectralCatalog:
         self.zero_idx = np.flatnonzero(classes == CLASS_ZERO)
         self.minus_idx = np.flatnonzero(classes == CLASS_MINUS)
         self._position = {mode: i for i, mode in enumerate(self.modes)}
-        self.digest = hashlib.sha1(
-            json.dumps(self.to_json(), sort_keys=True).encode()
-        ).hexdigest()
 
     def __len__(self):
         return len(self.modes)
@@ -232,6 +228,11 @@ class SpectralCatalog:
 
     def kernel_dim(self) -> int:
         return len(self.zero_idx)
+
+    @cached_property
+    def digest(self) -> str:
+        """SHA-1 of the canonical JSON form, computed on first use."""
+        return hashlib.sha1(json.dumps(self.to_json(), sort_keys=True).encode()).hexdigest()
 
     @cached_property
     def tensor_index(self) -> np.ndarray:

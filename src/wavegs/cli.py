@@ -15,8 +15,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
-from fractions import Fraction
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,12 @@ from .control import (
     slice_profiles,
     xi_eta_infimum,
 )
-from .embedding import noncompact_witness, sphere_embedding_series, torus_gap_series
+from .embedding import (
+    compactness_threshold,
+    noncompact_witness,
+    sphere_embedding_series,
+    torus_gap_series,
+)
 from .energy import EnergyContext, NonlinearitySpec
 from .fields import (
     ProductGrid,
@@ -47,8 +51,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_REFUSED = 4
-
-TASKS = ("solve", "gram", "dalembert", "series", "witness")
 
 
 class ConfigError(ValueError):
@@ -115,30 +117,6 @@ def _parse_operator(node, domain) -> OperatorSpec:
     raise ConfigError("operator needs 'power', 'klein_gordon' or 'coefficients'")
 
 
-def _is_klein_gordon(op: OperatorSpec, dim: int) -> bool:
-    return op.coefficients == (Fraction(dim - 1, 2) ** 2, Fraction(1))
-
-
-def _embedding_threshold(domain: DomainSpec, op: OperatorSpec) -> float | None:
-    """p* from the embedding diagnostics; None means no supported criterion."""
-    m = op.power_degree
-    if domain.kind == "torus":
-        if m is None:
-            return None
-        if domain.dim == 1:
-            return float("inf")
-        if m % 2 == 0:
-            gap = domain.dim - m
-            return float("inf") if gap <= 0 else 2.0 * domain.dim / gap
-        return None
-    if _is_klein_gordon(op, domain.dim):
-        return 2.0 * (domain.dim + 1) / (domain.dim - 1) if domain.dim > 1 else float("inf")
-    if m is not None and (m % 2 == 0 or domain.dim == 1):
-        gap = domain.dim - m
-        return float("inf") if gap <= 0 else 2.0 * (domain.dim + 1) / gap
-    return None
-
-
 def _build_weight(spec: dict, grid: ProductGrid, warnings: list) -> WeightField:
     kind = spec.get("kind", "constant")
     if kind == "constant":
@@ -188,6 +166,7 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
     refusal = None
 
     try:
+        seed = int(overrides.get("seed", raw.get("seed", 0)))
         domain = _parse_domain(raw.get("domain", {"kind": "circle"}))
         operator = _parse_operator(raw.get("operator", {"power": 1}), domain)
         cut = raw.get("cutoffs", {})
@@ -197,15 +176,11 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
         nonlinearity = NonlinearitySpec(tuple((a, p) for a, p in nl_node["terms"]))
         solver_node = dict(raw.get("solver", {}))
         n_starts = int(solver_node.pop("starts", solver_node.pop("n_starts", 4)))
-        solver = SolverConfig(
-            n_starts=n_starts,
-            seed=int(raw.get("seed", 0)),
-            **{k: v for k, v in solver_node.items()},
-        )
+        solver = SolverConfig(n_starts=n_starts, seed=seed, **solver_node)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    p_star = _embedding_threshold(domain, operator)
+    p_star = compactness_threshold(domain, operator)
     if p_star is not None and nonlinearity.p >= p_star:
         warnings.append(
             f"p = {nonlinearity.p} is at or above the compactness threshold p* = {p_star}; "
@@ -222,7 +197,6 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
         if domain.kind == "sphere":
             refusal = "sphere solves are out of scope (catalog and series diagnostics only)"
 
-    seed = int(overrides.get("seed", raw.get("seed", 0)))
     out = Path(overrides.get("out", raw.get("out", "out")))
     threads = int(overrides.get("threads", raw.get("threads", 1)))
 
@@ -235,7 +209,7 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
         nonlinearity=nonlinearity,
         weight_spec=raw.get("weight", {"kind": "constant", "value": 1.0}),
         grid_spec=raw.get("grid", {"oversample": 2}),
-        solver=replace(solver, seed=seed),
+        solver=solver,
         series=raw.get("series", {}),
         witness_count=int(raw.get("witness", {}).get("count", 5)),
         raster=raw.get("raster", {"resolution": 256, "set": {"kind": "weight_support"}}),
@@ -248,11 +222,15 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
     )
 
 
-def _make_grid(config: RunConfig, catalog: SpectralCatalog) -> ProductGrid:
+def _discretize(config: RunConfig) -> tuple[SpectralCatalog, ProductGrid, WeightField]:
+    """The catalog, grid and weight that the solve, gram and dalembert tasks share."""
+    catalog = build_catalog(config.domain, config.operator, config.k_max, config.l_max)
     node = config.grid_spec
     if "nx" in node and "nt" in node:
-        return ProductGrid(catalog.domain.dim, int(node["nx"]), int(node["nt"]))
-    return ProductGrid.for_catalog(catalog, int(node.get("oversample", 2)))
+        grid = ProductGrid(catalog.domain.dim, int(node["nx"]), int(node["nt"]))
+    else:
+        grid = ProductGrid.for_catalog(catalog, int(node.get("oversample", 2)))
+    return catalog, grid, _build_weight(config.weight_spec, grid, config.warnings)
 
 
 def _write_result(config: RunConfig, payload: dict) -> None:
@@ -270,9 +248,7 @@ def _write_result(config: RunConfig, payload: dict) -> None:
 
 
 def _run_solve(config: RunConfig) -> int:
-    catalog = build_catalog(config.domain, config.operator, config.k_max, config.l_max)
-    grid = _make_grid(config, catalog)
-    weight = _build_weight(config.weight_spec, grid, config.warnings)
+    catalog, grid, weight = _discretize(config)
     if weight.is_trivial():
         raise ConfigError("weight vanishes identically")
     ctx = EnergyContext(catalog, grid, weight, config.nonlinearity)
@@ -307,9 +283,7 @@ def _run_solve(config: RunConfig) -> int:
 
 
 def _run_gram(config: RunConfig) -> int:
-    catalog = build_catalog(config.domain, config.operator, config.k_max, config.l_max)
-    grid = _make_grid(config, catalog)
-    weight = _build_weight(config.weight_spec, grid, config.warnings)
+    catalog, grid, weight = _discretize(config)
     report = kernel_gram(weight, catalog, grid, config.solver.eps_kernel)
     _write_result(config, {"gram": report.to_json()})
     return EXIT_OK
@@ -330,12 +304,10 @@ def _raster_from_config(config: RunConfig, grid, weight) -> RasterSet:
 
 
 def _run_dalembert(config: RunConfig) -> int:
-    catalog = build_catalog(config.domain, config.operator, config.k_max, config.l_max)
     if not (config.domain.is_circle and config.operator.power_degree == 1):
         _write_result(config, {"error": "d'Alembert diagnostics need the classical wave on the circle"})
         return EXIT_REFUSED
-    grid = _make_grid(config, catalog)
-    weight = _build_weight(config.weight_spec, grid, config.warnings)
+    catalog, grid, weight = _discretize(config)
     omega = _raster_from_config(config, grid, weight)
     inf_a, inf_b = xi_eta_infimum(omega)
     offsets, meas_a, meas_b = slice_profiles(omega)
@@ -385,7 +357,7 @@ def _run_series(config: RunConfig) -> int:
             raise ConfigError("torus series needs a pure power operator")
         report = torus_gap_series(config.domain.dim, m, p, int(node.get("cutoff", 48)))
     else:
-        kg = _is_klein_gordon(config.operator, config.domain.dim)
+        kg = config.operator == OperatorSpec.klein_gordon(config.domain.dim)
         m = 1 if kg else config.operator.power_degree
         if m is None:
             raise ConfigError("sphere series needs a pure power or the mass-shift operator")
@@ -417,6 +389,16 @@ def _run_witness(config: RunConfig) -> int:
     return EXIT_OK
 
 
+_RUNNERS = {
+    "solve": _run_solve,
+    "gram": _run_gram,
+    "dalembert": _run_dalembert,
+    "series": _run_series,
+    "witness": _run_witness,
+}
+TASKS = tuple(_RUNNERS)
+
+
 def run(config: RunConfig) -> int:
     """Dispatch a validated config; artifacts land in config.out."""
     for msg in config.warnings:
@@ -426,15 +408,7 @@ def run(config: RunConfig) -> int:
         _write_result(config, {"error": config.refusal})
         return EXIT_REFUSED
     try:
-        if config.task == "solve":
-            return _run_solve(config)
-        if config.task == "gram":
-            return _run_gram(config)
-        if config.task == "dalembert":
-            return _run_dalembert(config)
-        if config.task == "series":
-            return _run_series(config)
-        return _run_witness(config)
+        return _RUNNERS[config.task](config)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -456,13 +430,7 @@ def main(argv=None) -> int:
                         help="accepted for compatibility; starts run sequentially")
     args = parser.parse_args(argv)
 
-    overrides = {}
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
+    overrides = {k: v for k in ("out", "seed", "threads") if (v := getattr(args, k)) is not None}
     try:
         config = validate_config(args.config, overrides)
     except ConfigError as exc:

@@ -5,7 +5,8 @@ of the mode-shifted, Sogge-weighted double series (sphere) is what makes the
 signed spaces embed compactly into L^p.  These routines sum truncations of
 the series with exact integer gaps, estimate the tail exponent by a log-log
 fit over the trailing dyadic blocks, and return a verdict next to the
-theoretical threshold p* so disagreement is visible.  A verdict of
+theoretical threshold p* so disagreement is visible.  ``compactness_threshold``
+is the one place that decides p* for a (domain, operator) pair.  A verdict of
 "diverges" is certified either by a bounded-gap witness family or by a tail
 slope >= -1 with margin.
 """
@@ -19,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _accel
+from .catalog import SPHERE, DomainSpec, OperatorSpec
 
 TAIL_MARGIN = 0.1
 
@@ -31,7 +33,7 @@ class SeriesReport:
     total: float
     tail_exponent: float | None
     verdict: str
-    p_star: float
+    p_star: float | None       # None: no threshold applies (see compactness_threshold)
     witness: list | None = None
     notes: str = ""
 
@@ -44,7 +46,7 @@ class SeriesReport:
             "total": self.total,
             "tail_exponent": self.tail_exponent,
             "verdict": self.verdict,
-            "p_star": None if math.isinf(self.p_star) else self.p_star,
+            "p_star": None if self.p_star in (None, math.inf) else self.p_star,
             "witness": self.witness,
             "notes": self.notes,
         }
@@ -84,14 +86,36 @@ def _verdict_from_tail(tail: float | None, witness=None) -> str:
     return "inconclusive"
 
 
-def _p_star_torus(N: int, m: int) -> float:
-    gap = N - m
-    return math.inf if gap <= 0 else 2.0 * N / gap
+def _half_power_exact(N: int, m: int) -> bool:
+    """Whether nu^m is a perfect square for every Laplace eigenvalue nu: m even or N = 1."""
+    return m % 2 == 0 or N == 1
 
 
-def _p_star_sphere(N: int, m: int) -> float:
+def _require_half_power(N: int, m: int) -> None:
+    if not _half_power_exact(N, m):
+        raise ValueError("need m even or N = 1")
+
+
+def compactness_threshold(domain: DomainSpec, operator: OperatorSpec) -> float | None:
+    """p* such that the signed spaces embed compactly into L^p for 2 < p < p*.
+
+    2N/(N-m) on T^N and 2(N+1)/(N-m) on S^N for the operator (-Laplace)^m,
+    inf when N <= m; the Klein-Gordon mass shift on S^N counts as m = 1.
+    None when no criterion applies: odd m on higher tori and spheres (for
+    m = 1 on T^N, N >= 2, the bounded-gap witness shows the embedding fails
+    for every p) and general polynomials.
+    """
+    N = domain.dim
+    if domain.kind == SPHERE and operator == OperatorSpec.klein_gordon(N):
+        m = 1  # the mass shift makes the half-power exact for every N
+    else:
+        m = operator.power_degree
+        if m is None or not _half_power_exact(N, m):
+            return None
     gap = N - m
-    return math.inf if gap <= 0 else 2.0 * (N + 1) / gap
+    if gap <= 0:
+        return math.inf
+    return 2.0 * (N + 1 if domain.kind == SPHERE else N) / gap
 
 
 def torus_gap_series(N: int, m: int, p: float, cutoff: int = 48) -> SeriesReport:
@@ -106,8 +130,8 @@ def torus_gap_series(N: int, m: int, p: float, cutoff: int = 48) -> SeriesReport
     if N < 1 or m < 1:
         raise ValueError("need N >= 1 and m >= 1")
     params = {"N": N, "m": m, "p": p, "cutoff": cutoff}
-    p_star = _p_star_torus(N, m)
-    if m % 2 == 1 and N >= 2:
+    p_star = compactness_threshold(DomainSpec.torus(N), OperatorSpec.laplacian_power(m))
+    if not _half_power_exact(N, m):
         if m == 1:
             wit = noncompact_witness(N, m, count=8)
             return SeriesReport(
@@ -138,8 +162,7 @@ def sphere_mode_shift(N: int, m: int, l: int):
     """(k_l*, k_l): the real resonance degree for frequency l and its rounding."""
     if N < 1 or m < 1:
         raise ValueError("need N >= 1 and m >= 1")
-    if m % 2 == 1 and N >= 2:
-        raise ValueError("need m even or N = 1")
+    _require_half_power(N, m)
     c = 0.5 * (N - 1)
     x = float(abs(l)) ** (2.0 / m)
     k_star = -c + math.sqrt(x + c * c)
@@ -203,11 +226,10 @@ def sphere_embedding_series(
     if kg:
         if N % 2 == 0:
             raise ValueError("the mass-shift preset needs odd N")
-        p_star = 2.0 * (N + 1) / (N - 1)
     else:
-        if m % 2 == 1 and N >= 2:
-            raise ValueError("need m even or N = 1")
-        p_star = _p_star_sphere(N, m)
+        _require_half_power(N, m)
+    spec = OperatorSpec.klein_gordon(N) if kg else OperatorSpec.laplacian_power(m)
+    p_star = compactness_threshold(DomainSpec.sphere(N), spec)
     s = p / (p - 2.0)
     wexp = 2.0 * p * _sigma_p(N, p) / (p - 2.0)
     js = np.arange(-j_cut, j_cut + 1, dtype=np.int64)
@@ -248,6 +270,5 @@ def gap_ratio_bracket(N: int, m: int, l_max: int = 10000):
     on S^N, with its constant written out (j* the real offset of k_l + j from
     the exact resonance degree).
     """
-    if m % 2 == 1 and N >= 2:
-        raise ValueError("need m even or N = 1")
+    _require_half_power(N, m)
     return _accel.gap_ratio_scan(N, m, l_max)

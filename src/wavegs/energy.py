@@ -97,9 +97,6 @@ class EnergyContext:
     def synth(self, coeffs: np.ndarray) -> np.ndarray:
         return self._transform.synth(coeffs)
 
-    def analyze_values(self, values: np.ndarray) -> np.ndarray:
-        return self._transform.analyze(values)
-
     def potential_from_values(self, values: np.ndarray) -> float:
         F = _accel.quasipoly_prim(values, self._amps, self._exps)
         return float(self._qw @ F)

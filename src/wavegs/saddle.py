@@ -95,16 +95,20 @@ def plus_norm(u: SpectralField) -> float:
     return math.sqrt(float(np.sum(cat.eig[cat.plus_idx] * c * c)))
 
 
+def _normalized_plus(catalog, plus_coeffs) -> SpectralField:
+    """The plus-field with coefficients ``plus_coeffs``, scaled to unit plus-norm."""
+    if len(catalog.plus_idx) == 0:
+        raise ValueError("catalog has no plus modes")
+    coeffs = np.zeros(catalog.size)
+    coeffs[catalog.plus_idx] = plus_coeffs
+    f = SpectralField(catalog, coeffs)
+    f.coeffs /= plus_norm(f)
+    return f
+
+
 def random_plus_direction(catalog, rng) -> SpectralField:
     """Random unit vector of the truncated plus space."""
-    coeffs = np.zeros(catalog.size)
-    coeffs[catalog.plus_idx] = rng.standard_normal(len(catalog.plus_idx))
-    w = SpectralField(catalog, coeffs)
-    n = plus_norm(w)
-    if n == 0:
-        raise ValueError("catalog has no plus modes")
-    w.coeffs /= n
-    return w
+    return _normalized_plus(catalog, rng.standard_normal(len(catalog.plus_idx)))
 
 
 def lowest_plus_direction(catalog) -> SpectralField:
@@ -112,10 +116,7 @@ def lowest_plus_direction(catalog) -> SpectralField:
     if len(catalog.plus_idx) == 0:
         raise ValueError("catalog has no plus modes")
     lam_plus = catalog.eig[catalog.plus_idx]
-    i = catalog.plus_idx[int(np.argmin(lam_plus))]
-    coeffs = np.zeros(catalog.size)
-    coeffs[i] = 1.0 / math.sqrt(catalog.eig[i])
-    return SpectralField(catalog, coeffs)
+    return _normalized_plus(catalog, np.arange(len(lam_plus)) == np.argmin(lam_plus))
 
 
 def _check_plus_unit(w: SpectralField):
@@ -316,15 +317,6 @@ def psi_gradient(w: SpectralField, saddle: SaddleResult, ctx: EnergyContext) -> 
     out = np.zeros(cat.size)
     out[cat.plus_idx] = rep
     return SpectralField(cat, out)
-
-
-def _normalized_plus(catalog, plus_coeffs):
-    coeffs = np.zeros(catalog.size)
-    coeffs[catalog.plus_idx] = plus_coeffs
-    f = SpectralField(catalog, coeffs)
-    n = plus_norm(f)
-    f.coeffs /= n
-    return f
 
 
 def _run_start(start_id, w, ctx, cfg, kernel_basis, records):

@@ -190,6 +190,22 @@ def test_series_task_klein_gordon(tmp_path):
     assert (out / "series_terms.csv").exists()
 
 
+def test_series_task_on_the_circle_sphere(tmp_path):
+    # on S^1 the power-1 operator is the mass shift (its shift is 0); every p is covered
+    out = tmp_path / "s1"
+    doc = {
+        "task": "series",
+        "domain": {"kind": "sphere", "dim": 1},
+        "operator": {"power": 1},
+        "series": {"p": 3.0, "j_cut": 16, "l_cut": 500},
+        "out": str(out),
+    }
+    assert main(["series", "--config", str(write_config(tmp_path, doc))]) == EXIT_OK
+    saved = json.loads((out / "result.json").read_text())
+    assert saved["result"]["series"]["p_star"] is None
+    assert saved["warnings"] == []
+
+
 def test_witness_task_and_refusal(tmp_path):
     out = tmp_path / "w"
     doc = {

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from wavegs import (
+    DomainSpec,
+    OperatorSpec,
+    compactness_threshold,
     gap_ratio_bracket,
     noncompact_witness,
     resonant_offset,
@@ -28,6 +31,7 @@ def test_torus_series_wave_on_t2_diverges_by_witness():
     assert rep.verdict == "diverges"
     assert rep.witness[0] == {"k": [1, 1], "l": 1, "lambda": 1}
     assert all(entry["lambda"] == 1 for entry in rep.witness)
+    assert rep.p_star is None  # the embedding fails for every p: no threshold applies
 
 
 def test_torus_series_biharmonic_t2_converges():
@@ -122,6 +126,37 @@ def test_sphere_series_klein_gordon_supercritical():
     # at finite truncation the slope sits at -1 up to truncation bias
     assert rep.tail_exponent >= -1.05
     assert rep.verdict in ("diverges", "inconclusive")
+
+
+def test_sphere_series_circle_klein_gordon_is_the_power_series():
+    # on S^1 the mass shift is 0, so both presets sum the same terms
+    kg = sphere_embedding_series(1, 1, 3.0, operator="klein_gordon")
+    power = sphere_embedding_series(1, 1, 3.0, operator="power")
+    assert np.array_equal(kg.term_sums, power.term_sums)
+    assert kg.total == power.total
+    assert kg.p_star == power.p_star == math.inf
+
+
+_T, _S = DomainSpec.torus, DomainSpec.sphere
+_P = OperatorSpec.laplacian_power
+
+
+@pytest.mark.parametrize(
+    "domain, operator, expected",
+    [
+        (_T(1), _P(2), math.inf),  # the circle: every p
+        (_T(3), _P(2), 6.0),  # 2N/(N-m)
+        (_T(2), _P(1), None),  # bounded-gap witness: fails for every p
+        (_T(2), _P(3), None),  # odd m >= 3 on a higher torus: open case
+        (_S(3), OperatorSpec.klein_gordon(3), 4.0),  # 2(N+1)/(N-1)
+        (_S(1), OperatorSpec.klein_gordon(1), math.inf),
+        (_S(3), _P(2), 8.0),  # 2(N+1)/(N-m)
+        (_S(2), _P(3), None),  # odd m on a higher sphere
+        (_S(2), OperatorSpec((1, 1)), None),  # general polynomial
+    ],
+)
+def test_compactness_threshold(domain, operator, expected):
+    assert compactness_threshold(domain, operator) == expected
 
 
 def test_sphere_series_validation():
