@@ -299,7 +299,7 @@ def _raster_from_config(config: RunConfig, grid, weight) -> RasterSet:
     if kind == "full":
         return RasterSet.full(resolution)
     if kind == "weight_support":
-        return RasterSet.from_weight(weight, float(setspec.get("threshold", 0.0)))
+        return RasterSet.from_weight(weight, float(setspec.get("threshold", 0.0)), resolution)
     raise ConfigError(f"unknown raster set kind {kind!r}")
 
 

@@ -199,12 +199,22 @@ class RasterSet:
         return RasterSet(np.outer(inx, int_).astype(np.uint8))
 
     @staticmethod
-    def from_weight(q: WeightField, threshold: float = 0.0) -> "RasterSet":
+    def from_weight(q: WeightField, threshold: float = 0.0, resolution: int = 256) -> "RasterSet":
+        """{q > threshold} on an R x R raster: each cell centre takes the value
+        at its nearest periodic grid node (ties go to the lower node, so R equal
+        to the node count reads the nodes one to one)."""
         grid = q.grid
         if grid.dims != 1:
             raise ValueError("raster sets live on the square cylinder")
         vals = q.values.reshape(grid.nx, grid.nt)
-        return RasterSet((vals > threshold).astype(np.uint8))
+        cells = np.arange(resolution)
+
+        def nearest(n):
+            # ceil(((2i + 1) n - R) / 2R) in exact integers
+            return -((resolution - (2 * cells + 1) * n) // (2 * resolution)) % n
+
+        return RasterSet((vals[np.ix_(nearest(grid.nx), nearest(grid.nt))] > threshold)
+                         .astype(np.uint8))
 
 
 def _interval_mask(points, a, b):

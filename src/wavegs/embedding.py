@@ -33,7 +33,7 @@ class SeriesReport:
     total: float
     tail_exponent: float | None
     verdict: str
-    p_star: float | None       # None: no threshold applies (see compactness_threshold)
+    p_star: float | None       # inf: every p covered; None: no threshold applies
     witness: list | None = None
     notes: str = ""
 
@@ -46,7 +46,8 @@ class SeriesReport:
             "total": self.total,
             "tail_exponent": self.tail_exponent,
             "verdict": self.verdict,
-            "p_star": None if self.p_star in (None, math.inf) else self.p_star,
+            # JSON has no infinity: "inf" marks the covered case, null no threshold
+            "p_star": "inf" if self.p_star == math.inf else self.p_star,
             "witness": self.witness,
             "notes": self.notes,
         }

@@ -64,14 +64,29 @@ class SolverConfig:
 
 @dataclass
 class SaddleResult:
+    """One inner ascent; ``stop`` says why it ended.
+
+    ``stop`` is ``converged`` (gradient norm <= tol_inner), ``roundoff_floor``
+    (three accepted steps in a row gained <= 16 ulp of G), ``no_ascent`` (no
+    step length gave an Armijo gain), ``ceiling`` (the value passed the
+    caller's ceiling), ``max_inner`` or ``diverged``.
+    """
+
     m_hat: SpectralField
     s_w: float
     psi: float
     iterations: int
     grad_norm: float
-    diverged: bool
-    converged: bool
+    stop: str
     _state: tuple = field(default=None, repr=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
+
+    @property
+    def diverged(self) -> bool:
+        return self.stop == "diverged"
 
 
 @dataclass
@@ -107,8 +122,14 @@ def _normalized_plus(catalog, plus_coeffs) -> SpectralField:
 
 
 def random_plus_direction(catalog, rng) -> SpectralField:
-    """Random unit vector of the truncated plus space."""
-    return _normalized_plus(catalog, rng.standard_normal(len(catalog.plus_idx)))
+    """Random unit plus-field, H^-1-smoothed: coefficient k is N(0, 1) / lambda_k.
+
+    A white-noise start puts most of its plus-norm on the highest modes, far
+    from any ground state; damping by the eigenvalue keeps the draw random in
+    every mode while its cold ascent and outer descent stay short.
+    """
+    plus = catalog.plus_idx
+    return _normalized_plus(catalog, rng.standard_normal(len(plus)) / catalog.eig[plus])
 
 
 def lowest_plus_direction(catalog) -> SpectralField:
@@ -206,28 +227,24 @@ def inner_maximize(
 
     ``kernel_basis`` restricts the kernel block to the columns of an
     orthonormal matrix (the q-Gram subspace computed by the caller); ``warm``
-    is a previous (t, y, zm) state, or (t, y, zm, ceiling).  With a ceiling the
-    ascent returns as soon as its value exceeds it, after the warm-start
-    evaluation or after an accepted step (grad_norm inf, not converged).  The
-    ascent is monotone and every other exit returns the current value, so the
-    uncapped run would also end above the ceiling or diverge; a run that stays
-    at or below the ceiling is the uncapped run, bit for bit.
+    is a previous (t, y, zm) state, or (t, y, zm, ceiling).  A warm state whose
+    value is below 0 is off the maximizer's basin (Psi > 0 and s_w is bounded
+    away from 0 on the Nehari-Pankov set), so the height is re-seeded as for a
+    cold start.  With a ceiling the ascent returns as soon as its value exceeds
+    it, after the start evaluation or after an accepted step (grad_norm inf,
+    stop ``ceiling``).  The ascent is monotone and every other exit returns
+    the current value, so the uncapped run would also end above the ceiling or
+    diverge; a run that stays at or below the ceiling is the uncapped run, bit
+    for bit.
     """
     _check_plus_unit(w)
     problem = _InnerProblem(w, ctx, kernel_basis)
+    zero_y, zero_m = np.zeros(problem.n_y), np.zeros(len(problem.minus))
 
-    def result(t, y, zm, value, iters, gnorm, diverged):
+    def result(t, y, zm, value, iters, gnorm, stop):
         u = problem.assemble(t, y, zm)
-        return SaddleResult(
-            SpectralField(ctx.catalog, u),
-            t,
-            value,
-            iters,
-            gnorm,
-            diverged,
-            (not diverged) and gnorm <= cfg.tol_inner,
-            _state=(t, y.copy(), zm.copy()),
-        )
+        return SaddleResult(SpectralField(ctx.catalog, u), t, value, iters, gnorm, stop,
+                            _state=(t, y.copy(), zm.copy()))
 
     ceiling = math.inf
     if warm is not None:
@@ -239,17 +256,16 @@ def inner_maximize(
         zm = np.asarray(zm, dtype=float).copy()
         if y.shape != (problem.n_y,) or zm.shape != (len(problem.minus),):
             raise ValueError("warm state has wrong block sizes")
-    else:
-        t0 = _initial_height(problem, ctx, cfg, w)
-        if t0 is None:
-            zero_y = np.zeros(problem.n_y)
-            zero_m = np.zeros(len(problem.minus))
-            return result(1.0, zero_y, zero_m, math.nan, 0, math.inf, True)
-        t, y, zm = t0, np.zeros(problem.n_y), np.zeros(len(problem.minus))
+        value, u, vals = problem.value(t, y, zm)
+    if warm is None or value < 0:
+        t = _initial_height(problem, ctx, cfg, w)
+        if t is None:
+            return result(1.0, zero_y, zero_m, math.nan, 0, math.inf, "diverged")
+        y, zm = zero_y, zero_m
+        value, u, vals = problem.value(t, y, zm)
 
-    value, u, vals = problem.value(t, y, zm)
     if value > ceiling:
-        return result(t, y, zm, value, 0, math.inf, False)
+        return result(t, y, zm, value, 0, math.inf, "ceiling")
     gt, gy, dm, gnorm = problem.gradient(u, vals)
     eta = cfg.step_inner0
     prev = None  # (t, y, zm, gt, gy, dm)
@@ -257,10 +273,10 @@ def inner_maximize(
 
     for it in range(1, cfg.max_inner + 1):
         if gnorm <= cfg.tol_inner:
-            return result(t, y, zm, value, it - 1, gnorm, False)
+            return result(t, y, zm, value, it - 1, gnorm, "converged")
         state_norm = math.sqrt(t * t + float(y @ y) + float(zm @ zm))
         if state_norm > cfg.divergence_norm or value > cfg.divergence_value:
-            return result(t, y, zm, value, it - 1, gnorm, True)
+            return result(t, y, zm, value, it - 1, gnorm, "diverged")
 
         if prev is not None:
             ds = np.concatenate(([t - prev[0]], y - prev[1], zm - prev[2]))
@@ -289,20 +305,20 @@ def inner_maximize(
                 break
             eta *= 0.5
         if not accepted:
-            # no ascent left at machine precision
-            return result(t, y, zm, value, it, gnorm, False)
+            return result(t, y, zm, value, it, gnorm, "no_ascent")
         if value > ceiling:
-            return result(t, y, zm, value, it, math.inf, False)
+            return result(t, y, zm, value, it, math.inf, "ceiling")
         if gain <= 16.0 * np.finfo(float).eps * max(1.0, abs(value)):
             stagnant += 1
             if stagnant >= 3:
                 # ascent hit the roundoff floor of G; gnorm is the honest exit norm
-                return result(t, y, zm, value, it, gnorm, False)
+                return result(t, y, zm, value, it, gnorm, "roundoff_floor")
         else:
             stagnant = 0
         gt, gy, dm, gnorm = problem.gradient(u, vals)
 
-    return result(t, y, zm, value, cfg.max_inner, gnorm, False)
+    stop = "converged" if gnorm <= cfg.tol_inner else "max_inner"
+    return result(t, y, zm, value, cfg.max_inner, gnorm, stop)
 
 
 def psi_gradient(w: SpectralField, saddle: SaddleResult, ctx: EnergyContext) -> SpectralField:
@@ -320,9 +336,10 @@ def psi_gradient(w: SpectralField, saddle: SaddleResult, ctx: EnergyContext) -> 
 
 
 def _run_start(start_id, w, ctx, cfg, kernel_basis, records):
+    """Outer descent from ``w``; its last record in ``records`` gets a ``stop`` key."""
     saddle = inner_maximize(w, ctx, cfg, kernel_basis)
     if saddle.diverged:
-        records.append({"start": start_id, "outer": 0, "event": "diverged"})
+        records.append({"start": start_id, "outer": 0, "event": "diverged", "stop": "diverged"})
         return None
     eta = cfg.step_outer0
     outer = 0
@@ -332,13 +349,14 @@ def _run_start(start_id, w, ctx, cfg, kernel_basis, records):
         {"start": start_id, "outer": outer, "psi": saddle.psi, "grad_plus": gn,
          "inner_iters": saddle.iterations}
     )
+    stop = "max_outer"
     while gn > cfg.tol_outer and outer < cfg.max_outer:
         outer += 1
         accepted = False
         backtracks = rejected_iters = 0
         # require a decrease that beats both Armijo and the roundoff floor of Psi
         noise = 32.0 * np.finfo(float).eps * max(1.0, abs(saddle.psi))
-        for _ in range(50):
+        while True:
             trial = _normalized_plus(
                 ctx.catalog, (w.coeffs - eta * grad.coeffs)[ctx.catalog.plus_idx]
             )
@@ -347,7 +365,10 @@ def _run_start(start_id, w, ctx, cfg, kernel_basis, records):
             # the ceiling rides in ``warm``, so wrappers of the five-argument
             # call shape pass it on unchanged
             s_trial = inner_maximize(trial, ctx, cfg, kernel_basis, warm=(*saddle._state, ceiling))
-            if (not s_trial.diverged) and s_trial.psi <= ceiling:
+            # a Psi value counts only from an ascent that converged or reached
+            # the roundoff floor of G; an unfinished ascent can sit far below
+            # the maximum (toward t -> 0) and fake a decrease
+            if s_trial.stop in ("converged", "roundoff_floor") and s_trial.psi <= ceiling:
                 w, saddle = trial, s_trial
                 accepted = True
                 eta = min(eta * 1.3, 1e3)
@@ -355,12 +376,15 @@ def _run_start(start_id, w, ctx, cfg, kernel_basis, records):
             backtracks += 1
             rejected_iters += s_trial.iterations
             eta *= 0.5
-            if eta < 1e-14:
+            # Psi falls by about eta * gn^2 along the step, so below the noise
+            # drop no shorter trial can be accepted (NaN also stops here)
+            if not eta * gn * gn >= noise:
                 break
         counts = {"backtracks": backtracks, "rejected_inner_iters": rejected_iters}
         if not accepted:
             records.append({"start": start_id, "outer": outer, "event": "stalled",
                             "psi": saddle.psi, "grad_plus": gn, **counts})
+            stop = "stalled_at_floor"
             break
         grad = psi_gradient(w, saddle, ctx)
         gn = plus_norm(grad)
@@ -368,8 +392,9 @@ def _run_start(start_id, w, ctx, cfg, kernel_basis, records):
             {"start": start_id, "outer": outer, "psi": saddle.psi, "grad_plus": gn,
              "inner_iters": saddle.iterations, **counts}
         )
-    return {"w": w, "saddle": saddle, "grad_plus": gn, "outer": outer,
-            "converged": gn <= cfg.tol_outer}
+    converged = gn <= cfg.tol_outer
+    records[-1]["stop"] = "converged" if converged else stop
+    return {"w": w, "saddle": saddle, "grad_plus": gn, "outer": outer, "converged": converged}
 
 
 def _kernel_split(ctx: EnergyContext, eps_kernel: float):
@@ -416,16 +441,22 @@ def ground_state(ctx: EnergyContext, cfg: SolverConfig, threads: int = 1) -> Gro
         raise NoCoerciveDirectionError("no coercive direction detected: all starts diverged")
 
     def rank(item):
+        # starts whose residual is certified (<= tol_outer) come first
         _, o = item
         res = residual_dual_norm(phi_gradient(o["saddle"].m_hat, ctx))
-        return (o["saddle"].psi, res)
+        return (res > cfg.tol_outer, o["saddle"].psi, res)
 
     best_i, best = min(finished, key=rank)
     u_star = best["saddle"].m_hat
     e_star = phi_eval(u_star, ctx)
     residual = residual_dual_norm(phi_gradient(u_star, ctx))
-    converged = best["converged"]
-    message = "converged" if converged else "max_outer reached or stalled; best iterate returned"
+    converged = best["converged"] and residual <= cfg.tol_outer
+    if converged:
+        message = "converged"
+    elif best["converged"]:
+        message = f"residual {residual:.3e} above tol_outer; best iterate returned"
+    else:
+        message = "max_outer reached or stalled; best iterate returned"
     return GroundStateResult(
         u_star=u_star,
         energy=e_star,

@@ -143,6 +143,7 @@ def test_solve_toy_writes_artifacts(tmp_path):
     assert (out / "field.csv").exists()
     records = [json.loads(line) for line in (out / "solver_log.jsonl").read_text().splitlines()]
     assert all("start" in r for r in records)
+    assert records[-1]["stop"] == "converged"
 
 
 def test_gram_task(tmp_path):
@@ -173,6 +174,7 @@ def test_series_task_witness_divergence(tmp_path):
     saved = json.loads((out / "result.json").read_text())
     assert saved["result"]["series"]["verdict"] == "diverges"
     assert saved["result"]["series"]["witness"]
+    assert saved["result"]["series"]["p_star"] is None  # no threshold applies
 
 
 def test_series_task_klein_gordon(tmp_path):
@@ -202,7 +204,7 @@ def test_series_task_on_the_circle_sphere(tmp_path):
     }
     assert main(["series", "--config", str(write_config(tmp_path, doc))]) == EXIT_OK
     saved = json.loads((out / "result.json").read_text())
-    assert saved["result"]["series"]["p_star"] is None
+    assert saved["result"]["series"]["p_star"] == "inf"
     assert saved["warnings"] == []
 
 
@@ -245,6 +247,25 @@ def test_dalembert_task(tmp_path):
     assert saved["result"]["split_reconstruction_error"] < 1e-10
     assert (out / "slices.csv").exists()
     assert (out / "profiles.csv").exists()
+
+
+def test_dalembert_default_raster_below_the_solve_grid_size(tmp_path):
+    # the default raster is the weight support at resolution 256, even when the
+    # solve grid has fewer nodes per axis (36 at K = L = 8)
+    out = tmp_path / "d"
+    doc = {
+        "task": "dalembert",
+        "domain": {"kind": "circle"},
+        "operator": {"power": 1},
+        "cutoffs": {"k_max": 8, "l_max": 8},
+        "weight": {"kind": "rectangle", "x": [0.0, 4.71], "t": [0.0, 6.2832],
+                   "inside": 1.0, "outside": 0.0, "smoothing": 0.1},
+        "out": str(out),
+    }
+    assert main(["dalembert", "--config", str(write_config(tmp_path, doc))]) == EXIT_OK
+    saved = json.loads((out / "result.json").read_text())
+    assert saved["result"]["resolution"] == 256
+    assert saved["result"]["inf_A"] > 0
 
 
 def test_command_config_mismatch(tmp_path):

@@ -222,7 +222,7 @@ def test_rectangle_margin_formula(a1, b1, a2, b2):
 def test_raster_from_weight():
     grid = ProductGrid(1, 128, 128)
     q = weight_rectangle(grid, (0.0, np.pi), (0.0, TWO_PI), smoothing=0.0)
-    omega = RasterSet.from_weight(WeightField(grid, q.values))
+    omega = RasterSet.from_weight(WeightField(grid, q.values), resolution=128)
     assert omega.resolution == 128
     inf_a, _ = xi_eta_infimum(omega)
     assert inf_a > 2.5  # roughly the strip width

@@ -228,4 +228,4 @@ def test_series_report_csv(tmp_path):
     assert data.shape[0] == len(rep.index)
     doc = rep.to_json()
     assert doc["verdict"] == rep.verdict
-    assert doc["p_star"] is None  # infinity maps to null
+    assert doc["p_star"] == "inf"  # every p covered; null means no threshold applies

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from wavegs import (
     plus_norm,
     psi_gradient,
     random_plus_direction,
+    weight_rectangle,
 )
 from wavegs import saddle as saddle_mod
 from conftest import make_context
@@ -175,6 +177,9 @@ def test_toy_ground_state(toy_ctx):
     assert res.residual < 1e-8
 
 
+STOPS = ("converged", "stalled_at_floor", "max_outer", "diverged")
+
+
 def test_ground_state_monotone_history_and_minimax_order(beam_ctx):
     cfg = SolverConfig(n_starts=2, seed=1)
     res = ground_state(beam_ctx, cfg)
@@ -187,12 +192,30 @@ def test_ground_state_monotone_history_and_minimax_order(beam_ctx):
     for psis in per_start.values():
         assert all(b <= a + 1e-12 for a, b in zip(psis, psis[1:]))
         assert res.energy <= psis[0] + 1e-9  # minimax ordering vs every start
+    # exactly one stop reason per start, on its last record
+    last = {rec["start"]: i for i, rec in enumerate(res.history)}
+    assert [i for i, rec in enumerate(res.history) if "stop" in rec] == sorted(last.values())
+    assert all(res.history[i]["stop"] in STOPS for i in last.values())
     assert res.kernel_report is not None
     assert res.dropped_kernel == []
 
 
+def _plus_shell_shares(u):
+    # share of ||u||_+^2 on each (|k|, |l|) shell; space-time translations
+    # rotate modes only within a shell, so the shares are orbit invariants
+    cat = u.catalog
+    shells: dict = {}
+    for i in cat.plus_idx:
+        mode = cat.modes[i]
+        key = (abs(mode.space[0]), abs(mode.l))
+        shells[key] = shells.get(key, 0.0) + cat.eig[i] * u.coeffs[i] ** 2
+    total = sum(shells.values())
+    return {key: v / total for key, v in shells.items()}
+
+
 def test_ground_state_scaling_stability(beam_ctx):
-    # pure power p = 4: c(2q) = c(q)/2 and the maximizing direction is preserved
+    # pure power p = 4: c(2q) = c(q)/2 and the maximizing direction is
+    # preserved up to the translation orbit of the constant-weight ground state
     cfg = SolverConfig(n_starts=2, seed=3)
     res1 = ground_state(beam_ctx, cfg)
     cat = beam_ctx.catalog
@@ -201,14 +224,95 @@ def test_ground_state_scaling_stability(beam_ctx):
     )
     res2 = ground_state(ctx2, cfg)
     assert res2.energy == pytest.approx(res1.energy / 2.0, rel=1e-6)
-    w1 = res1.u_star.coeffs[cat.plus_idx]
-    w2 = res2.u_star.coeffs[cat.plus_idx]
-    lam = cat.eig[cat.plus_idx]
-    for w in (w1, w2):
-        w /= math.sqrt(float(np.sum(lam * w * w)))
-    if float(np.sum(lam * w1 * w2)) < 0:
-        w2 = -w2
-    assert math.sqrt(float(np.sum(lam * (w1 - w2) ** 2))) < 1e-3
+    shares1 = _plus_shell_shares(res1.u_star)
+    shares2 = _plus_shell_shares(res2.u_star)
+    assert shares1.keys() == shares2.keys()
+    assert max(abs(shares1[k] - shares2[k]) for k in shares1) < 1e-6
+
+
+def test_converged_requires_a_residual_within_tolerance(beam_ctx):
+    # the outer test bounds grad_plus, which carries the factor s_w; a heavy
+    # weight makes s_w small, so grad_plus <= tol no longer bounds the residual
+    cat, grid = beam_ctx.catalog, beam_ctx.grid
+    uncertified = 0
+    for q in (1.0, 1e3):
+        ctx = EnergyContext(cat, grid, WeightField.constant(grid, q), beam_ctx.nonlinearity)
+        for tol in (1e-6, 1e-4):
+            res = ground_state(ctx, SolverConfig(n_starts=1, seed=0, tol_outer=tol))
+            assert res.converged == (res.residual <= tol)
+            stops = [rec["stop"] for rec in res.history if "stop" in rec]
+            if stops == ["converged"] and not res.converged:
+                uncertified += 1
+                assert "above tol_outer" in res.message
+    assert uncertified > 0
+
+
+README_BEAM_ENERGY = 6.947093992690483
+
+
+@pytest.fixture(scope="module")
+def readme_beam_ctx():
+    """The README solve problem: circle beam, K = L = 8, rectangle weight, p = 4."""
+    cat = build_catalog(DomainSpec.circle(), OperatorSpec.laplacian_power(2), 8, 8)
+    grid = ProductGrid.for_catalog(cat)
+    weight = weight_rectangle(grid, (0.0, 4.71), (0.0, 6.2832), 1.0, 0.0, 0.1)
+    return EnergyContext(cat, grid, weight, NonlinearitySpec.pure_power(4.0))
+
+
+@pytest.mark.parametrize("seed, draw", [(2, 2), (11, 1)])
+def test_unfinished_trial_ascent_is_not_accepted(readme_beam_ctx, seed, draw):
+    # white-noise starts whose first outer step used to accept a trial whose
+    # warm ascent ran toward t -> 0 unconverged, giving a spurious Psi ~ 1e-5
+    ctx, cfg = readme_beam_ctx, SolverConfig()
+    cat = ctx.catalog
+    rng = np.random.default_rng(seed)
+    for _ in range(draw):
+        coeffs = rng.standard_normal(len(cat.plus_idx))
+    w = saddle_mod._normalized_plus(cat, coeffs)
+    _, basis, _ = saddle_mod._kernel_split(ctx, cfg.eps_kernel)
+    records: list = []
+    out = saddle_mod._run_start(draw, w, ctx, cfg, basis, records)
+    assert abs(out["saddle"].psi - README_BEAM_ENERGY) <= 1e-9
+    assert out["saddle"].s_w > 1.0
+    assert records[-1]["stop"] in ("converged", "stalled_at_floor")
+
+
+def test_warm_state_below_zero_restarts_from_the_cold_height(beam_ctx):
+    cfg = SolverConfig()
+    w = lowest_plus_direction(beam_ctx.catalog)
+    cold = inner_maximize(w, beam_ctx, cfg)
+    t, y, zm = cold._state
+    far = (100.0 * t, y, zm)  # G ~ -t^4 there, far below 0
+    assert phi_eval(SpectralField(beam_ctx.catalog, 100.0 * cold.m_hat.coeffs), beam_ctx) < 0
+    restarted = inner_maximize(w, beam_ctx, cfg, warm=far)
+    assert restarted.psi == cold.psi
+    assert restarted.iterations == cold.iterations
+    assert restarted.stop == cold.stop == "converged"
+    # the ceiling still applies after the restart
+    capped = inner_maximize(w, beam_ctx, cfg, warm=(*far, 0.5 * cold.psi))
+    assert capped.stop == "ceiling" and capped.psi > 0.5 * cold.psi
+
+
+def test_outer_step_rejects_trials_whose_ascent_did_not_finish(beam_ctx, monkeypatch):
+    # cut every trial ascent short: a truncated ascent reports a value below
+    # Psi(trial) and can pass the Armijo test with a decrease it never had
+    orig = saddle_mod.inner_maximize
+    trials = []
+
+    def truncated(w, ctx, cfg, kernel_basis=None, warm=None):
+        if warm is None:
+            return orig(w, ctx, cfg, kernel_basis, warm)
+        res = orig(w, ctx, dataclasses.replace(cfg, max_inner=2), kernel_basis, warm)
+        trials.append((res, warm[3]))
+        return res
+
+    monkeypatch.setattr(saddle_mod, "inner_maximize", truncated)
+    res = ground_state(beam_ctx, SolverConfig(n_starts=1, seed=0))
+    unfinished = [r for r, ceiling in trials if r.stop == "max_inner" and r.psi <= ceiling]
+    assert unfinished
+    accepted = {rec["psi"] for rec in res.history if rec["outer"] > 0 and "event" not in rec}
+    assert accepted
+    assert not any(r.psi in accepted for r in unfinished)
 
 
 def test_ground_state_all_starts_diverge():
