@@ -2,17 +2,22 @@
 
 Sizes are those of the ``wavebench`` diagnostics batch (and, for the
 pointwise nonlinearity, a large solve grid).  Each kernel is timed in this
-process as the best of a few calls; the script prints a table and then one
-JSON line with the seconds per kernel and the machine facts.  Usage:
+process as the best of a few calls; ``import wavegs`` is timed cold, in fresh
+interpreters (best and median).  The script prints a table and then one JSON
+line with the seconds per kernel, the import times and the machine facts, and
+writes that document to ``--out``.  Usage:
 
-    PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeats N]
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeats N] [--out BENCH_kernels.json]
 """
 
 import argparse
 import json
 import os
 import platform
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +35,18 @@ def _best(fn, repeats):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def cold_import_seconds(runs):
+    """Best and median seconds of ``import wavegs`` in ``runs`` fresh interpreters."""
+    probe = "import time; t = time.perf_counter(); import wavegs; print(time.perf_counter() - t)"
+    env = {**os.environ, "PYTHONPATH": str(Path(wavegs.__file__).resolve().parents[1])}
+    times = sorted(
+        float(subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True).stdout)
+        for _ in range(runs)
+    )
+    return {"best": times[0], "median": times[len(times) // 2], "runs": runs}
 
 
 def _torus_nu(n, cutoff):
@@ -75,12 +92,16 @@ def cases():
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--out", default="BENCH_kernels.json")
     args = parser.parse_args()
     timings = {name: _best(fn, args.repeats) for name, fn in cases()}
+    cold = cold_import_seconds(5)
     width = max(len(k) for k in timings)
     print(f"{'kernel':<{width}}  {'best [ms]':>10}")
     for name, sec in timings.items():
         print(f"{name:<{width}}  {sec * 1e3:10.2f}")
+    print(f"{'import wavegs (cold)':<{width}}  {cold['best'] * 1e3:10.2f}"
+          f"  (median {cold['median'] * 1e3:.2f} of {cold['runs']})")
     facts = {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -88,7 +109,10 @@ def main():
         "machine": platform.machine(),
         "repeats": args.repeats,
     }
-    print(json.dumps({"seconds": timings, "machine": facts}, sort_keys=True))
+    doc = json.dumps({"seconds": timings, "import_wavegs_s": cold, "machine": facts},
+                     sort_keys=True)
+    print(doc)
+    Path(args.out).write_text(doc + "\n")
 
 
 if __name__ == "__main__":

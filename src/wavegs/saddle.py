@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import energy
 from .control import GramReport, kernel_gram, kernel_gram_basis
@@ -192,6 +191,78 @@ class _InnerProblem:
         return gt, gy, dm, norm
 
 
+def _bounded_brent(f, a, b, xatol=1e-5, maxfun=500):
+    """Minimizer of f on [a, b] by Brent's bounded method (Brent, 1973, ch. 5).
+
+    A port of scipy's ``minimize_scalar(method="bounded")``: the same
+    operations in the same order and the same constants, so it returns the
+    same float; only numpy's scalar ``abs``/``sign``/``maximum`` became their
+    Python forms on floats.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = f(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (-1.0 if xm - xf < 0 else 1.0)
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf
+
+
 def _initial_height(problem, ctx, cfg, w):
     """Line search on t -> Phi(t w): bracket the hump, refine with Brent."""
     wvals = ctx.synth(problem.assemble(1.0, np.zeros(problem.n_y), np.zeros(len(problem.minus))))
@@ -210,10 +281,7 @@ def _initial_height(problem, ctx, cfg, w):
         t *= 2.0
     if best_t * 2.0 > cfg.divergence_norm:
         return None  # still climbing at the cap: the ray is not maximizable
-    res = minimize_scalar(
-        lambda s: -phi_ray(s), bounds=(best_t / 4.0, best_t * 4.0), method="bounded"
-    )
-    return float(res.x)
+    return float(_bounded_brent(lambda s: -phi_ray(s), best_t / 4.0, best_t * 4.0))
 
 
 def inner_maximize(
@@ -392,9 +460,9 @@ def _run_start(start_id, w, ctx, cfg, kernel_basis, records):
             {"start": start_id, "outer": outer, "psi": saddle.psi, "grad_plus": gn,
              "inner_iters": saddle.iterations, **counts}
         )
-    converged = gn <= cfg.tol_outer
-    records[-1]["stop"] = "converged" if converged else stop
-    return {"w": w, "saddle": saddle, "grad_plus": gn, "outer": outer, "converged": converged}
+    stop = "converged" if gn <= cfg.tol_outer else stop
+    records[-1]["stop"] = stop
+    return {"w": w, "saddle": saddle, "grad_plus": gn, "outer": outer, "stop": stop}
 
 
 def _kernel_split(ctx: EnergyContext, eps_kernel: float):
@@ -440,23 +508,31 @@ def ground_state(ctx: EnergyContext, cfg: SolverConfig, threads: int = 1) -> Gro
     if not finished:
         raise NoCoerciveDirectionError("no coercive direction detected: all starts diverged")
 
+    def certified(o, res):
+        # a start that converged or stalled at the roundoff floor of Psi counts
+        # as solved when its residual is within tol_outer: the residual is the
+        # certificate, not the outer stop test, which carries the factor s_w
+        return o["stop"] in ("converged", "stalled_at_floor") and res <= cfg.tol_outer
+
     def rank(item):
-        # starts whose residual is certified (<= tol_outer) come first
         _, o = item
         res = residual_dual_norm(phi_gradient(o["saddle"].m_hat, ctx))
-        return (res > cfg.tol_outer, o["saddle"].psi, res)
+        return (not certified(o, res), o["saddle"].psi, res)
 
     best_i, best = min(finished, key=rank)
     u_star = best["saddle"].m_hat
     e_star = phi_eval(u_star, ctx)
     residual = residual_dual_norm(phi_gradient(u_star, ctx))
-    converged = best["converged"] and residual <= cfg.tol_outer
-    if converged:
+    converged = certified(best, residual)
+    if converged and best["stop"] == "converged":
         message = "converged"
-    elif best["converged"]:
-        message = f"residual {residual:.3e} above tol_outer; best iterate returned"
+    elif converged:
+        message = (f"converged: stalled at the roundoff floor of Psi with residual "
+                   f"{residual:.3e} <= tol_outer")
+    elif best["stop"] == "max_outer":
+        message = "max_outer reached; best iterate returned"
     else:
-        message = "max_outer reached or stalled; best iterate returned"
+        message = f"residual {residual:.3e} above tol_outer; best iterate returned"
     return GroundStateResult(
         u_star=u_star,
         energy=e_star,

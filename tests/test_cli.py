@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavegs
 from wavegs.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -282,3 +287,27 @@ def test_determinism(tmp_path):
     first.pop("timestamp")
     second.pop("timestamp")
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+
+def _fresh_python(*args):
+    """Run ``python *args`` in a new process that imports wavegs from this tree."""
+    src = str(Path(wavegs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_importing_wavegs_loads_no_scipy():
+    probe = ("import sys, wavegs, wavegs.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = _fresh_python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    # -X importtime lists every module a run imports on stderr
+    done = _fresh_python("-X", "importtime", "-m", "wavegs.cli", "--help")
+    assert done.returncode == 0, done.stderr
+    assert "usage" in done.stdout
+    imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "wavegs.saddle" in imported
+    assert not [m for m in imported if m.split(".")[0] == "scipy"]

@@ -247,6 +247,24 @@ def test_converged_requires_a_residual_within_tolerance(beam_ctx):
     assert uncertified > 0
 
 
+@pytest.mark.parametrize("domain, power, cutoff, n_starts, energy", [
+    (DomainSpec.torus(2), 2, 6, 4, 27.03330774279),  # T^2 biharmonic
+    (DomainSpec.circle(), 1, 8, 1, 6.385690612469),  # circle classical wave
+])
+def test_starts_stalled_at_the_floor_with_a_certified_residual_are_converged(
+        domain, power, cutoff, n_starts, energy):
+    # constant weight: every start stalls at the roundoff floor of Psi just
+    # above tol_outer in grad_plus, while the returned residual is within it
+    cat = build_catalog(domain, OperatorSpec.laplacian_power(power), cutoff, cutoff)
+    cfg = SolverConfig(n_starts=n_starts, seed=0)
+    res = ground_state(make_context(cat), cfg)
+    assert [rec["stop"] for rec in res.history if "stop" in rec] == ["stalled_at_floor"] * n_starts
+    assert res.residual <= cfg.tol_outer
+    assert res.converged
+    assert "roundoff floor" in res.message
+    assert res.energy == pytest.approx(energy, abs=1e-9)
+
+
 README_BEAM_ENERGY = 6.947093992690483
 
 
@@ -434,3 +452,49 @@ def test_kernel_gram_is_computed_once_per_context_and_floor(beam_ctx, monkeypatc
     assert c.kernel_report.floor == 1e-6
     fresh = kernel_gram(beam_ctx.weight, cat, beam_ctx.grid, cfg.eps_kernel)
     np.testing.assert_array_equal(a.kernel_report.gram, fresh.gram)
+
+
+def test_bounded_brent_returns_scipys_float(readme_beam_ctx, monkeypatch):
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def scipy_x(f, a, b, **options):
+        with np.errstate(all="ignore"):
+            res = optimize.minimize_scalar(f, bounds=(a, b), method="bounded", options=options)
+        return res.x, res.nfev
+
+    # the README-beam ray searches of four cold starts, as _initial_height calls them
+    port = saddle_mod._bounded_brent
+    rays = []
+
+    def recording(f, a, b):
+        rays.append((f, a, b))
+        return port(f, a, b)
+
+    monkeypatch.setattr(saddle_mod, "_bounded_brent", recording)
+    ctx, cfg = readme_beam_ctx, SolverConfig()
+    rng = np.random.default_rng(0)
+    starts = [lowest_plus_direction(ctx.catalog)]
+    starts += [random_plus_direction(ctx.catalog, rng) for _ in range(3)]
+    _, basis, _ = saddle_mod._kernel_split(ctx, cfg.eps_kernel)
+    for w in starts:
+        inner_maximize(w, ctx, cfg, basis)
+    assert len(rays) == 4
+
+    def hump(t):
+        return -(0.5 * t * t - 0.25 * t**4)
+
+    panel = [(f, a, b, {}) for f, a, b in rays] + [
+        (hump, 0.1, 3.0, {}),
+        (lambda t: t, 1.0, 2.0, {}),  # minimum at the lower bound
+        (lambda t: -t, 1.0, 2.0, {}),  # minimum at the upper bound
+        (lambda t: 0.0, 0.5, 1.5, {}),  # flat
+        (hump, 0.1, 3.0, {"maxfun": 6}),
+        # near the top of the float64 range the parabola's q overflows and
+        # its step p / q is -0.0, whose step direction must be +1
+        (lambda t: 1e308 * (t - 2.0) ** 2, -1.0, 4.0, {}),
+    ]
+    for f, a, b, kw in panel:
+        want, nfev = scipy_x(f, a, b, **({"maxiter": kw["maxfun"]} if kw else {}))
+        assert port(f, a, b, **kw) == want
+        if kw:
+            assert nfev == kw["maxfun"]
