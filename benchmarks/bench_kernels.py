@@ -1,9 +1,10 @@
-"""Time the numpy kernels of ``wavegs._accel``, the kernel Gram and the profiles.
+"""Time catalog builds, the numpy kernels of ``wavegs._accel``, the kernel Gram and the profiles.
 
 Sizes are those of the ``wavebench`` diagnostics batch (and, for the
-pointwise nonlinearity, a large solve grid).  Each kernel is timed in this
-process as the best of a few calls; ``import wavegs`` is timed cold, in fresh
-interpreters (best and median).  The script prints a table and then one JSON
+pointwise nonlinearity, a large solve grid; for the catalog, the circle
+classical wave at K = L = 48 and T^2 beams at 16 and 24).  Each kernel is
+timed in this process as the best of a few calls; ``import wavegs`` is timed
+cold, in fresh interpreters (best and median).  The script prints a table and then one JSON
 line with the seconds per kernel, the import times and the machine facts, and
 writes that document to ``--out``.  Usage:
 
@@ -72,7 +73,12 @@ def cases():
     coeffs[cat.zero_idx] = rng.standard_normal(cat.kernel_dim())
     phi, psi = wavegs.dalembert_split(wavegs.SpectralField(cat, coeffs))
     xs, ts = np.meshgrid(grid.x_nodes, grid.t_nodes, indexing="ij")
+    circle, torus2 = wavegs.DomainSpec.circle(), wavegs.DomainSpec.torus(2)
+    wave, beam = wavegs.OperatorSpec.laplacian_power(1), wavegs.OperatorSpec.laplacian_power(2)
     return [
+        ("build_catalog_circle_48", lambda: wavegs.build_catalog(circle, wave, 48, 48)),
+        ("build_catalog_T2_16", lambda: wavegs.build_catalog(torus2, beam, 16, 16)),
+        ("build_catalog_T2_24", lambda: wavegs.build_catalog(torus2, beam, 24, 24)),
         ("quasipoly_f_2e6", lambda: _accel.quasipoly_f(v, amps, exps)),
         ("quasipoly_prim_2e6", lambda: _accel.quasipoly_prim(v, amps, exps)),
         (f"torus_l_sums_T2_96_{len(nu_a)}nu", lambda: _accel.torus_l_sums(nu_a, 2, 3.0)),

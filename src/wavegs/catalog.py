@@ -4,19 +4,19 @@ The operator P(-Laplace) + d_tt acting on M x S^1 (M a circle, flat torus or
 round sphere) is diagonal in the real separated basis zeta_k (x) e_l(t), with
 e_l = cos(l t) for l > 0, e_{-l} = sin(l t), e_0 = const.  A catalog is a
 truncated enumeration of these modes together with their eigenvalues
-P(nu_spatial) - l^2, kept as exact rationals so that the plus/kernel/minus
-classification is never at the mercy of floating-point roundoff.
+P(nu_spatial) - l^2, kept as exact integer numerators over one denominator so
+that the plus/kernel/minus classification is never at the mercy of
+floating-point roundoff.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
@@ -194,34 +194,51 @@ _CLASS_NAMES = {CLASS_PLUS: "plus", CLASS_ZERO: "zero", CLASS_MINUS: "minus"}
 
 
 class SpectralCatalog:
-    """Immutable truncated mode list with exact eigenvalues and sign classes."""
+    """Immutable truncated mode list: mode i is (``space[i]``, ``l[i]``), as in ``ModeKey``.
 
-    def __init__(self, domain, operator, k_max, l_max, modes, eigenvalues):
+    Eigenvalue i is exactly ``lam_num[i] / lam_den``, with Python-int numerators
+    (int64 overflows for high powers of P) over the lcm of P's denominators.
+    """
+
+    def __init__(self, domain, operator, k_max, l_max, space, l, lam_num, lam_den):
         self.domain = domain
         self.operator = operator
         self.k_max = int(k_max)
         self.l_max = int(l_max)
-        self.modes = tuple(modes)
-        self.eigenvalues = tuple(eigenvalues)
-        self.eig = np.array([float(lam) for lam in self.eigenvalues])
-        classes = np.zeros(len(self.modes), dtype=np.int8)
-        for i, lam in enumerate(self.eigenvalues):
-            classes[i] = CLASS_PLUS if lam > 0 else (CLASS_MINUS if lam < 0 else CLASS_ZERO)
-        self.classes = classes
-        self.plus_idx = np.flatnonzero(classes == CLASS_PLUS)
-        self.zero_idx = np.flatnonzero(classes == CLASS_ZERO)
-        self.minus_idx = np.flatnonzero(classes == CLASS_MINUS)
-        self._position = {mode: i for i, mode in enumerate(self.modes)}
+        self.space = np.asarray(space, dtype=np.int64)
+        self.l = np.asarray(l, dtype=np.int64)
+        self.lam_num = np.asarray(lam_num, dtype=object)
+        self.lam_den = int(lam_den)
+        # Python int / int is correctly rounded, so this equals float(Fraction)
+        self.eig = (self.lam_num / self.lam_den).astype(np.float64)
+        self.classes = np.sign(self.lam_num).astype(np.int8)
+        self.plus_idx = np.flatnonzero(self.classes == CLASS_PLUS)
+        self.zero_idx = np.flatnonzero(self.classes == CLASS_ZERO)
+        self.minus_idx = np.flatnonzero(self.classes == CLASS_MINUS)
 
     def __len__(self):
-        return len(self.modes)
+        return len(self.l)
 
     @property
     def size(self):
-        return len(self.modes)
+        return len(self.l)
+
+    @cached_property
+    def modes(self) -> tuple:
+        """The modes as ``ModeKey`` objects, built on first use."""
+        return tuple(ModeKey(tuple(s), l) for s, l in zip(self.space.tolist(), self.l.tolist()))
+
+    @cached_property
+    def eigenvalues(self) -> tuple:
+        """The exact eigenvalues as ``Fraction`` objects, built on first use."""
+        return tuple(Fraction(n, self.lam_den) for n in self.lam_num)
 
     def index_of(self, mode: ModeKey) -> int:
-        return self._position[mode]
+        if len(mode.space) == self.space.shape[1]:
+            hits = np.flatnonzero((self.space == mode.space).all(axis=1) & (self.l == mode.l))
+            if len(hits):
+                return int(hits[0])
+        raise KeyError(mode)
 
     def class_of(self, i: int) -> str:
         return _CLASS_NAMES[int(self.classes[i])]
@@ -240,7 +257,7 @@ class SpectralCatalog:
         if self.domain.kind != TORUS:
             raise ValueError("only torus catalogs fill a coefficient box")
         shift = np.array((self.k_max,) * self.domain.dim + (self.l_max,))
-        coords = np.array([m.space + (m.l,) for m in self.modes], dtype=int).reshape(-1, len(shift))
+        coords = np.column_stack([self.space, self.l])
         index = np.ravel_multi_index((coords + shift).T, tuple(2 * shift + 1))
         if len(index) != np.prod(2 * shift + 1) or len(np.unique(index)) != len(index):
             raise ValueError("catalog modes do not fill the coefficient box exactly once")
@@ -259,54 +276,40 @@ class SpectralCatalog:
         }
 
 
-def _torus_mode_iter(dim, k_max, l_max):
-    rng = range(-k_max, k_max + 1)
-    for l in range(-l_max, l_max + 1):
-        for space in itertools.product(rng, repeat=dim):
-            yield ModeKey(space, l)
-
-
-def _sphere_mode_iter(dim, k_max, l_max):
-    for l in range(-l_max, l_max + 1):
-        for k in range(0, k_max + 1):
-            for i in range(1, sphere_multiplicity(dim, k) + 1):
-                yield ModeKey((k, i), l)
-
-
-def _mode_sort_key(mode: ModeKey):
-    # lexicographic by (|l|, parity of l, spatial magnitudes, spatial parities)
-    return (
-        abs(mode.l),
-        0 if mode.l >= 0 else 1,
-        tuple(abs(c) for c in mode.space),
-        tuple(0 if c >= 0 else 1 for c in mode.space),
-    )
+def _mode_box(domain: DomainSpec, k_max: int, l_max: int):
+    """Every (space, l) within the cutoffs, unordered: (n, d) and (n,) int64 arrays."""
+    if domain.kind == TORUS:
+        axes = [np.arange(-k_max, k_max + 1)] * domain.dim
+        space = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    else:
+        degrees = np.arange(k_max + 1)
+        mult = np.array([sphere_multiplicity(domain.dim, int(k)) for k in degrees])
+        index = np.arange(mult.sum()) - np.repeat(np.cumsum(mult) - mult, mult) + 1
+        space = np.column_stack([np.repeat(degrees, mult), index])
+    ls = np.arange(-l_max, l_max + 1)
+    return np.tile(space, (len(ls), 1)), np.repeat(ls, len(space))
 
 
 def build_catalog(domain: DomainSpec, operator: OperatorSpec, k_max: int, l_max: int) -> SpectralCatalog:
     """Enumerate all real modes within the cutoffs, classified exactly.
 
     Torus cutoffs are per-component (|k_j| <= k_max); sphere cutoffs bound the
-    harmonic degree.  Eigenvalue signs are decided in rational arithmetic, so
-    resonances land in the kernel class exactly.
+    harmonic degree.  Modes are ordered by (|l|, l < 0, |space|, space < 0)
+    lexicographically.  Eigenvalue signs are decided in exact integer
+    arithmetic, so resonances land in the kernel class exactly.
     """
     if k_max < 0 or l_max < 0:
         raise ValueError("cutoffs must be >= 0")
+    space, l = _mode_box(domain, k_max, l_max)
+    # np.lexsort sorts by its last row first
+    order = np.lexsort(np.vstack([(space < 0).T[::-1], np.abs(space).T[::-1], l < 0, np.abs(l)]))
+    space, l = space[order], l[order]
     if domain.kind == TORUS:
-        modes = sorted(_torus_mode_iter(domain.dim, k_max, l_max), key=_mode_sort_key)
+        nu = (space * space).sum(axis=1)
     else:
-        modes = sorted(_sphere_mode_iter(domain.dim, k_max, l_max), key=_mode_sort_key)
-    lams = []
-    spatial_cache: dict = {}
-    for mode in modes:
-        if domain.kind == TORUS:
-            nu_key = tuple(sorted(abs(c) for c in mode.space))
-        else:
-            nu_key = mode.space[0]
-        nu = spatial_cache.get(nu_key)
-        if nu is None:
-            spatial = mode.space if domain.kind == TORUS else mode.space[0]
-            nu = operator.evaluate(laplace_eigenvalue(domain, spatial))
-            spatial_cache[nu_key] = nu
-        lams.append(nu - mode.l * mode.l)
-    return SpectralCatalog(domain, operator, k_max, l_max, modes, lams)
+        nu = space[:, 0] * (space[:, 0] + domain.dim - 1)
+    lam_den = lcm(*(c.denominator for c in operator.coefficients))
+    distinct, inverse = np.unique(nu, return_inverse=True)
+    p_num = np.array([int(operator.evaluate(int(v)) * lam_den) for v in distinct], dtype=object)
+    lam_num = p_num[inverse] - l.astype(object) ** 2 * lam_den
+    return SpectralCatalog(domain, operator, k_max, l_max, space, l, lam_num, lam_den)

@@ -73,7 +73,6 @@ class RunConfig:
     raster: dict
     seed: int
     out: Path
-    threads: int = 1  # accepted and recorded; solves run their starts sequentially
     warnings: list = field(default_factory=list)
     refusal: str | None = None
     raw: dict = field(default_factory=dict)
@@ -92,7 +91,6 @@ class RunConfig:
             "witness_count": self.witness_count,
             "raster": self.raster,
             "seed": self.seed,
-            "threads": self.threads,
         }
 
 
@@ -198,7 +196,6 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
             refusal = "sphere solves are out of scope (catalog and series diagnostics only)"
 
     out = Path(overrides.get("out", raw.get("out", "out")))
-    threads = int(overrides.get("threads", raw.get("threads", 1)))
 
     return RunConfig(
         task=task,
@@ -215,7 +212,6 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
         raster=raw.get("raster", {"resolution": 256, "set": {"kind": "weight_support"}}),
         seed=seed,
         out=out,
-        threads=threads,
         warnings=warnings,
         refusal=refusal,
         raw=raw,
@@ -253,7 +249,7 @@ def _run_solve(config: RunConfig) -> int:
         raise ConfigError("weight vanishes identically")
     ctx = EnergyContext(catalog, grid, weight, config.nonlinearity)
     try:
-        result = ground_state(ctx, config.solver, threads=config.threads)
+        result = ground_state(ctx, config.solver)
     except NoCoerciveDirectionError as exc:
         _write_result(config, {"error": str(exc)})
         return EXIT_NO_CONVERGENCE
@@ -426,11 +422,9 @@ def main(argv=None) -> int:
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility; starts run sequentially")
     args = parser.parse_args(argv)
 
-    overrides = {k: v for k in ("out", "seed", "threads") if (v := getattr(args, k)) is not None}
+    overrides = {k: v for k in ("out", "seed") if (v := getattr(args, k)) is not None}
     try:
         config = validate_config(args.config, overrides)
     except ConfigError as exc:

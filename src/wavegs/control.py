@@ -134,9 +134,7 @@ def dalembert_split(u: SpectralField, atol: float = 1e-12):
         a = u.coeffs[i]
         if a == 0.0:
             continue
-        mode = cat.modes[i]
-        kx = mode.space[0]
-        lt = mode.l
+        kx, lt = int(cat.space[i, 0]), int(cat.l[i])
         k = abs(kx)
         if k == 0:
             # constant eigenfunction 1/(2pi); gauge: even split

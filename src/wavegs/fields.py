@@ -124,13 +124,12 @@ def mode_factors(catalog: SpectralCatalog, grid: ProductGrid, mode_indices):
     Basis function a at grid point (x, t) is space[a, x] * time[a, t].
     """
     x_table, t_table = _axis_tables(catalog, grid)
-    modes = [catalog.modes[i] for i in np.asarray(mode_indices, dtype=int)]
-    space = np.ones((len(modes), 1))
+    idx = np.asarray(mode_indices, dtype=int)
+    rows = catalog.space[idx] + catalog.k_max
+    space = np.ones((len(idx), 1))
     for axis in range(grid.dims):
-        idx = np.array([m.space[axis] + catalog.k_max for m in modes], dtype=int)
-        space = (space[:, :, None] * x_table[idx][:, None, :]).reshape(len(modes), -1)
-    t_idx = np.array([m.l + catalog.l_max for m in modes], dtype=int)
-    return space, t_table[t_idx]
+        space = (space[:, :, None] * x_table[rows[:, axis]][:, None, :]).reshape(len(idx), -1)
+    return space, t_table[catalog.l[idx] + catalog.l_max]
 
 
 def basis_rows(catalog: SpectralCatalog, grid: ProductGrid, mode_indices) -> np.ndarray:

@@ -478,14 +478,13 @@ def _kernel_split(ctx: EnergyContext, eps_kernel: float):
     return memo[1:]
 
 
-def ground_state(ctx: EnergyContext, cfg: SolverConfig, threads: int = 1) -> GroundStateResult:
+def ground_state(ctx: EnergyContext, cfg: SolverConfig) -> GroundStateResult:
     """Multi-start outer minimization; returns the best converged saddle point.
 
     Before solving, the truncated-kernel q-Gram is diagonalized and directions
     below the eigenvalue floor are dropped from the inner problem (reported in
     the result).  Raises NoCoerciveDirectionError if every start diverges.
-    The starts run one after another; ``threads`` is accepted and ignored
-    (a thread pool gained nothing under the GIL).
+    The starts run one after another.
     """
     if ctx.weight.is_trivial():
         raise ValueError("weight must not vanish identically for a solve")

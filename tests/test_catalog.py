@@ -15,6 +15,25 @@ from wavegs import (
     sphere_multiplicity,
 )
 
+QUADRATIC = OperatorSpec((Fraction(1, 3), Fraction(1, 2), 1))
+LAPLACE_12 = OperatorSpec.laplacian_power(12)
+
+# SHA-1 digests of the canonical JSON, pinned from the per-mode Fraction build
+PINNED_DIGESTS = [
+    (DomainSpec.circle(), OperatorSpec.laplacian_power(1), 48, 48,
+     "b1f1a2de750690653b8bc35887f309f36a9fe712"),
+    (DomainSpec.circle(), OperatorSpec.laplacian_power(2), 8, 8,
+     "f1f9b2e101f7817b7e15f75dacbe0066768f2d3f"),
+    (DomainSpec.torus(2), OperatorSpec.laplacian_power(2), 6, 6,
+     "60288676c33ffe723b7c220e3e86e39bba36fdad"),
+    (DomainSpec.sphere(3), OperatorSpec.klein_gordon(3), 5, 5,
+     "ff64680990fc0174c41359d8390911db429f4f16"),
+    (DomainSpec.circle(), OperatorSpec((Fraction(1, 3), 1)), 6, 6,
+     "052ab966d0a292326686c9aa8baca03c39daef5d"),
+    (DomainSpec.torus(2), QUADRATIC, 4, 4, "a74c90f61b0f4a0f36dc50ecc78f5c74b8ff6007"),
+    (DomainSpec.circle(), LAPLACE_12, 48, 48, "0260a6becf9fb64342cef8aa318deed1ff40cabb"),
+]
+
 
 def test_eigenvalue_torus_resonance():
     # (1+1)^2 - 4 = 0: resonance by construction
@@ -156,3 +175,22 @@ def test_deterministic_mode_ordering():
     b = build_catalog(DomainSpec.torus(2), OperatorSpec.laplacian_power(2), 2, 2)
     assert a.modes == b.modes
     assert a.digest == b.digest
+
+
+@pytest.mark.parametrize("dom,op,k,l,digest", PINNED_DIGESTS)
+def test_catalog_digest_is_pinned(dom, op, k, l, digest):
+    assert build_catalog(dom, op, k, l).digest == digest
+
+
+@pytest.mark.parametrize("dom,op,k", [
+    (DomainSpec.torus(2), QUADRATIC, 4),
+    (DomainSpec.circle(), LAPLACE_12, 48),  # 48^24 - 48^2 needs 135 bits
+    (DomainSpec.sphere(3), OperatorSpec.klein_gordon(3), 4),
+])
+def test_catalog_matches_single_mode_reference(dom, op, k):
+    cat = build_catalog(dom, op, k, k)
+    for i in range(cat.size):
+        lam = eigenvalue(op, dom, tuple(int(c) for c in cat.space[i]), int(cat.l[i]))
+        assert cat.eigenvalues[i] == lam
+        assert cat.eig[i] == float(lam)
+        assert cat.classes[i] == (lam > 0) - (lam < 0)

@@ -224,7 +224,8 @@ def test_round_trip_beyond_old_table_cap():
 def test_transform_rejects_catalog_that_misses_box_modes(torus2_cat):
     cat = torus2_cat
     partial = SpectralCatalog(
-        cat.domain, cat.operator, cat.k_max, cat.l_max, cat.modes[:-1], cat.eigenvalues[:-1]
+        cat.domain, cat.operator, cat.k_max, cat.l_max,
+        cat.space[:-1], cat.l[:-1], cat.lam_num[:-1], cat.lam_den,
     )
     grid = ProductGrid.for_catalog(cat)
     with pytest.raises(ValueError):

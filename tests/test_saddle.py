@@ -352,14 +352,6 @@ def test_ground_state_rejects_trivial_weight(toy_ctx):
         ground_state(ctx, SolverConfig())
 
 
-def test_threaded_starts_match_sequential(beam_ctx):
-    cfg = SolverConfig(n_starts=2, seed=5)
-    a = ground_state(beam_ctx, cfg, threads=1)
-    b = ground_state(beam_ctx, cfg, threads=2)
-    assert a.energy == pytest.approx(b.energy, rel=0, abs=0)
-    np.testing.assert_array_equal(a.u_star.coeffs, b.u_star.coeffs)
-
-
 def test_ceiling_keeps_trajectory_through_a_five_argument_hook(beam_ctx, monkeypatch):
     # wrappers with the trace hook's call shape: one strips the ceiling from
     # ``warm`` (every rejected trial runs to the end), one passes it through
