@@ -57,6 +57,14 @@ class ConfigError(ValueError):
     pass
 
 
+# what a malformed config block raises while it is parsed
+_MALFORMED = (ValueError, KeyError, TypeError)
+
+
+def _config_error(exc: Exception) -> ConfigError:
+    return ConfigError(f"missing key {exc}" if isinstance(exc, KeyError) else str(exc))
+
+
 @dataclass
 class RunConfig:
     task: str
@@ -75,7 +83,11 @@ class RunConfig:
     out: Path
     warnings: list = field(default_factory=list)
     refusal: str | None = None
-    raw: dict = field(default_factory=dict)
+
+    def warn(self, msg: str) -> None:
+        """Add a warning found while a task runs: to result.json and, at once, stderr."""
+        self.warnings.append(msg)
+        print(f"warning: {msg}", file=sys.stderr)
 
     def resolved(self) -> dict:
         return {
@@ -115,7 +127,7 @@ def _parse_operator(node, domain) -> OperatorSpec:
     raise ConfigError("operator needs 'power', 'klein_gordon' or 'coefficients'")
 
 
-def _build_weight(spec: dict, grid: ProductGrid, warnings: list) -> WeightField:
+def _build_weight(spec: dict, grid: ProductGrid, warn) -> WeightField:
     kind = spec.get("kind", "constant")
     if kind == "constant":
         value = float(spec.get("value", 1.0))
@@ -125,7 +137,7 @@ def _build_weight(spec: dict, grid: ProductGrid, warnings: list) -> WeightField:
     if kind == "rectangle":
         smoothing = float(spec.get("smoothing", 0.1))
         if smoothing == 0.0:
-            warnings.append("pure indicator weight: quadrature of q f(u) may be under-resolved")
+            warn("pure indicator weight: quadrature of q f(u) may be under-resolved")
         return weight_rectangle(
             grid,
             tuple(spec["x"]),
@@ -175,8 +187,8 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
         solver_node = dict(raw.get("solver", {}))
         n_starts = int(solver_node.pop("starts", solver_node.pop("n_starts", 4)))
         solver = SolverConfig(n_starts=n_starts, seed=seed, **solver_node)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    except _MALFORMED as exc:
+        raise _config_error(exc) from exc
 
     p_star = compactness_threshold(domain, operator)
     if p_star is not None and nonlinearity.p >= p_star:
@@ -214,7 +226,6 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
         out=out,
         warnings=warnings,
         refusal=refusal,
-        raw=raw,
     )
 
 
@@ -226,7 +237,7 @@ def _discretize(config: RunConfig) -> tuple[SpectralCatalog, ProductGrid, Weight
         grid = ProductGrid(catalog.domain.dim, int(node["nx"]), int(node["nt"]))
     else:
         grid = ProductGrid.for_catalog(catalog, int(node.get("oversample", 2)))
-    return catalog, grid, _build_weight(config.weight_spec, grid, config.warnings)
+    return catalog, grid, _build_weight(config.weight_spec, grid, config.warn)
 
 
 def _write_result(config: RunConfig, payload: dict) -> None:
@@ -407,8 +418,8 @@ def run(config: RunConfig) -> int:
         return _RUNNERS[config.task](config)
     except ConfigError:
         raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except _MALFORMED as exc:  # the weight, raster and series blocks are parsed here
+        raise _config_error(exc) from exc
 
 
 def main(argv=None) -> int:
@@ -427,16 +438,9 @@ def main(argv=None) -> int:
     overrides = {k: v for k in ("out", "seed") if (v := getattr(args, k)) is not None}
     try:
         config = validate_config(args.config, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if config.task != args.command:
-        print(
-            f"config error: config task {config.task!r} does not match subcommand {args.command!r}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    try:
+        if config.task != args.command:
+            raise ConfigError(
+                f"config task {config.task!r} does not match subcommand {args.command!r}")
         return run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

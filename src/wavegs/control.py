@@ -88,13 +88,13 @@ def kernel_gram(
 
 
 def kernel_gram_basis(report: GramReport):
-    """Eigenvectors of the Gram split into kept and dropped directions."""
-    if report.dim == 0:
-        return np.zeros((0, 0)), []
-    eigvals, eigvecs = np.linalg.eigh(report.gram)
-    floor_value = report.floor * max(float(eigvals[-1]), 0.0)
-    keep = eigvals > floor_value
-    return eigvecs[:, keep], [int(i) for i in np.flatnonzero(~keep)]
+    """Eigenvectors of the Gram split into kept and dropped directions.
+
+    The report alone decides the floor: both eigensolvers sort ascending, so
+    its ``below_floor`` directions are the leading eigenvectors.
+    """
+    eigvecs = np.linalg.eigh(report.gram)[1]
+    return eigvecs[:, len(report.below_floor):], list(report.below_floor)
 
 
 @dataclass

@@ -66,9 +66,10 @@ class SaddleResult:
     """One inner ascent; ``stop`` says why it ended.
 
     ``stop`` is ``converged`` (gradient norm <= tol_inner), ``roundoff_floor``
-    (three accepted steps in a row gained <= 16 ulp of G), ``no_ascent`` (no
-    step length gave an Armijo gain), ``ceiling`` (the value passed the
-    caller's ceiling), ``max_inner`` or ``diverged``.
+    (three accepted steps in a row gained <= 16 ulp of G, or the step was
+    halved until no shorter step can show a gain above that noise),
+    ``no_ascent`` (60 halvings gave no Armijo gain), ``ceiling`` (the value
+    passed the caller's ceiling), ``max_inner`` or ``diverged``.
     """
 
     m_hat: SpectralField
@@ -191,97 +192,33 @@ class _InnerProblem:
         return gt, gy, dm, norm
 
 
-def _bounded_brent(f, a, b, xatol=1e-5, maxfun=500):
-    """Minimizer of f on [a, b] by Brent's bounded method (Brent, 1973, ch. 5).
+def _initial_height(problem, cfg):
+    """Height of the maximum of t -> Phi(t w): the Nehari scaling of w, or None.
 
-    A port of scipy's ``minimize_scalar(method="bounded")``: the same
-    operations in the same order and the same constants, so it returns the
-    same float; only numpy's scalar ``abs``/``sign``/``maximum`` became their
-    Python forms on floats.
+    With f(s) = sum_i a_i |s|^(p_i - 2) s, d/dt Phi(t w) = t (1 - h(t)) with
+    h(t) = sum_i c_i t^(p_i - 2) and c_i = a_i * integral of q |w|^p_i.  h rises
+    strictly from 0, so h(t) = 1 has one root; it lies between the smallest t
+    at which a single term reaches 1/n and the smallest at which one reaches
+    1, and is bisected there in log t.  None when q misses the ray or the root
+    lies beyond ``divergence_norm``: the ray is not maximizable.
     """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = f(x)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through the three best points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (-1.0 if xm - xf < 0 else 1.0)
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+    ctx = problem.ctx
+    w = problem.assemble(1.0, np.zeros(problem.n_y), np.zeros(len(problem.minus)))
+    wvals = np.abs(ctx.synth(w))
+    qw = ctx.weight.values * ctx.grid.quad_weight
+    terms = [(a * float(qw @ wvals**p), p - 2.0) for a, p in ctx.nonlinearity.terms]
+    terms = [(c, e) for c, e in terms if c > 0]
+    if not terms:
+        return None
+    lo = min(-math.log(len(terms) * c) / e for c, e in terms)
+    hi = min(-math.log(c) / e for c, e in terms)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if sum(c * math.exp(e * mid) for c, e in terms) < 1.0:
+            lo = mid
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxfun:
-            break
-    return xf
-
-
-def _initial_height(problem, ctx, cfg, w):
-    """Line search on t -> Phi(t w): bracket the hump, refine with Brent."""
-    wvals = ctx.synth(problem.assemble(1.0, np.zeros(problem.n_y), np.zeros(len(problem.minus))))
-
-    def phi_ray(t):
-        return 0.5 * t * t - ctx.potential_from_values(t * wvals)
-
-    best_t, best_v = 1e-3, phi_ray(1e-3)
-    t = 2e-3
-    while t <= cfg.divergence_norm:
-        v = phi_ray(t)
-        if v > best_v:
-            best_t, best_v = t, v
-        elif v < 0 and v < best_v:
-            break
-        t *= 2.0
-    if best_t * 2.0 > cfg.divergence_norm:
-        return None  # still climbing at the cap: the ray is not maximizable
-    return float(_bounded_brent(lambda s: -phi_ray(s), best_t / 4.0, best_t * 4.0))
+            hi = mid
+    t = math.exp(hi)
+    return t if t <= cfg.divergence_norm else None
 
 
 def inner_maximize(
@@ -326,7 +263,7 @@ def inner_maximize(
             raise ValueError("warm state has wrong block sizes")
         value, u, vals = problem.value(t, y, zm)
     if warm is None or value < 0:
-        t = _initial_height(problem, ctx, cfg, w)
+        t = _initial_height(problem, cfg)
         if t is None:
             return result(1.0, zero_y, zero_m, math.nan, 0, math.inf, "diverged")
         y, zm = zero_y, zero_m
@@ -354,29 +291,32 @@ def inner_maximize(
                 eta = min(max(float(ds @ ds) / denom, 1e-12), 1e6)
         prev = (t, y.copy(), zm.copy(), gt, gy, dm.copy())
 
+        floor = 16.0 * np.finfo(float).eps * max(1.0, abs(value))
         accepted = False
         for _ in range(60):
             if t < 0.1:
                 t_try = t * math.exp(eta * gt * t)  # log-space keeps t > 0
             else:
                 t_try = t + eta * gt
-            if t_try <= 0 or not math.isfinite(t_try):
-                eta *= 0.5
-                continue
-            y_try = y + eta * gy
-            zm_try = zm + eta * dm
-            v_try, u_try, vals_try = problem.value(t_try, y_try, zm_try)
-            if v_try >= value + 1e-4 * eta * gnorm * gnorm:
-                gain = v_try - value
-                t, y, zm, value, u, vals = t_try, y_try, zm_try, v_try, u_try, vals_try
-                accepted = True
-                break
+            if t_try > 0 and math.isfinite(t_try):
+                y_try = y + eta * gy
+                zm_try = zm + eta * dm
+                v_try, u_try, vals_try = problem.value(t_try, y_try, zm_try)
+                if v_try >= value + 1e-4 * eta * gnorm * gnorm:
+                    gain = v_try - value
+                    t, y, zm, value, u, vals = t_try, y_try, zm_try, v_try, u_try, vals_try
+                    accepted = True
+                    break
             eta *= 0.5
+            # G rises by about eta * gnorm^2 along the step, so below 16 ulp of G
+            # no shorter step can show a gain above roundoff
+            if eta * gnorm * gnorm < floor:
+                return result(t, y, zm, value, it, gnorm, "roundoff_floor")
         if not accepted:
             return result(t, y, zm, value, it, gnorm, "no_ascent")
         if value > ceiling:
             return result(t, y, zm, value, it, math.inf, "ceiling")
-        if gain <= 16.0 * np.finfo(float).eps * max(1.0, abs(value)):
+        if gain <= floor:
             stagnant += 1
             if stagnant >= 3:
                 # ascent hit the roundoff floor of G; gnorm is the honest exit norm

@@ -273,6 +273,34 @@ def test_dalembert_default_raster_below_the_solve_grid_size(tmp_path):
     assert saved["result"]["inf_A"] > 0
 
 
+_WAVE = {"domain": {"kind": "circle"}, "operator": {"power": 1},
+         "cutoffs": {"k_max": 4, "l_max": 4}}
+
+
+@pytest.mark.parametrize("doc", [
+    {"task": "gram", "weight": {"kind": "rectangle", "t": [0.0, 1.0]}},
+    {"task": "gram", "weight": {"kind": "rectangle", "x": 5, "t": [0.0, 1.0]}},
+    {"task": "dalembert",
+     "raster": {"resolution": 128, "set": {"kind": "rectangle", "x": [0.0, 1.0]}}},
+    {"task": "series", "domain": {"kind": "torus", "dim": 2}, "series": {"cutoff": [1]}},
+], ids=["weight-without-x", "weight-x-not-a-pair", "raster-without-t", "series-cutoff-list"])
+def test_malformed_task_blocks_are_config_errors(tmp_path, capsys, doc):
+    doc = {**_WAVE, **doc, "out": str(tmp_path / "o")}
+    assert main([doc["task"], "--config", str(write_config(tmp_path, doc))]) == EXIT_CONFIG
+    assert "config error: " in capsys.readouterr().err
+
+
+def test_warnings_found_while_running_reach_stderr(tmp_path, capsys):
+    out = tmp_path / "g"
+    doc = {**_WAVE, "task": "gram", "out": str(out),
+           "weight": {"kind": "rectangle", "x": [0.0, 3.0], "t": [0.0, 3.0], "smoothing": 0}}
+    assert main(["gram", "--config", str(write_config(tmp_path, doc))]) == EXIT_OK
+    warnings = json.loads((out / "result.json").read_text())["warnings"]
+    assert len(warnings) == 1 and warnings[0].startswith("pure indicator weight")
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"warning: {msg}" for msg in warnings]
+
+
 def test_command_config_mismatch(tmp_path):
     path = write_config(tmp_path, toy_solve_doc(tmp_path / "x"))
     assert main(["gram", "--config", str(path)]) == EXIT_CONFIG

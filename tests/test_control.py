@@ -22,6 +22,7 @@ from wavegs import (
     weight_rectangle,
     xi_eta_infimum,
 )
+from wavegs.control import kernel_gram_basis
 
 TWO_PI = 2 * np.pi
 
@@ -106,6 +107,21 @@ def test_gram_near_singular_is_reported_not_raised(circle_wave_cat):
     assert rep.eig_min == pytest.approx(0.0, abs=1e-15)
     assert math.isinf(rep.constant)
     assert len(rep.below_floor) == rep.dim
+
+
+def test_gram_basis_drops_exactly_the_reported_directions():
+    cat = build_catalog(DomainSpec.circle(), OperatorSpec.laplacian_power(1), 6, 6)
+    grid = ProductGrid.for_catalog(cat)
+    q = weight_rectangle(grid, (0.0, 1.0), (0.0, 1.0), 1.0, 0.0, 0.1)
+    rep = kernel_gram(q, cat, grid, 1e-3)
+    assert (rep.dim, len(rep.below_floor)) == (25, 16)
+    kept, dropped = kernel_gram_basis(rep)
+    assert kept.shape == (25, 9)
+    assert dropped == rep.below_floor
+    np.testing.assert_allclose(kept.T @ kept, np.eye(9), atol=1e-12)
+    restricted = kept.T @ rep.gram @ kept
+    np.testing.assert_allclose(restricted, np.diag(np.diag(restricted)), atol=1e-12)
+    assert np.diag(restricted).min() > rep.floor * rep.eig_max
 
 
 def test_gram_rejects_sphere_catalogs(sphere_kg_cat):
