@@ -47,10 +47,7 @@ class SolverConfig:
     max_inner: int = 4000
     max_outer: int = 400
     n_starts: int = 4
-    step_inner0: float = 1.0
-    step_outer0: float = 0.5
     divergence_norm: float = 1e6
-    divergence_value: float = 1e12
     eps_kernel: float = 1e-8
     seed: int = 0
 
@@ -162,14 +159,14 @@ class _InnerProblem:
         self.minus = cat.minus_idx
         self.wp = w.coeffs[self.plus]
         self.lam_minus = cat.eig[self.minus]  # negative values
-        self.V = kernel_basis  # (n_zero, n_kept) or None for identity
-        self.n_y = (kernel_basis.shape[1] if kernel_basis is not None else len(self.zero))
+        # (n_zero, n_kept); None keeps the whole kernel
+        self.V = np.eye(len(self.zero)) if kernel_basis is None else kernel_basis
+        self.n_y = self.V.shape[1]
 
     def assemble(self, t, y, zm):
         u = np.zeros(self.cat.size)
         u[self.plus] = t * self.wp
-        if self.n_y:
-            u[self.zero] = self.V @ y if self.V is not None else y
+        u[self.zero] = self.V @ y
         u[self.minus] = zm
         return u
 
@@ -184,10 +181,9 @@ class _InnerProblem:
         g = self.ctx.nonlinear_coeffs(vals)
         full = self.cat.eig * u - g
         gt = float(full[self.plus] @ self.wp)
-        gz = full[self.zero]
-        gy = (self.V.T @ gz if self.V is not None else gz) if self.n_y else np.zeros(0)
+        gy = self.V.T @ full[self.zero]
         gm = full[self.minus]
-        dm = gm / np.abs(self.lam_minus) if len(gm) else gm
+        dm = gm / np.abs(self.lam_minus)
         norm = math.sqrt(gt * gt + float(gy @ gy) + float(gm @ dm))
         return gt, gy, dm, norm
 
@@ -240,7 +236,9 @@ def inner_maximize(
     stop ``ceiling``).  The ascent is monotone and every other exit returns
     the current value, so the uncapped run would also end above the ceiling or
     diverge; a run that stays at or below the ceiling is the uncapped run, bit
-    for bit.
+    for bit.  Every block, the height too, takes the same Riesz step
+    (t + eta * dG/dt), so the rule does not depend on the scale of t; a trial
+    at t <= 0 is rejected and its step halved like a trial without a gain.
     """
     _check_plus_unit(w)
     problem = _InnerProblem(w, ctx, kernel_basis)
@@ -272,7 +270,7 @@ def inner_maximize(
     if value > ceiling:
         return result(t, y, zm, value, 0, math.inf, "ceiling")
     gt, gy, dm, gnorm = problem.gradient(u, vals)
-    eta = cfg.step_inner0
+    eta = 1.0
     prev = None  # (t, y, zm, gt, gy, dm)
     stagnant = 0
 
@@ -280,7 +278,8 @@ def inner_maximize(
         if gnorm <= cfg.tol_inner:
             return result(t, y, zm, value, it - 1, gnorm, "converged")
         state_norm = math.sqrt(t * t + float(y @ y) + float(zm @ zm))
-        if state_norm > cfg.divergence_norm or value > cfg.divergence_value:
+        # G <= t^2/2, so a runaway value also shows here first
+        if state_norm > cfg.divergence_norm:
             return result(t, y, zm, value, it - 1, gnorm, "diverged")
 
         if prev is not None:
@@ -294,10 +293,7 @@ def inner_maximize(
         floor = 16.0 * np.finfo(float).eps * max(1.0, abs(value))
         accepted = False
         for _ in range(60):
-            if t < 0.1:
-                t_try = t * math.exp(eta * gt * t)  # log-space keeps t > 0
-            else:
-                t_try = t + eta * gt
+            t_try = t + eta * gt
             if t_try > 0 and math.isfinite(t_try):
                 y_try = y + eta * gy
                 zm_try = zm + eta * dm
@@ -349,7 +345,7 @@ def _run_start(start_id, w, ctx, cfg, kernel_basis, records):
     if saddle.diverged:
         records.append({"start": start_id, "outer": 0, "event": "diverged", "stop": "diverged"})
         return None
-    eta = cfg.step_outer0
+    eta = 0.5
     outer = 0
     grad = psi_gradient(w, saddle, ctx)
     gn = plus_norm(grad)
@@ -402,7 +398,7 @@ def _run_start(start_id, w, ctx, cfg, kernel_basis, records):
         )
     stop = "converged" if gn <= cfg.tol_outer else stop
     records[-1]["stop"] = stop
-    return {"w": w, "saddle": saddle, "grad_plus": gn, "outer": outer, "stop": stop}
+    return {"saddle": saddle, "stop": stop}
 
 
 def _kernel_split(ctx: EnergyContext, eps_kernel: float):
@@ -443,26 +439,23 @@ def ground_state(ctx: EnergyContext, cfg: SolverConfig) -> GroundStateResult:
     records: list = []
     outcomes = [_run_start(i, w, ctx, cfg, kernel_basis, records) for i, w in enumerate(starts)]
 
-    finished = [(i, o) for i, o in enumerate(outcomes) if o is not None]
+    finished = [o for o in outcomes if o is not None]
     if not finished:
         raise NoCoerciveDirectionError("no coercive direction detected: all starts diverged")
 
-    def certified(o, res):
+    def rank(o):
+        res = residual_dual_norm(phi_gradient(o["saddle"].m_hat, ctx))
         # a start that converged or stalled at the roundoff floor of Psi counts
         # as solved when its residual is within tol_outer: the residual is the
         # certificate, not the outer stop test, which carries the factor s_w
-        return o["stop"] in ("converged", "stalled_at_floor") and res <= cfg.tol_outer
+        certified = o["stop"] in ("converged", "stalled_at_floor") and res <= cfg.tol_outer
+        return (not certified, o["saddle"].psi, res)
 
-    def rank(item):
-        _, o = item
-        res = residual_dual_norm(phi_gradient(o["saddle"].m_hat, ctx))
-        return (not certified(o, res), o["saddle"].psi, res)
-
-    best_i, best = min(finished, key=rank)
+    # the start index breaks ties, in start order, before the dicts are compared
+    uncertified, _, residual, _, best = min((*rank(o), i, o) for i, o in enumerate(finished))
     u_star = best["saddle"].m_hat
     e_star = phi_eval(u_star, ctx)
-    residual = residual_dual_norm(phi_gradient(u_star, ctx))
-    converged = certified(best, residual)
+    converged = not uncertified
     if converged and best["stop"] == "converged":
         message = "converged"
     elif converged:

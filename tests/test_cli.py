@@ -63,9 +63,7 @@ def test_result_solver_block_is_pinned(tmp_path):
     path = write_config(tmp_path, doc)
     expected = [
         ("tol_inner", 1e-9), ("tol_outer", 1e-6), ("max_inner", 4000), ("max_outer", 50),
-        ("n_starts", 2), ("step_inner0", 1.0), ("step_outer0", 0.5),
-        ("divergence_norm", 1e6), ("divergence_value", 1e12), ("eps_kernel", 1e-7),
-        ("seed", 11),
+        ("n_starts", 2), ("divergence_norm", 1e6), ("eps_kernel", 1e-7), ("seed", 11),
     ]
     cfg = validate_config(path, {"seed": 11})
     assert list(cfg.resolved()["solver"].items()) == expected
@@ -75,14 +73,11 @@ def test_result_solver_block_is_pinned(tmp_path):
     block = (
         '"solver": {\n'
         '      "divergence_norm": 1000000.0,\n'
-        '      "divergence_value": 1000000000000.0,\n'
         '      "eps_kernel": 1e-07,\n'
         '      "max_inner": 4000,\n'
         '      "max_outer": 50,\n'
         '      "n_starts": 2,\n'
         '      "seed": 11,\n'
-        '      "step_inner0": 1.0,\n'
-        '      "step_outer0": 0.5,\n'
         '      "tol_inner": 1e-09,\n'
         '      "tol_outer": 1e-06\n'
         "    }"
@@ -283,7 +278,10 @@ _WAVE = {"domain": {"kind": "circle"}, "operator": {"power": 1},
     {"task": "dalembert",
      "raster": {"resolution": 128, "set": {"kind": "rectangle", "x": [0.0, 1.0]}}},
     {"task": "series", "domain": {"kind": "torus", "dim": 2}, "series": {"cutoff": [1]}},
-], ids=["weight-without-x", "weight-x-not-a-pair", "raster-without-t", "series-cutoff-list"])
+    # the first inner step is the constant 1, no longer a solver key
+    {"task": "solve", "solver": {"step_inner0": 1.0}},
+], ids=["weight-without-x", "weight-x-not-a-pair", "raster-without-t", "series-cutoff-list",
+        "removed-solver-key"])
 def test_malformed_task_blocks_are_config_errors(tmp_path, capsys, doc):
     doc = {**_WAVE, **doc, "out": str(tmp_path / "o")}
     assert main([doc["task"], "--config", str(write_config(tmp_path, doc))]) == EXIT_CONFIG

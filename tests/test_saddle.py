@@ -492,3 +492,22 @@ def test_inner_cost_does_not_depend_on_the_last_bits_of_the_height(monkeypatch):
         res = ground_state(ctx, SolverConfig(n_starts=1, seed=0))
         assert res.converged
     assert max(calls) <= 1.05 * min(calls)
+
+
+def test_heavy_weight_solve_scales_and_stays_cheap(beam_ctx, monkeypatch):
+    # q -> c q scales the maximizer by c^(-1/2) and the level by 1/c (p = 4), so
+    # the heights here are 1/100 of those at q = 1; a step rule that depended
+    # on the scale of t spent 11,719 transforms on this solve
+    cat, grid = beam_ctx.catalog, beam_ctx.grid
+    ctx = EnergyContext(cat, grid, WeightField.constant(grid, 1e4), beam_ctx.nonlinearity)
+    synth = EnergyContext.synth
+    calls = []
+
+    def counted(self, coeffs):
+        calls.append(None)
+        return synth(self, coeffs)
+
+    monkeypatch.setattr(EnergyContext, "synth", counted)
+    res = ground_state(ctx, SolverConfig(n_starts=1, seed=0))
+    assert len(calls) <= 1000
+    assert res.energy * 1e4 == pytest.approx(6.561345971748, rel=1e-7)
