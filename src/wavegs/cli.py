@@ -1,9 +1,9 @@
 """Batch front-end: validate a JSON run configuration, dispatch, write artifacts.
 
 Subcommands mirror the tasks: solve, gram, dalembert, series, witness.  Every
-run writes a result.json embedding the fully resolved configuration, the tool
-version and the seed, so artifacts are auditable and reproducible; two runs
-with the same config and seed differ only in the timestamp field.
+run writes a result.json embedding the resolved configuration in the input
+schema (it re-runs as written), the tool version and the seed; two runs with
+the same config and seed differ only in the timestamp field.
 
 Exit codes: 0 success, 2 config error, 3 solver non-convergence,
 4 refused (a hypothesis check failed for the requested task).
@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -58,11 +59,26 @@ class ConfigError(ValueError):
 
 
 # what a malformed config block raises while it is parsed
-_MALFORMED = (ValueError, KeyError, TypeError)
+_MALFORMED = (ValueError, KeyError, TypeError, OverflowError)
 
 
 def _config_error(exc: Exception) -> ConfigError:
     return ConfigError(f"missing key {exc}" if isinstance(exc, KeyError) else str(exc))
+
+
+def _reject_unknown_keys(node, allowed, where: str) -> None:
+    if unknown := sorted(set(node) - set(allowed)):
+        raise ConfigError(f"unknown {where} key(s) {unknown}; accepted: {list(allowed)}")
+
+
+def _read_json(path: Path):
+    """Parse a JSON input file; NaN, Infinity and numbers that overflow are config errors."""
+    def finite(text: str) -> float:
+        if not math.isfinite(value := float(text)):
+            raise ConfigError(f"{path}: non-finite number {text}")
+        return value
+
+    return json.loads(path.read_text(), parse_float=finite, parse_constant=finite)
 
 
 @dataclass
@@ -98,9 +114,9 @@ class RunConfig:
             "nonlinearity": self.nonlinearity.to_json(),
             "weight": self.weight_spec,
             "grid": self.grid_spec,
-            "solver": asdict(self.solver),
+            "solver": {"starts": self.solver.n_starts, "tol_outer": self.solver.tol_outer},
             "series": self.series,
-            "witness_count": self.witness_count,
+            "witness": {"count": self.witness_count},
             "raster": self.raster,
             "seed": self.seed,
         }
@@ -110,11 +126,8 @@ def _parse_domain(node) -> DomainSpec:
     kind = node.get("kind", "circle")
     if kind == "circle":
         return DomainSpec.circle()
-    if kind == "torus":
-        return DomainSpec.torus(int(node.get("dim", 1)))
-    if kind == "sphere":
-        return DomainSpec.sphere(int(node.get("dim", 2)))
-    raise ConfigError(f"unknown domain kind {kind!r}")
+    # DomainSpec rejects every other kind
+    return DomainSpec(kind, int(node.get("dim", 2 if kind == "sphere" else 1)))
 
 
 def _parse_operator(node, domain) -> OperatorSpec:
@@ -130,10 +143,7 @@ def _parse_operator(node, domain) -> OperatorSpec:
 def _build_weight(spec: dict, grid: ProductGrid, warn) -> WeightField:
     kind = spec.get("kind", "constant")
     if kind == "constant":
-        value = float(spec.get("value", 1.0))
-        if value < 0:
-            raise ConfigError("constant weight must be nonnegative")
-        return WeightField.constant(grid, value)
+        return WeightField.constant(grid, float(spec.get("value", 1.0)))
     if kind == "rectangle":
         smoothing = float(spec.get("smoothing", 0.1))
         if smoothing == 0.0:
@@ -149,12 +159,10 @@ def _build_weight(spec: dict, grid: ProductGrid, warn) -> WeightField:
     if kind == "grid_file":
         path = Path(spec["path"])
         if path.suffix == ".json":
-            values = np.asarray(json.loads(path.read_text()), dtype=float).ravel()
+            values = np.asarray(_read_json(path), dtype=float).ravel()
         else:
             values = np.loadtxt(path, delimiter=",").ravel()
-        if np.any(values < 0):
-            raise ConfigError("weight grid file contains negative values")
-        return WeightField(grid, values)
+        return WeightField(grid, values)  # which rejects negative and non-finite values
     raise ConfigError(f"unknown weight kind {kind!r}")
 
 
@@ -164,12 +172,12 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        raw = json.loads(path.read_text())
+        raw = _read_json(path)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse failure: {exc}") from exc
     overrides = overrides or {}
 
-    task = raw.get("task")
+    task = raw.get("task") if isinstance(raw, dict) else None
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
     warnings: list = []
@@ -184,9 +192,10 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
         l_max = int(cut.get("l_max", 8))
         nl_node = raw.get("nonlinearity", {"terms": [[1.0, 4.0]]})
         nonlinearity = NonlinearitySpec(tuple((a, p) for a, p in nl_node["terms"]))
-        solver_node = dict(raw.get("solver", {}))
-        n_starts = int(solver_node.pop("starts", solver_node.pop("n_starts", 4)))
-        solver = SolverConfig(n_starts=n_starts, seed=seed, **solver_node)
+        solver_node = raw.get("solver", {})
+        _reject_unknown_keys(solver_node, ("starts", "tol_outer"), "solver")
+        solver = SolverConfig(float(solver_node.get("tol_outer", SolverConfig.tol_outer)),
+                              int(solver_node.get("starts", SolverConfig.n_starts)), seed)
     except _MALFORMED as exc:
         raise _config_error(exc) from exc
 
@@ -209,7 +218,7 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
 
     out = Path(overrides.get("out", raw.get("out", "out")))
 
-    return RunConfig(
+    config = RunConfig(
         task=task,
         domain=domain,
         operator=operator,
@@ -227,6 +236,9 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
         warnings=warnings,
         refusal=refusal,
     )
+    # the accepted keys are the ones resolved() writes, which re-run as written
+    _reject_unknown_keys(raw, [*config.resolved(), "out"], "config")
+    return config
 
 
 def _discretize(config: RunConfig) -> tuple[SpectralCatalog, ProductGrid, WeightField]:
@@ -256,8 +268,6 @@ def _write_result(config: RunConfig, payload: dict) -> None:
 
 def _run_solve(config: RunConfig) -> int:
     catalog, grid, weight = _discretize(config)
-    if weight.is_trivial():
-        raise ConfigError("weight vanishes identically")
     ctx = EnergyContext(catalog, grid, weight, config.nonlinearity)
     try:
         result = ground_state(ctx, config.solver)
@@ -265,15 +275,14 @@ def _run_solve(config: RunConfig) -> int:
         _write_result(config, {"error": str(exc)})
         return EXIT_NO_CONVERGENCE
 
-    log_path = config.out
-    log_path.mkdir(parents=True, exist_ok=True)
-    with open(log_path / "solver_log.jsonl", "w") as fh:
+    config.out.mkdir(parents=True, exist_ok=True)
+    with open(config.out / "solver_log.jsonl", "w") as fh:
         for rec in result.history:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    (log_path / "coefficients.json").write_text(
+    (config.out / "coefficients.json").write_text(
         json.dumps(result.u_star.to_json(), sort_keys=True)
     )
-    field_to_csv(result.u_star, grid, log_path / "field.csv")
+    field_to_csv(result.u_star, grid, config.out / "field.csv")
     payload = {
         "energy": result.energy,
         "s_w": result.s_w,
@@ -281,7 +290,6 @@ def _run_solve(config: RunConfig) -> int:
         "converged": result.converged,
         "message": result.message,
         "quadrature_gap": result.quadrature_gap,
-        "dropped_kernel": result.dropped_kernel,
         "kernel_gram": result.kernel_report.to_json() if result.kernel_report else None,
         "outer_records": len(result.history),
     }
@@ -291,8 +299,7 @@ def _run_solve(config: RunConfig) -> int:
 
 def _run_gram(config: RunConfig) -> int:
     catalog, grid, weight = _discretize(config)
-    report = kernel_gram(weight, catalog, grid, config.solver.eps_kernel)
-    _write_result(config, {"gram": report.to_json()})
+    _write_result(config, {"gram": kernel_gram(weight, catalog, grid).to_json()})
     return EXIT_OK
 
 

@@ -60,12 +60,21 @@ def kernel_gram(
     near-singular Gram is a report state (directions below the floor listed),
     never an error.
     """
+    return kernel_gram_eigh(q, catalog, grid, rel_floor)[0]
+
+
+def kernel_gram_eigh(q, catalog, grid=None, rel_floor=_REL_FLOOR_DEFAULT):
+    """(``kernel_gram`` report, eigenvectors) from one ``eigh``.
+
+    ``below_floor`` indexes the leading columns.  The report does not keep the
+    eigenvectors, so a caller holding many reports pays for the Gram only.
+    """
     grid = grid or q.grid
     if q.grid != grid:
         raise ValueError("weight grid mismatch")
     dim = catalog.kernel_dim()
     if dim == 0:
-        return GramReport(0, np.zeros((0, 0)), 0.0, 0.0, 0.0, [], rel_floor)
+        return GramReport(0, np.zeros((0, 0)), 0.0, 0.0, 0.0, [], rel_floor), np.zeros((0, 0))
     # G = sum over the nodes of one factor of (f f^T) * (H diag(w) H^T), with
     # f, H the space/time mode factors, so no modes x points table is formed;
     # the loop runs over the factor with fewer nodes
@@ -78,23 +87,13 @@ def kernel_gram(
     for f, w in zip(outer.T, weights):
         gram += np.outer(f, f) * ((inner * w) @ inner.T)
     gram = 0.5 * (gram + gram.T)
-    eigvals = np.linalg.eigvalsh(gram)
+    eigvals, eigvecs = np.linalg.eigh(gram)
     eig_min = float(eigvals[0])
     eig_max = float(eigvals[-1])
     constant = 1.0 / eig_min if eig_min > 0 else math.inf
     floor_value = rel_floor * max(eig_max, 0.0)
     below = [int(i) for i in np.flatnonzero(eigvals <= floor_value)]
-    return GramReport(dim, gram, eig_min, eig_max, constant, below, rel_floor)
-
-
-def kernel_gram_basis(report: GramReport):
-    """Eigenvectors of the Gram split into kept and dropped directions.
-
-    The report alone decides the floor: both eigensolvers sort ascending, so
-    its ``below_floor`` directions are the leading eigenvectors.
-    """
-    eigvecs = np.linalg.eigh(report.gram)[1]
-    return eigvecs[:, len(report.below_floor):], list(report.below_floor)
+    return GramReport(dim, gram, eig_min, eig_max, constant, below, rel_floor), eigvecs
 
 
 @dataclass

@@ -91,7 +91,7 @@ class EnergyContext:
         self._qw = weight.values * grid.quad_weight
         self._amps = nonlinearity.amplitudes
         self._exps = nonlinearity.exponents
-        # one-slot memo owned by saddle._kernel_split (the q-Gram split per eps_kernel)
+        # one-slot memo owned by saddle._kernel_split (the q-Gram split)
         self._kernel_memo = None
 
     def synth(self, coeffs: np.ndarray) -> np.ndarray:

@@ -170,8 +170,8 @@ class TensorTransform:
 class WeightField:
     """Sampled nonnegative weight q on a product grid.
 
-    Nonnegativity is enforced here; the solver additionally rejects weights
-    that vanish identically (diagnostics are allowed to probe that case).
+    Finite, nonnegative values are enforced here; the solver additionally
+    rejects weights that vanish identically (diagnostics may probe that case).
     """
 
     grid: ProductGrid
@@ -181,8 +181,8 @@ class WeightField:
         self.values = np.asarray(self.values, dtype=np.float64).ravel()
         if self.values.shape != (self.grid.n_points,):
             raise ValueError("weight values do not match grid point count")
-        if np.any(self.values < 0):
-            raise ValueError("weight must be nonnegative")
+        if not np.all((self.values >= 0) & (self.values < np.inf)):  # NaN fails too
+            raise ValueError("weight must be finite and nonnegative")
 
     @staticmethod
     def constant(grid: ProductGrid, value: float = 1.0) -> "WeightField":

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import energy
-from .control import GramReport, kernel_gram, kernel_gram_basis
+# saddle.kernel_gram stays importable: the benchmark tracer wraps it by name
+from .control import GramReport, kernel_gram, kernel_gram_eigh  # noqa: F401
 from .energy import EnergyContext, phi_eval, phi_gradient, residual_dual_norm
 from .fields import SpectralField
 
@@ -37,23 +38,24 @@ class NoCoerciveDirectionError(RuntimeError):
     """Raised when every start diverges: no maximizable plus-direction found."""
 
 
+# Fixed limits, read at call time.  TOL_INNER sits above the float64 noise
+# floor of the value-monitored ascent (gains below ~16 ulp of G cannot be
+# certified, which caps reachable gradient norms near 2e-9 on desk problems).
+TOL_INNER = 1e-8
+MAX_INNER = 4000
+MAX_OUTER = 400
+DIVERGENCE_NORM = 1e6  # an inner state or cold height beyond this diverges
+
+
 @dataclass
 class SolverConfig:
-    # defaults sit above the float64 monotone-ascent noise floor measured on
-    # desk-scale problems (value-monitored ascent cannot certify gains below
-    # ~16 ulp of G, which caps reachable gradient norms near 2e-9)
-    tol_inner: float = 1e-8
     tol_outer: float = 1e-6
-    max_inner: int = 4000
-    max_outer: int = 400
     n_starts: int = 4
-    divergence_norm: float = 1e6
-    eps_kernel: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.tol_inner, self.tol_outer) <= 0:
-            raise ValueError("tolerances must be positive")
+        if not 0 < self.tol_outer < math.inf:
+            raise ValueError("tol_outer must be positive and finite")
         if self.n_starts < 1:
             raise ValueError("need at least one start")
 
@@ -62,7 +64,7 @@ class SolverConfig:
 class SaddleResult:
     """One inner ascent; ``stop`` says why it ended.
 
-    ``stop`` is ``converged`` (gradient norm <= tol_inner), ``roundoff_floor``
+    ``stop`` is ``converged`` (gradient norm <= TOL_INNER), ``roundoff_floor``
     (three accepted steps in a row gained <= 16 ulp of G, or the step was
     halved until no shorter step can show a gain above that noise),
     ``no_ascent`` (60 halvings gave no Armijo gain), ``ceiling`` (the value
@@ -96,7 +98,6 @@ class GroundStateResult:
     message: str
     history: list
     kernel_report: GramReport | None
-    dropped_kernel: list
     quadrature_gap: float = 0.0
 
 
@@ -188,7 +189,7 @@ class _InnerProblem:
         return gt, gy, dm, norm
 
 
-def _initial_height(problem, cfg):
+def _initial_height(problem):
     """Height of the maximum of t -> Phi(t w): the Nehari scaling of w, or None.
 
     With f(s) = sum_i a_i |s|^(p_i - 2) s, d/dt Phi(t w) = t (1 - h(t)) with
@@ -196,7 +197,7 @@ def _initial_height(problem, cfg):
     strictly from 0, so h(t) = 1 has one root; it lies between the smallest t
     at which a single term reaches 1/n and the smallest at which one reaches
     1, and is bisected there in log t.  None when q misses the ray or the root
-    lies beyond ``divergence_norm``: the ray is not maximizable.
+    lies beyond ``DIVERGENCE_NORM``: the ray is not maximizable.
     """
     ctx = problem.ctx
     w = problem.assemble(1.0, np.zeros(problem.n_y), np.zeros(len(problem.minus)))
@@ -214,7 +215,7 @@ def _initial_height(problem, cfg):
         else:
             hi = mid
     t = math.exp(hi)
-    return t if t <= cfg.divergence_norm else None
+    return t if t <= DIVERGENCE_NORM else None
 
 
 def inner_maximize(
@@ -239,6 +240,8 @@ def inner_maximize(
     for bit.  Every block, the height too, takes the same Riesz step
     (t + eta * dG/dt), so the rule does not depend on the scale of t; a trial
     at t <= 0 is rejected and its step halved like a trial without a gain.
+    ``cfg`` is not read (the inner level has no caller-set value); it keeps
+    the ``(w, ctx, cfg, kernel_basis, warm)`` call shape that wrappers forward.
     """
     _check_plus_unit(w)
     problem = _InnerProblem(w, ctx, kernel_basis)
@@ -261,7 +264,7 @@ def inner_maximize(
             raise ValueError("warm state has wrong block sizes")
         value, u, vals = problem.value(t, y, zm)
     if warm is None or value < 0:
-        t = _initial_height(problem, cfg)
+        t = _initial_height(problem)
         if t is None:
             return result(1.0, zero_y, zero_m, math.nan, 0, math.inf, "diverged")
         y, zm = zero_y, zero_m
@@ -274,12 +277,12 @@ def inner_maximize(
     prev = None  # (t, y, zm, gt, gy, dm)
     stagnant = 0
 
-    for it in range(1, cfg.max_inner + 1):
-        if gnorm <= cfg.tol_inner:
+    for it in range(1, MAX_INNER + 1):
+        if gnorm <= TOL_INNER:
             return result(t, y, zm, value, it - 1, gnorm, "converged")
         state_norm = math.sqrt(t * t + float(y @ y) + float(zm @ zm))
         # G <= t^2/2, so a runaway value also shows here first
-        if state_norm > cfg.divergence_norm:
+        if state_norm > DIVERGENCE_NORM:
             return result(t, y, zm, value, it - 1, gnorm, "diverged")
 
         if prev is not None:
@@ -321,8 +324,8 @@ def inner_maximize(
             stagnant = 0
         gt, gy, dm, gnorm = problem.gradient(u, vals)
 
-    stop = "converged" if gnorm <= cfg.tol_inner else "max_inner"
-    return result(t, y, zm, value, cfg.max_inner, gnorm, stop)
+    stop = "converged" if gnorm <= TOL_INNER else "max_inner"
+    return result(t, y, zm, value, MAX_INNER, gnorm, stop)
 
 
 def psi_gradient(w: SpectralField, saddle: SaddleResult, ctx: EnergyContext) -> SpectralField:
@@ -354,7 +357,7 @@ def _run_start(start_id, w, ctx, cfg, kernel_basis, records):
          "inner_iters": saddle.iterations}
     )
     stop = "max_outer"
-    while gn > cfg.tol_outer and outer < cfg.max_outer:
+    while gn > cfg.tol_outer and outer < MAX_OUTER:
         outer += 1
         accepted = False
         backtracks = rejected_iters = 0
@@ -401,17 +404,12 @@ def _run_start(start_id, w, ctx, cfg, kernel_basis, records):
     return {"saddle": saddle, "stop": stop}
 
 
-def _kernel_split(ctx: EnergyContext, eps_kernel: float):
-    """(q-Gram report, kept kernel basis, dropped directions) of ctx's kernel.
-
-    Memoized in one slot on the context: repeated solves on one context with
-    the same floor share one report instead of re-assembling the Gram.
-    """
-    memo = ctx._kernel_memo
-    if memo is None or memo[0] != eps_kernel:
-        report = kernel_gram(ctx.weight, ctx.catalog, ctx.grid, eps_kernel)
-        memo = ctx._kernel_memo = (eps_kernel, report, *kernel_gram_basis(report))
-    return memo[1:]
+def _kernel_split(ctx: EnergyContext):
+    """(q-Gram report, kept kernel basis), memoized on ctx: one Gram and one eigh per context."""
+    if ctx._kernel_memo is None:
+        report, eigvecs = kernel_gram_eigh(ctx.weight, ctx.catalog, ctx.grid)
+        ctx._kernel_memo = report, eigvecs[:, len(report.below_floor):]
+    return ctx._kernel_memo
 
 
 def ground_state(ctx: EnergyContext, cfg: SolverConfig) -> GroundStateResult:
@@ -425,11 +423,7 @@ def ground_state(ctx: EnergyContext, cfg: SolverConfig) -> GroundStateResult:
     if ctx.weight.is_trivial():
         raise ValueError("weight must not vanish identically for a solve")
     cat = ctx.catalog
-    kernel_report = None
-    kernel_basis = None
-    dropped: list = []
-    if cat.kernel_dim() > 0:
-        kernel_report, kernel_basis, dropped = _kernel_split(ctx, cfg.eps_kernel)
+    kernel_report, kernel_basis = _kernel_split(ctx) if cat.kernel_dim() > 0 else (None, None)
 
     rng = np.random.default_rng(cfg.seed)
     starts = [lowest_plus_direction(cat)]
@@ -474,6 +468,5 @@ def ground_state(ctx: EnergyContext, cfg: SolverConfig) -> GroundStateResult:
         message=message,
         history=records,
         kernel_report=kernel_report,
-        dropped_kernel=dropped,
         quadrature_gap=energy.quadrature_refinement_gap(u_star, ctx),
     )

@@ -41,6 +41,7 @@ from wavegs import (
     weight_rectangle,
     xi_eta_infimum,
 )
+from wavegs import saddle
 
 TWO_PI = 2 * np.pi
 
@@ -159,7 +160,7 @@ def test_criterion_6_nehari_pankov_membership(beam_solution):
     wp = result.u_star.coeffs[cat.plus_idx] / result.s_w
     t_dir = abs(float(g[cat.plus_idx] @ wp))
     off = np.concatenate([g[cat.zero_idx], g[cat.minus_idx]])
-    bound = 10 * cfg.tol_inner
+    bound = 10 * saddle.TOL_INNER
     derivative_ok = t_dir <= bound and float(np.max(np.abs(off), initial=0.0)) <= bound
 
     rng = np.random.default_rng(606)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -56,29 +57,19 @@ def test_validate_minimal_solve(tmp_path):
 
 
 def test_result_solver_block_is_pinned(tmp_path):
-    # the resolved solver block: every SolverConfig field in declaration order,
-    # with the --seed override applied, written byte for byte into result.json
+    # the resolved solver block is the input schema (the seed is top-level,
+    # with the --seed override applied), written byte for byte into result.json
     doc = toy_solve_doc(tmp_path / "run")
-    doc["solver"] = {"starts": 2, "tol_inner": 1e-9, "max_outer": 50, "eps_kernel": 1e-7}
+    doc["solver"] = {"starts": 2}
     path = write_config(tmp_path, doc)
-    expected = [
-        ("tol_inner", 1e-9), ("tol_outer", 1e-6), ("max_inner", 4000), ("max_outer", 50),
-        ("n_starts", 2), ("divergence_norm", 1e6), ("eps_kernel", 1e-7), ("seed", 11),
-    ]
     cfg = validate_config(path, {"seed": 11})
-    assert list(cfg.resolved()["solver"].items()) == expected
-    assert cfg.solver.seed == 11
+    assert list(cfg.resolved()["solver"].items()) == [("starts", 2), ("tol_outer", 1e-6)]
+    assert cfg.resolved()["seed"] == cfg.solver.seed == 11
     assert main(["solve", "--config", str(path), "--seed", "11"]) == EXIT_OK
     text = (tmp_path / "run" / "result.json").read_text()
     block = (
         '"solver": {\n'
-        '      "divergence_norm": 1000000.0,\n'
-        '      "eps_kernel": 1e-07,\n'
-        '      "max_inner": 4000,\n'
-        '      "max_outer": 50,\n'
-        '      "n_starts": 2,\n'
-        '      "seed": 11,\n'
-        '      "tol_inner": 1e-09,\n'
+        '      "starts": 2,\n'
         '      "tol_outer": 1e-06\n'
         "    }"
     )
@@ -121,6 +112,24 @@ def test_validate_rejects_negative_grid_weight(tmp_path):
         run(cfg)
 
 
+@pytest.mark.parametrize("name, value", [("q.csv", math.nan), ("q.json", math.nan),
+                                         ("q.json", math.inf)])
+def test_non_finite_grid_file_is_a_config_error(tmp_path, capsys, name, value):
+    values = np.ones(16)
+    values[5] = value
+    qpath = tmp_path / name
+    if qpath.suffix == ".json":
+        qpath.write_text(json.dumps(values.tolist()))  # writes the NaN / Infinity literal
+    else:
+        np.savetxt(qpath, values.reshape(4, 4), delimiter=",")
+    doc = toy_solve_doc(tmp_path / "o")
+    doc["weight"] = {"kind": "grid_file", "path": str(qpath)}
+    assert main(["solve", "--config", str(write_config(tmp_path, doc))]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "finite" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_validate_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -130,6 +139,8 @@ def test_validate_rejects_garbage(tmp_path):
         validate_config(tmp_path / "missing.json")
     with pytest.raises(ConfigError):
         validate_config(write_config(tmp_path, {"task": "fly"}))
+    with pytest.raises(ConfigError):  # the top level must be an object
+        validate_config(write_config(tmp_path, [{"task": "solve"}], "list.json"))
 
 
 def test_solve_toy_writes_artifacts(tmp_path):
@@ -270,6 +281,9 @@ def test_dalembert_default_raster_below_the_solve_grid_size(tmp_path):
 
 _WAVE = {"domain": {"kind": "circle"}, "operator": {"power": 1},
          "cutoffs": {"k_max": 4, "l_max": 4}}
+# solver limits that are module constants now, and the old alias of "starts"
+REMOVED_SOLVER_KEYS = [("tol_inner", 1e-8), ("max_inner", 4000), ("max_outer", 400),
+                       ("divergence_norm", 1e6), ("eps_kernel", 1e-8), ("n_starts", 2)]
 
 
 @pytest.mark.parametrize("doc", [
@@ -280,8 +294,18 @@ _WAVE = {"domain": {"kind": "circle"}, "operator": {"power": 1},
     {"task": "series", "domain": {"kind": "torus", "dim": 2}, "series": {"cutoff": [1]}},
     # the first inner step is the constant 1, no longer a solver key
     {"task": "solve", "solver": {"step_inner0": 1.0}},
+    *({"task": "solve", "solver": {key: value}} for key, value in REMOVED_SOLVER_KEYS),
+    {"task": "solve", "cutofs": {"k_max": 4, "l_max": 4}},
+    # json.dumps writes the NaN and Infinity literals that Python's json reads
+    {"task": "solve", "solver": {"tol_outer": math.inf}},
+    {"task": "solve", "solver": {"tol_outer": math.nan}},
+    {"task": "solve", "solver": {"tol_outer": 1e999}},
+    {"task": "gram", "weight": {"kind": "constant", "value": 10**400}},  # no float holds it
 ], ids=["weight-without-x", "weight-x-not-a-pair", "raster-without-t", "series-cutoff-list",
-        "removed-solver-key"])
+        "removed-solver-key",
+        *(f"removed-solver-key-{key}" for key, _ in REMOVED_SOLVER_KEYS),
+        "unknown-top-level-key", "tol-outer-infinity", "tol-outer-nan", "tol-outer-overflow",
+        "weight-int-overflow"])
 def test_malformed_task_blocks_are_config_errors(tmp_path, capsys, doc):
     doc = {**_WAVE, **doc, "out": str(tmp_path / "o")}
     assert main([doc["task"], "--config", str(write_config(tmp_path, doc))]) == EXIT_CONFIG
@@ -308,8 +332,10 @@ def test_determinism(tmp_path):
     cfg_path = write_config(tmp_path, toy_solve_doc(tmp_path / "a"))
     assert main(["solve", "--config", str(cfg_path), "--seed", "11"]) == EXIT_OK
     first = json.loads((tmp_path / "a" / "result.json").read_text())
-    assert main(["solve", "--config", str(cfg_path), "--seed", "11"]) == EXIT_OK
-    second = json.loads((tmp_path / "a" / "result.json").read_text())
+    # the second run reads the config that the first run embedded, as written
+    rerun = write_config(tmp_path, first["config"], "rerun.json")
+    assert main(["solve", "--config", str(rerun), "--out", str(tmp_path / "b")]) == EXIT_OK
+    second = json.loads((tmp_path / "b" / "result.json").read_text())
     first.pop("timestamp")
     second.pop("timestamp")
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
@@ -337,3 +363,31 @@ def test_importing_wavegs_loads_no_scipy():
                 if line.startswith("import time:")]
     assert "wavegs.saddle" in imported
     assert not [m for m in imported if m.split(".")[0] == "scipy"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(lang):
+    return README.read_text().split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_examples_run(tmp_path, capsys):
+    # the README's JSON solve config validates with the values it shows, and
+    # its resolved form is that config again (less the output directory)
+    doc = json.loads(_readme_block("json"))
+    cfg = validate_config(write_config(tmp_path, doc))
+    assert (cfg.solver.n_starts, cfg.solver.tol_outer, cfg.seed) == (4, 1e-6, 0)
+    assert (cfg.k_max, cfg.l_max, cfg.out) == (8, 8, Path(doc["out"]))
+    assert cfg.warnings == [] and cfg.refusal is None
+    resolved = cfg.resolved()
+    assert {key: resolved[key] for key in doc if key != "out"} == {
+        **{key: value for key, value in doc.items() if key != "out"},
+        "domain": {"kind": "torus", "dim": 1},
+        "operator": {"coefficients": [[0, 1], [0, 1], [1, 1]]},
+    }
+    # the library quick start runs as written
+    namespace: dict = {}
+    exec(_readme_block("python"), namespace)
+    assert namespace["res"].converged
+    assert capsys.readouterr().out.split()[-1] == "True"

@@ -22,7 +22,7 @@ from wavegs import (
     weight_rectangle,
     xi_eta_infimum,
 )
-from wavegs.control import kernel_gram_basis
+from wavegs.control import kernel_gram_eigh
 
 TWO_PI = 2 * np.pi
 
@@ -113,12 +113,16 @@ def test_gram_basis_drops_exactly_the_reported_directions():
     cat = build_catalog(DomainSpec.circle(), OperatorSpec.laplacian_power(1), 6, 6)
     grid = ProductGrid.for_catalog(cat)
     q = weight_rectangle(grid, (0.0, 1.0), (0.0, 1.0), 1.0, 0.0, 0.1)
-    rep = kernel_gram(q, cat, grid, 1e-3)
+    rep, eigvecs = kernel_gram_eigh(q, cat, grid, 1e-3)
     assert (rep.dim, len(rep.below_floor)) == (25, 16)
-    kept, dropped = kernel_gram_basis(rep)
+    assert rep.to_json() == kernel_gram(q, cat, grid, 1e-3).to_json()
+    # the solve keeps the columns after the leading below-floor ones
+    kept = eigvecs[:, len(rep.below_floor):]
     assert kept.shape == (25, 9)
-    assert dropped == rep.below_floor
+    assert rep.below_floor == list(range(16))
     np.testing.assert_allclose(kept.T @ kept, np.eye(9), atol=1e-12)
+    dropped = eigvecs[:, rep.below_floor]
+    assert np.abs(dropped.T @ rep.gram @ dropped).max() <= rep.floor * rep.eig_max
     restricted = kept.T @ rep.gram @ kept
     np.testing.assert_allclose(restricted, np.diag(np.diag(restricted)), atol=1e-12)
     assert np.diag(restricted).min() > rep.floor * rep.eig_max

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -120,9 +119,9 @@ def test_converged_saddle_is_nehari_pankov_member(beam_ctx):
 
     g = phi_gradient(res.m_hat, beam_ctx).coeffs
     t_dir = float(g[cat.plus_idx] @ w.coeffs[cat.plus_idx])
-    assert abs(t_dir) <= 10 * cfg.tol_inner
+    assert abs(t_dir) <= 10 * saddle_mod.TOL_INNER
     off = np.concatenate([g[cat.zero_idx], g[cat.minus_idx]])
-    assert np.max(np.abs(off), initial=0.0) <= 10 * cfg.tol_inner
+    assert np.max(np.abs(off), initial=0.0) <= 10 * saddle_mod.TOL_INNER
 
 
 def test_psi_gradient_tangency_and_fd(beam_ctx):
@@ -197,7 +196,7 @@ def test_ground_state_monotone_history_and_minimax_order(beam_ctx):
     assert [i for i, rec in enumerate(res.history) if "stop" in rec] == sorted(last.values())
     assert all(res.history[i]["stop"] in STOPS for i in last.values())
     assert res.kernel_report is not None
-    assert res.dropped_kernel == []
+    assert res.kernel_report.below_floor == []
 
 
 def _plus_shell_shares(u):
@@ -287,7 +286,7 @@ def test_unfinished_trial_ascent_is_not_accepted(readme_beam_ctx, seed, draw):
     for _ in range(draw):
         coeffs = rng.standard_normal(len(cat.plus_idx))
     w = saddle_mod._normalized_plus(cat, coeffs)
-    _, basis, _ = saddle_mod._kernel_split(ctx, cfg.eps_kernel)
+    _, basis = saddle_mod._kernel_split(ctx)
     records: list = []
     out = saddle_mod._run_start(draw, w, ctx, cfg, basis, records)
     assert abs(out["saddle"].psi - README_BEAM_ENERGY) <= 1e-9
@@ -320,7 +319,9 @@ def test_outer_step_rejects_trials_whose_ascent_did_not_finish(beam_ctx, monkeyp
     def truncated(w, ctx, cfg, kernel_basis=None, warm=None):
         if warm is None:
             return orig(w, ctx, cfg, kernel_basis, warm)
-        res = orig(w, ctx, dataclasses.replace(cfg, max_inner=2), kernel_basis, warm)
+        with monkeypatch.context() as m:
+            m.setattr(saddle_mod, "MAX_INNER", 2)
+            res = orig(w, ctx, cfg, kernel_basis, warm)
         trials.append((res, warm[3]))
         return res
 
@@ -340,7 +341,7 @@ def test_ground_state_all_starts_diverge():
     qv[0, :] = 1e-30  # not identically zero, but dynamically negligible
     ctx = EnergyContext(cat, grid, WeightField(grid, qv.ravel()), NonlinearitySpec.pure_power(4))
     with pytest.raises(NoCoerciveDirectionError):
-        ground_state(ctx, SolverConfig(n_starts=2, seed=0, max_inner=200))
+        ground_state(ctx, SolverConfig(n_starts=2, seed=0))
 
 
 def test_ground_state_rejects_trivial_weight(toy_ctx):
@@ -423,27 +424,28 @@ def test_inner_ceiling_decides_like_the_full_ascent(beam_ctx):
     assert checked["above"] > 0 and checked["below"] > 0
 
 
-def test_kernel_gram_is_computed_once_per_context_and_floor(beam_ctx, monkeypatch):
+def test_kernel_gram_is_computed_once_per_context(beam_ctx, monkeypatch):
     cat = beam_ctx.catalog
-    ctx = EnergyContext(cat, beam_ctx.grid, beam_ctx.weight, beam_ctx.nonlinearity)
+    contexts = [EnergyContext(cat, beam_ctx.grid, beam_ctx.weight, beam_ctx.nonlinearity)
+                for _ in range(2)]
     calls = []
-    orig = saddle_mod.kernel_gram
+    orig = saddle_mod.kernel_gram_eigh
 
     def counted(*args):
-        calls.append(args[-1])
+        calls.append(args)
         return orig(*args)
 
-    monkeypatch.setattr(saddle_mod, "kernel_gram", counted)
-    cfg = SolverConfig(n_starts=1, seed=0)
-    a = ground_state(ctx, cfg)
-    b = ground_state(ctx, SolverConfig(n_starts=1, seed=4))
-    assert calls == [cfg.eps_kernel]
+    monkeypatch.setattr(saddle_mod, "kernel_gram_eigh", counted)
+    a = ground_state(contexts[0], SolverConfig(n_starts=1, seed=0))
+    b = ground_state(contexts[0], SolverConfig(n_starts=1, seed=4))
+    assert len(calls) == 1
     assert b.kernel_report is a.kernel_report
-    c = ground_state(ctx, SolverConfig(n_starts=1, seed=0, eps_kernel=1e-6))
-    assert calls == [cfg.eps_kernel, 1e-6]
-    assert c.kernel_report.floor == 1e-6
-    fresh = kernel_gram(beam_ctx.weight, cat, beam_ctx.grid, cfg.eps_kernel)
+    c = ground_state(contexts[1], SolverConfig(n_starts=1, seed=0))
+    assert len(calls) == 2
+    assert c.kernel_report is not a.kernel_report
+    fresh = kernel_gram(beam_ctx.weight, cat, beam_ctx.grid)
     np.testing.assert_array_equal(a.kernel_report.gram, fresh.gram)
+    assert a.kernel_report.to_json() == fresh.to_json()
 
 
 @pytest.mark.parametrize("terms, parent_height", [
@@ -455,9 +457,8 @@ def test_initial_height_is_the_nehari_scaling_of_w(terms, parent_height):
     grid = ProductGrid.for_catalog(cat)
     weight = weight_rectangle(grid, (0.0, 4.71), (0.0, 6.2832), 1.0, 0.0, 0.1)
     ctx = EnergyContext(cat, grid, weight, NonlinearitySpec(terms))
-    cfg = SolverConfig()
     w = lowest_plus_direction(cat)
-    t = saddle_mod._initial_height(saddle_mod._InnerProblem(w, ctx, None), cfg)
+    t = saddle_mod._initial_height(saddle_mod._InnerProblem(w, ctx, None))
     wvals = np.abs(ctx.synth(w.coeffs))
     h = sum(a * float(np.sum(weight.values * wvals**p)) * grid.quad_weight * t ** (p - 2)
             for a, p in terms)
