@@ -54,7 +54,6 @@ from .fields import (
     analyze,
     energy_norms,
     field_to_csv,
-    full_norm_squared,
     norm_zero,
     project,
     synthesize,

@@ -66,6 +66,14 @@ def _config_error(exc: Exception) -> ConfigError:
     return ConfigError(f"missing key {exc}" if isinstance(exc, KeyError) else str(exc))
 
 
+def _block(node: dict, key: str, default: dict, prefix: str = "") -> dict:
+    """``node[key]`` (``default`` when absent), which must be a JSON object."""
+    value = node.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{prefix}{key} must be a JSON object")
+    return value
+
+
 def _reject_unknown_keys(node, allowed, where: str) -> None:
     if unknown := sorted(set(node) - set(allowed)):
         raise ConfigError(f"unknown {where} key(s) {unknown}; accepted: {list(allowed)}")
@@ -180,62 +188,48 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
     task = raw.get("task") if isinstance(raw, dict) else None
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-    warnings: list = []
-    refusal = None
-
     try:
         seed = int(overrides.get("seed", raw.get("seed", 0)))
-        domain = _parse_domain(raw.get("domain", {"kind": "circle"}))
-        operator = _parse_operator(raw.get("operator", {"power": 1}), domain)
-        cut = raw.get("cutoffs", {})
-        k_max = int(cut.get("k_max", 8))
-        l_max = int(cut.get("l_max", 8))
-        nl_node = raw.get("nonlinearity", {"terms": [[1.0, 4.0]]})
-        nonlinearity = NonlinearitySpec(tuple((a, p) for a, p in nl_node["terms"]))
-        solver_node = raw.get("solver", {})
+        domain = _parse_domain(_block(raw, "domain", {"kind": "circle"}))
+        cut = _block(raw, "cutoffs", {})
+        nl_node = _block(raw, "nonlinearity", {"terms": [[1.0, 4.0]]})
+        solver_node = _block(raw, "solver", {})
         _reject_unknown_keys(solver_node, ("starts", "tol_outer"), "solver")
-        solver = SolverConfig(float(solver_node.get("tol_outer", SolverConfig.tol_outer)),
-                              int(solver_node.get("starts", SolverConfig.n_starts)), seed)
+        config = RunConfig(
+            task=task,
+            domain=domain,
+            operator=_parse_operator(_block(raw, "operator", {"power": 1}), domain),
+            k_max=int(cut.get("k_max", 8)),
+            l_max=int(cut.get("l_max", 8)),
+            nonlinearity=NonlinearitySpec(tuple((a, p) for a, p in nl_node["terms"])),
+            weight_spec=_block(raw, "weight", {"kind": "constant", "value": 1.0}),
+            grid_spec=_block(raw, "grid", {"oversample": 2}),
+            solver=SolverConfig(float(solver_node.get("tol_outer", SolverConfig.tol_outer)),
+                                int(solver_node.get("starts", SolverConfig.n_starts)), seed),
+            series=_block(raw, "series", {}),
+            witness_count=int(_block(raw, "witness", {}).get("count", 5)),
+            raster=_block(raw, "raster", {"resolution": 256, "set": {"kind": "weight_support"}}),
+            seed=seed,
+            out=Path(overrides.get("out", raw.get("out", "out"))),
+        )
+        if config.witness_count < 1:
+            raise ConfigError("witness count must be at least 1")
     except _MALFORMED as exc:
         raise _config_error(exc) from exc
 
+    operator, p = config.operator, config.nonlinearity.p
     p_star = compactness_threshold(domain, operator)
-    if p_star is not None and nonlinearity.p >= p_star:
-        warnings.append(
-            f"p = {nonlinearity.p} is at or above the compactness threshold p* = {p_star}; "
-            "ground-state existence is not covered"
-        )
-
+    if p_star is not None and p >= p_star:
+        config.warnings.append(f"p = {p} is at or above the compactness threshold p* = {p_star}; "
+                               "ground-state existence is not covered")
     if task == "solve":
-        m = operator.power_degree
-        if domain.kind == "torus" and domain.dim >= 2 and m == 1:
-            refusal = (
+        if domain.kind == "torus" and domain.dim >= 2 and operator.power_degree == 1:
+            config.refusal = (
                 "compact embedding fails for the classical wave on higher tori "
                 "(bounded-gap mode family); solve refused, diagnostics still allowed"
             )
         if domain.kind == "sphere":
-            refusal = "sphere solves are out of scope (catalog and series diagnostics only)"
-
-    out = Path(overrides.get("out", raw.get("out", "out")))
-
-    config = RunConfig(
-        task=task,
-        domain=domain,
-        operator=operator,
-        k_max=k_max,
-        l_max=l_max,
-        nonlinearity=nonlinearity,
-        weight_spec=raw.get("weight", {"kind": "constant", "value": 1.0}),
-        grid_spec=raw.get("grid", {"oversample": 2}),
-        solver=solver,
-        series=raw.get("series", {}),
-        witness_count=int(raw.get("witness", {}).get("count", 5)),
-        raster=raw.get("raster", {"resolution": 256, "set": {"kind": "weight_support"}}),
-        seed=seed,
-        out=out,
-        warnings=warnings,
-        refusal=refusal,
-    )
+            config.refusal = "sphere solves are out of scope (catalog and series diagnostics only)"
     # the accepted keys are the ones resolved() writes, which re-run as written
     _reject_unknown_keys(raw, [*config.resolved(), "out"], "config")
     return config
@@ -306,7 +300,7 @@ def _run_gram(config: RunConfig) -> int:
 def _raster_from_config(config: RunConfig, grid, weight) -> RasterSet:
     node = config.raster
     resolution = int(node.get("resolution", 256))
-    setspec = node.get("set", {"kind": "weight_support"})
+    setspec = _block(node, "set", {"kind": "weight_support"}, "raster.")
     kind = setspec.get("kind", "weight_support")
     if kind == "rectangle":
         return RasterSet.rectangle(tuple(setspec["x"]), tuple(setspec["t"]), resolution)

@@ -280,12 +280,6 @@ def norm_zero(u: SpectralField, q: WeightField, p: float) -> float:
     return acc ** (1.0 / p)
 
 
-def full_norm_squared(u: SpectralField, q: WeightField, p: float) -> float:
-    """The assembled space norm: ||u+||_+^2 + ||u-||_-^2 + ||u0||_0^2."""
-    plus, minus, _ = energy_norms(u)
-    return plus**2 + minus**2 + norm_zero(u, q, p) ** 2
-
-
 def field_to_csv(u: SpectralField, grid: ProductGrid, path) -> None:
     """Grid samples as CSV rows x_1, ..., x_dims, t, value."""
     coords = grid.meshgrid()

@@ -30,7 +30,7 @@ import numpy as np
 from . import energy
 # saddle.kernel_gram stays importable: the benchmark tracer wraps it by name
 from .control import GramReport, kernel_gram, kernel_gram_eigh  # noqa: F401
-from .energy import EnergyContext, phi_eval, phi_gradient, residual_dual_norm
+from .energy import EnergyContext, phi_eval, residual_dual_norm
 from .fields import SpectralField
 
 
@@ -68,7 +68,10 @@ class SaddleResult:
     (three accepted steps in a row gained <= 16 ulp of G, or the step was
     halved until no shorter step can show a gain above that noise),
     ``no_ascent`` (60 halvings gave no Armijo gain), ``ceiling`` (the value
-    passed the caller's ceiling), ``max_inner`` or ``diverged``.
+    passed the caller's ceiling), ``max_inner`` or ``diverged``.  ``grad``
+    holds the coefficients of Phi'(m_hat), evaluated by the ascent at its last
+    state; it is None after ``ceiling`` and ``diverged``.  ``_state`` is the
+    state vector (t, y, z^-) that a warm start takes back.
     """
 
     m_hat: SpectralField
@@ -77,7 +80,8 @@ class SaddleResult:
     iterations: int
     grad_norm: float
     stop: str
-    _state: tuple = field(default=None, repr=False)
+    grad: np.ndarray | None = field(default=None, repr=False)
+    _state: np.ndarray = field(default=None, repr=False)
 
     @property
     def converged(self) -> bool:
@@ -149,7 +153,7 @@ def _check_plus_unit(w: SpectralField):
 
 
 class _InnerProblem:
-    """G(t, y, zm) with its Riesz-ascent gradient, on the restricted kernel."""
+    """G(x) with its Riesz-ascent gradient; x = (t, y, z^-) on the restricted kernel."""
 
     def __init__(self, w, ctx, kernel_basis):
         cat = ctx.catalog
@@ -159,34 +163,36 @@ class _InnerProblem:
         self.zero = cat.zero_idx
         self.minus = cat.minus_idx
         self.wp = w.coeffs[self.plus]
-        self.lam_minus = cat.eig[self.minus]  # negative values
         # (n_zero, n_kept); None keeps the whole kernel
         self.V = np.eye(len(self.zero)) if kernel_basis is None else kernel_basis
-        self.n_y = self.V.shape[1]
+        self.ys = slice(1, 1 + self.V.shape[1])
+        self.ms = slice(self.ys.stop, None)
+        # Riesz metric of the state: 1 on t and y, |lambda| on z^-
+        self.metric = np.concatenate((np.ones(self.ys.stop), np.abs(cat.eig[self.minus])))
+        self.size = len(self.metric)
 
-    def assemble(self, t, y, zm):
+    def assemble(self, x):
         u = np.zeros(self.cat.size)
-        u[self.plus] = t * self.wp
-        u[self.zero] = self.V @ y
-        u[self.minus] = zm
+        u[self.plus] = x[0] * self.wp
+        u[self.zero] = self.V @ x[self.ys]
+        u[self.minus] = x[self.ms]
         return u
 
-    def value(self, t, y, zm):
+    def value(self, x):
         """(G, coefficients, grid values); the values feed ``gradient`` at this state."""
-        u = self.assemble(t, y, zm)
+        u = self.assemble(x)
         vals = self.ctx.synth(u)
-        quad = 0.5 * t * t - 0.5 * float(np.sum(-self.lam_minus * zm * zm))
+        t, zm = float(x[0]), x[self.ms]
+        quad = 0.5 * t * t - 0.5 * float(np.sum(self.metric[self.ms] * zm * zm))
         return quad - self.ctx.potential_from_values(vals), u, vals
 
     def gradient(self, u, vals):
-        g = self.ctx.nonlinear_coeffs(vals)
-        full = self.cat.eig * u - g
-        gt = float(full[self.plus] @ self.wp)
-        gy = self.V.T @ full[self.zero]
-        gm = full[self.minus]
-        dm = gm / np.abs(self.lam_minus)
-        norm = math.sqrt(gt * gt + float(gy @ gy) + float(gm @ dm))
-        return gt, gy, dm, norm
+        """(Phi'(u) coefficients, Riesz ascent direction d, ||d||) at the state of ``u``."""
+        full = self.cat.eig * u - self.ctx.nonlinear_coeffs(vals)
+        g = np.concatenate(([full[self.plus] @ self.wp], self.V.T @ full[self.zero],
+                            full[self.minus]))
+        d = g / self.metric
+        return full, d, math.sqrt(float(g @ d))
 
 
 def _initial_height(problem):
@@ -200,8 +206,9 @@ def _initial_height(problem):
     lies beyond ``DIVERGENCE_NORM``: the ray is not maximizable.
     """
     ctx = problem.ctx
-    w = problem.assemble(1.0, np.zeros(problem.n_y), np.zeros(len(problem.minus)))
-    wvals = np.abs(ctx.synth(w))
+    ray = np.zeros(problem.size)
+    ray[0] = 1.0
+    wvals = np.abs(ctx.synth(problem.assemble(ray)))
     qw = ctx.weight.values * ctx.grid.quad_weight
     terms = [(a * float(qw @ wvals**p), p - 2.0) for a, p in ctx.nonlinearity.terms]
     terms = [(c, e) for c, e in terms if c > 0]
@@ -229,111 +236,101 @@ def inner_maximize(
 
     ``kernel_basis`` restricts the kernel block to the columns of an
     orthonormal matrix (the q-Gram subspace computed by the caller); ``warm``
-    is a previous (t, y, zm) state, or (t, y, zm, ceiling).  A warm state whose
-    value is below 0 is off the maximizer's basin (Psi > 0 and s_w is bounded
-    away from 0 on the Nehari-Pankov set), so the height is re-seeded as for a
-    cold start.  With a ceiling the ascent returns as soon as its value exceeds
-    it, after the start evaluation or after an accepted step (grad_norm inf,
-    stop ``ceiling``).  The ascent is monotone and every other exit returns
-    the current value, so the uncapped run would also end above the ceiling or
-    diverge; a run that stays at or below the ceiling is the uncapped run, bit
-    for bit.  Every block, the height too, takes the same Riesz step
-    (t + eta * dG/dt), so the rule does not depend on the scale of t; a trial
-    at t <= 0 is rejected and its step halved like a trial without a gain.
-    ``cfg`` is not read (the inner level has no caller-set value); it keeps
-    the ``(w, ctx, cfg, kernel_basis, warm)`` call shape that wrappers forward.
+    is ``(state, ceiling)``: a previous ``_state`` and a ceiling (``inf`` for
+    none).  A warm state whose value is below 0 is off the maximizer's basin
+    (Psi > 0 and s_w is bounded away from 0 on the Nehari-Pankov set), so the
+    height is re-seeded as for a cold start.  With a ceiling the ascent returns
+    as soon as its value exceeds it, after the start evaluation or after an
+    accepted step (grad_norm inf, stop ``ceiling``).  The ascent is monotone
+    and every other exit returns the current value, so the uncapped run would
+    also end above the ceiling or diverge; a run that stays at or below the
+    ceiling is the uncapped run, bit for bit.  Every entry of the state x =
+    (t, y, z^-), the height too, takes the same Riesz step x + eta * d, so the
+    rule does not depend on the scale of t; a trial at t <= 0 is rejected and
+    its step halved like a trial without a gain.  ``cfg`` is not read (the
+    inner level has no caller-set value); it keeps the
+    ``(w, ctx, cfg, kernel_basis, warm)`` call shape that wrappers forward.
     """
     _check_plus_unit(w)
     problem = _InnerProblem(w, ctx, kernel_basis)
-    zero_y, zero_m = np.zeros(problem.n_y), np.zeros(len(problem.minus))
 
-    def result(t, y, zm, value, iters, gnorm, stop):
-        u = problem.assemble(t, y, zm)
-        return SaddleResult(SpectralField(ctx.catalog, u), t, value, iters, gnorm, stop,
-                            _state=(t, y.copy(), zm.copy()))
+    def result(x, value, iters, gnorm, stop, grad=None):
+        m_hat = SpectralField(ctx.catalog, problem.assemble(x))
+        return SaddleResult(m_hat, float(x[0]), value, iters, gnorm, stop, grad, _state=x)
 
     ceiling = math.inf
     if warm is not None:
-        t, y, zm, *cap = warm
-        if cap:
-            (ceiling,) = cap
-        t = max(float(t), 1e-8)
-        y = np.asarray(y, dtype=float).copy()
-        zm = np.asarray(zm, dtype=float).copy()
-        if y.shape != (problem.n_y,) or zm.shape != (len(problem.minus),):
-            raise ValueError("warm state has wrong block sizes")
-        value, u, vals = problem.value(t, y, zm)
+        state, ceiling = warm
+        x = np.array(state, dtype=float)
+        if x.shape != (problem.size,):
+            raise ValueError("warm state has the wrong size")
+        x[0] = max(x[0], 1e-8)
+        value, u, vals = problem.value(x)
     if warm is None or value < 0:
-        t = _initial_height(problem)
-        if t is None:
-            return result(1.0, zero_y, zero_m, math.nan, 0, math.inf, "diverged")
-        y, zm = zero_y, zero_m
-        value, u, vals = problem.value(t, y, zm)
+        x = np.zeros(problem.size)
+        if (t := _initial_height(problem)) is None:
+            return result(x, math.nan, 0, math.inf, "diverged")
+        x[0] = t
+        value, u, vals = problem.value(x)
 
     if value > ceiling:
-        return result(t, y, zm, value, 0, math.inf, "ceiling")
-    gt, gy, dm, gnorm = problem.gradient(u, vals)
+        return result(x, value, 0, math.inf, "ceiling")
+    full, d, gnorm = problem.gradient(u, vals)
     eta = 1.0
-    prev = None  # (t, y, zm, gt, gy, dm)
+    prev = None  # (x, d) of the previous iteration
     stagnant = 0
 
     for it in range(1, MAX_INNER + 1):
         if gnorm <= TOL_INNER:
-            return result(t, y, zm, value, it - 1, gnorm, "converged")
-        state_norm = math.sqrt(t * t + float(y @ y) + float(zm @ zm))
+            return result(x, value, it - 1, gnorm, "converged", full)
         # G <= t^2/2, so a runaway value also shows here first
-        if state_norm > DIVERGENCE_NORM:
-            return result(t, y, zm, value, it - 1, gnorm, "diverged")
+        if math.sqrt(float(x @ x)) > DIVERGENCE_NORM:
+            return result(x, value, it - 1, gnorm, "diverged")
 
         if prev is not None:
-            ds = np.concatenate(([t - prev[0]], y - prev[1], zm - prev[2]))
-            dg = np.concatenate(([gt - prev[3]], gy - prev[4], dm - prev[5]))
+            ds, dg = x - prev[0], d - prev[1]
             denom = -float(ds @ dg)
             if denom > 1e-300:
                 eta = min(max(float(ds @ ds) / denom, 1e-12), 1e6)
-        prev = (t, y.copy(), zm.copy(), gt, gy, dm.copy())
+        prev = (x, d)
 
         floor = 16.0 * np.finfo(float).eps * max(1.0, abs(value))
-        accepted = False
         for _ in range(60):
-            t_try = t + eta * gt
-            if t_try > 0 and math.isfinite(t_try):
-                y_try = y + eta * gy
-                zm_try = zm + eta * dm
-                v_try, u_try, vals_try = problem.value(t_try, y_try, zm_try)
+            x_try = x + eta * d
+            if x_try[0] > 0 and math.isfinite(x_try[0]):
+                v_try, u_try, vals_try = problem.value(x_try)
                 if v_try >= value + 1e-4 * eta * gnorm * gnorm:
-                    gain = v_try - value
-                    t, y, zm, value, u, vals = t_try, y_try, zm_try, v_try, u_try, vals_try
-                    accepted = True
                     break
             eta *= 0.5
             # G rises by about eta * gnorm^2 along the step, so below 16 ulp of G
             # no shorter step can show a gain above roundoff
             if eta * gnorm * gnorm < floor:
-                return result(t, y, zm, value, it, gnorm, "roundoff_floor")
-        if not accepted:
-            return result(t, y, zm, value, it, gnorm, "no_ascent")
-        if value > ceiling:
-            return result(t, y, zm, value, it, math.inf, "ceiling")
-        if gain <= floor:
-            stagnant += 1
-            if stagnant >= 3:
-                # ascent hit the roundoff floor of G; gnorm is the honest exit norm
-                return result(t, y, zm, value, it, gnorm, "roundoff_floor")
+                return result(x, value, it, gnorm, "roundoff_floor", full)
         else:
-            stagnant = 0
-        gt, gy, dm, gnorm = problem.gradient(u, vals)
+            return result(x, value, it, gnorm, "no_ascent", full)
+        gain = v_try - value
+        x, value, u, vals = x_try, v_try, u_try, vals_try
+        if value > ceiling:
+            return result(x, value, it, math.inf, "ceiling")
+        full, d, gnorm = problem.gradient(u, vals)
+        stagnant = stagnant + 1 if gain <= floor else 0
+        if stagnant >= 3:
+            # ascent hit the roundoff floor of G; gnorm belongs to the returned state
+            return result(x, value, it, gnorm, "roundoff_floor", full)
 
     stop = "converged" if gnorm <= TOL_INNER else "max_inner"
-    return result(t, y, zm, value, MAX_INNER, gnorm, stop)
+    return result(x, value, MAX_INNER, gnorm, stop, full)
 
 
 def psi_gradient(w: SpectralField, saddle: SaddleResult, ctx: EnergyContext) -> SpectralField:
-    """Riesz representative of the reduced derivative, tangent at w."""
+    """Riesz representative of the reduced derivative, tangent at w.
+
+    It is s_w Phi'(m_hat) on the plus block, read from ``saddle.grad``: the
+    inner ascent already evaluated Phi'(m_hat), so this costs no transform.
+    """
     cat = ctx.catalog
-    g = phi_gradient(saddle.m_hat, ctx).coeffs
     lam_plus = cat.eig[cat.plus_idx]
-    rep = saddle.s_w * g[cat.plus_idx] / lam_plus
+    rep = saddle.s_w * saddle.grad[cat.plus_idx] / lam_plus
     wp = w.coeffs[cat.plus_idx]
     for _ in range(2):  # re-orthogonalize once to push tangency to roundoff
         rep = rep - float(np.sum(lam_plus * rep * wp)) * wp
@@ -371,7 +368,7 @@ def _run_start(start_id, w, ctx, cfg, kernel_basis, records):
             ceiling = saddle.psi - drop
             # the ceiling rides in ``warm``, so wrappers of the five-argument
             # call shape pass it on unchanged
-            s_trial = inner_maximize(trial, ctx, cfg, kernel_basis, warm=(*saddle._state, ceiling))
+            s_trial = inner_maximize(trial, ctx, cfg, kernel_basis, warm=(saddle._state, ceiling))
             # a Psi value counts only from an ascent that converged or reached
             # the roundoff floor of G; an unfinished ascent can sit far below
             # the maximum (toward t -> 0) and fake a decrease
@@ -438,7 +435,7 @@ def ground_state(ctx: EnergyContext, cfg: SolverConfig) -> GroundStateResult:
         raise NoCoerciveDirectionError("no coercive direction detected: all starts diverged")
 
     def rank(o):
-        res = residual_dual_norm(phi_gradient(o["saddle"].m_hat, ctx))
+        res = residual_dual_norm(SpectralField(cat, o["saddle"].grad))
         # a start that converged or stalled at the roundoff floor of Psi counts
         # as solved when its residual is within tol_outer: the residual is the
         # certificate, not the outer stop test, which carries the factor s_w

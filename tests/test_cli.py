@@ -301,15 +301,35 @@ REMOVED_SOLVER_KEYS = [("tol_inner", 1e-8), ("max_inner", 4000), ("max_outer", 4
     {"task": "solve", "solver": {"tol_outer": math.nan}},
     {"task": "solve", "solver": {"tol_outer": 1e999}},
     {"task": "gram", "weight": {"kind": "constant", "value": 10**400}},  # no float holds it
+    # blocks that are not JSON objects
+    {"task": "solve", "cutoffs": [8, 8]},
+    {"task": "solve", "domain": "circle"},
+    {"task": "solve", "operator": "power"},
+    {"task": "series", "domain": {"kind": "torus", "dim": 2}, "series": []},
+    {"task": "dalembert", "raster": []},
+    {"task": "gram", "grid": []},
+    {"task": "gram", "weight": []},
+    {"task": "dalembert", "raster": {"set": "full"}},
+    {"task": "witness", "domain": {"kind": "torus", "dim": 2}, "witness": {"count": "x"}},
+    {"task": "witness", "domain": {"kind": "torus", "dim": 2}, "witness": {"count": 0}},
 ], ids=["weight-without-x", "weight-x-not-a-pair", "raster-without-t", "series-cutoff-list",
         "removed-solver-key",
         *(f"removed-solver-key-{key}" for key, _ in REMOVED_SOLVER_KEYS),
         "unknown-top-level-key", "tol-outer-infinity", "tol-outer-nan", "tol-outer-overflow",
-        "weight-int-overflow"])
+        "weight-int-overflow", "cutoffs-list", "domain-string", "operator-string", "series-list",
+        "raster-list", "grid-list", "weight-list", "raster-set-string", "witness-count-string",
+        "witness-count-zero"])
 def test_malformed_task_blocks_are_config_errors(tmp_path, capsys, doc):
     doc = {**_WAVE, **doc, "out": str(tmp_path / "o")}
     assert main([doc["task"], "--config", str(write_config(tmp_path, doc))]) == EXIT_CONFIG
     assert "config error: " in capsys.readouterr().err
+
+
+def test_a_block_that_is_not_an_object_is_named(tmp_path, capsys):
+    # "power" in "power" is a substring test, so a string block once reached indexing
+    doc = {**_WAVE, "task": "solve", "operator": "power", "out": str(tmp_path / "o")}
+    assert main(["solve", "--config", str(write_config(tmp_path, doc))]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: operator must be a JSON object\n"
 
 
 def test_warnings_found_while_running_reach_stderr(tmp_path, capsys):

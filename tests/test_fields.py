@@ -13,7 +13,6 @@ from wavegs import (
     analyze,
     build_catalog,
     energy_norms,
-    full_norm_squared,
     norm_zero,
     project,
     synthesize,
@@ -174,16 +173,6 @@ def test_norm_zero_closed_forms(circle_wave_cat):
     # weight vanishing on the support kills the norm
     qz = WeightField(grid, np.zeros(grid.n_points))
     assert norm_zero(c, qz, 4.0) == 0.0
-
-
-def test_full_norm_assembles_three_pieces(circle_wave_cat):
-    grid = ProductGrid.for_catalog(circle_wave_cat)
-    q = WeightField.constant(grid)
-    rng = np.random.default_rng(6)
-    u = random_field(circle_wave_cat, rng)
-    plus, minus, _ = energy_norms(u)
-    assembled = plus**2 + minus**2 + norm_zero(u, q, 4.0) ** 2
-    assert full_norm_squared(u, q, 4.0) == pytest.approx(assembled, rel=1e-14)
 
 
 def test_grid_compliance_errors(circle_beam_cat):

@@ -86,7 +86,7 @@ def test_inner_homogeneity_via_warm_start(beam_ctx):
     first = inner_maximize(w, beam_ctx, cfg)
     # E_w = E_{2w}: normalizing 2w gives back w, warm-started from the old state
     w_again = SpectralField(beam_ctx.catalog, (2.0 * w.coeffs) / 2.0)
-    second = inner_maximize(w_again, beam_ctx, cfg, warm=first._state)
+    second = inner_maximize(w_again, beam_ctx, cfg, warm=(first._state, math.inf))
     assert abs(first.psi - second.psi) < 1e-8
 
 
@@ -276,6 +276,60 @@ def readme_beam_ctx():
     return EnergyContext(cat, grid, weight, NonlinearitySpec.pure_power(4.0))
 
 
+def test_inner_ascent_carries_the_gradient_of_its_last_state(readme_beam_ctx, monkeypatch):
+    from wavegs import phi_gradient
+
+    ctx = readme_beam_ctx
+    orig_inner, orig_grad = saddle_mod.inner_maximize, saddle_mod._InnerProblem.gradient
+    orig_synth, orig_psi_gradient = EnergyContext.synth, saddle_mod.psi_gradient
+    counts = {"synth": 0, "gradient": 0, "psi_gradient_synth": 0}
+    exits = {"converged": 0, "halving": 0, "stagnation": 0}
+
+    def synth(self, coeffs):
+        counts["synth"] += 1
+        return orig_synth(self, coeffs)
+
+    def gradient(self, u, vals):
+        counts["gradient"] += 1
+        return orig_grad(self, u, vals)
+
+    def checked(w, ctx, cfg, kernel_basis=None, warm=None):
+        counts["gradient"] = 0
+        res = orig_inner(w, ctx, cfg, kernel_basis, warm)
+        if res.stop in ("converged", "roundoff_floor"):
+            with monkeypatch.context() as m:
+                m.setattr(EnergyContext, "synth", orig_synth)
+                expect = phi_gradient(res.m_hat, ctx).coeffs
+            assert np.array_equal(res.grad, expect)
+            # one gradient at the start and one per accepted step: the halving
+            # exit returns the state it could not leave, the stagnation exit the
+            # state its last accepted step reached
+            if res.stop == "converged":
+                exits["converged"] += 1
+            elif counts["gradient"] == res.iterations:
+                exits["halving"] += 1
+            else:
+                assert counts["gradient"] == res.iterations + 1
+                exits["stagnation"] += 1
+        return res
+
+    def psi_gradient(w, saddle, ctx):
+        before = counts["synth"]
+        out = orig_psi_gradient(w, saddle, ctx)
+        counts["psi_gradient_synth"] += counts["synth"] - before
+        return out
+
+    monkeypatch.setattr(EnergyContext, "synth", synth)
+    monkeypatch.setattr(saddle_mod._InnerProblem, "gradient", gradient)
+    monkeypatch.setattr(saddle_mod, "inner_maximize", checked)
+    monkeypatch.setattr(saddle_mod, "psi_gradient", psi_gradient)
+    res = ground_state(ctx, SolverConfig(n_starts=4, seed=0))
+    assert res.converged
+    assert exits["converged"] > 0 and exits["halving"] > 0 and exits["stagnation"] > 0
+    assert counts["psi_gradient_synth"] == 0
+    assert counts["synth"] <= 1400  # 1,481 when psi_gradient and the ranking re-transformed
+
+
 @pytest.mark.parametrize("seed, draw", [(2, 2), (11, 1)])
 def test_unfinished_trial_ascent_is_not_accepted(readme_beam_ctx, seed, draw):
     # white-noise starts whose first outer step used to accept a trial whose
@@ -298,15 +352,15 @@ def test_warm_state_below_zero_restarts_from_the_cold_height(beam_ctx):
     cfg = SolverConfig()
     w = lowest_plus_direction(beam_ctx.catalog)
     cold = inner_maximize(w, beam_ctx, cfg)
-    t, y, zm = cold._state
-    far = (100.0 * t, y, zm)  # G ~ -t^4 there, far below 0
+    far = cold._state.copy()
+    far[0] *= 100.0  # G ~ -t^4 there, far below 0
     assert phi_eval(SpectralField(beam_ctx.catalog, 100.0 * cold.m_hat.coeffs), beam_ctx) < 0
-    restarted = inner_maximize(w, beam_ctx, cfg, warm=far)
+    restarted = inner_maximize(w, beam_ctx, cfg, warm=(far, math.inf))
     assert restarted.psi == cold.psi
     assert restarted.iterations == cold.iterations
     assert restarted.stop == cold.stop == "converged"
     # the ceiling still applies after the restart
-    capped = inner_maximize(w, beam_ctx, cfg, warm=(*far, 0.5 * cold.psi))
+    capped = inner_maximize(w, beam_ctx, cfg, warm=(far, 0.5 * cold.psi))
     assert capped.stop == "ceiling" and capped.psi > 0.5 * cold.psi
 
 
@@ -322,7 +376,7 @@ def test_outer_step_rejects_trials_whose_ascent_did_not_finish(beam_ctx, monkeyp
         with monkeypatch.context() as m:
             m.setattr(saddle_mod, "MAX_INNER", 2)
             res = orig(w, ctx, cfg, kernel_basis, warm)
-        trials.append((res, warm[3]))
+        trials.append((res, warm[1]))
         return res
 
     monkeypatch.setattr(saddle_mod, "inner_maximize", truncated)
@@ -360,12 +414,12 @@ def test_ceiling_keeps_trajectory_through_a_five_argument_hook(beam_ctx, monkeyp
     seen = {"uncapped": 0, "capped": 0, "ceilings": 0}
 
     def uncapped(w, ctx, cfg, kernel_basis=None, warm=None):
-        res = orig(w, ctx, cfg, kernel_basis, None if warm is None else tuple(warm[:3]))
+        res = orig(w, ctx, cfg, kernel_basis, None if warm is None else (warm[0], math.inf))
         seen["uncapped"] += res.iterations
         return res
 
     def capped(w, ctx, cfg, kernel_basis=None, warm=None):
-        seen["ceilings"] += warm is not None and len(warm) == 4
+        seen["ceilings"] += warm is not None and warm[1] < math.inf
         res = orig(w, ctx, cfg, kernel_basis, warm)
         seen["capped"] += res.iterations
         return res
@@ -402,11 +456,11 @@ def test_inner_ceiling_decides_like_the_full_ascent(beam_ctx):
         h = random_plus_direction(cat, rng)
         trial = SpectralField(cat, w.coeffs + scale * h.coeffs)
         trial.coeffs /= plus_norm(trial)
-        full = inner_maximize(trial, beam_ctx, cfg, warm=base._state)
+        full = inner_maximize(trial, beam_ctx, cfg, warm=(base._state, math.inf))
         assert not full.diverged
         for ceiling in (base.psi, full.psi, np.nextafter(full.psi, -np.inf),
                         full.psi + 1.0, base.psi - 1e-4 * scale):
-            res = inner_maximize(trial, beam_ctx, cfg, warm=(*base._state, ceiling))
+            res = inner_maximize(trial, beam_ctx, cfg, warm=(base._state, ceiling))
             assert (res.psi > ceiling) == (full.psi > ceiling)
             if full.psi <= ceiling:
                 checked["below"] += 1
@@ -414,9 +468,8 @@ def test_inner_ceiling_decides_like_the_full_ascent(beam_ctx):
                 assert res.iterations == full.iterations
                 assert res.converged == full.converged
                 assert res.grad_norm == full.grad_norm
-                assert res._state[0] == full._state[0]
-                np.testing.assert_array_equal(res._state[1], full._state[1])
-                np.testing.assert_array_equal(res._state[2], full._state[2])
+                np.testing.assert_array_equal(res._state, full._state)
+                np.testing.assert_array_equal(res.grad, full.grad)
             else:
                 checked["above"] += 1
                 assert res.iterations <= full.iterations
