@@ -2,8 +2,9 @@
 
 Subcommands mirror the tasks: solve, gram, dalembert, series, witness.  Every
 run writes a result.json embedding the resolved configuration in the input
-schema (it re-runs as written), the tool version and the seed; two runs with
-the same config and seed differ only in the timestamp field.
+schema, every default filled in (it re-runs as written), the tool version and
+the seed; two runs with the same config and seed differ only in the timestamp
+field.
 
 Exit codes: 0 success, 2 config error, 3 solver non-convergence,
 4 refused (a hypothesis check failed for the requested task).
@@ -23,29 +24,13 @@ import numpy as np
 
 from . import __version__
 from .catalog import DomainSpec, OperatorSpec, SpectralCatalog, build_catalog
-from .control import (
-    RasterSet,
-    dalembert_split,
-    kernel_gram,
-    rectangle_margin,
-    slice_profiles,
-    xi_eta_infimum,
-)
-from .embedding import (
-    compactness_threshold,
-    noncompact_witness,
-    sphere_embedding_series,
-    torus_gap_series,
-)
+from .control import (RasterSet, dalembert_split, kernel_gram, rectangle_margin,
+                      slice_profiles, xi_eta_infimum)
+from .embedding import (compactness_threshold, noncompact_witness, sphere_embedding_series,
+                        torus_gap_series)
 from .energy import EnergyContext, NonlinearitySpec
-from .fields import (
-    ProductGrid,
-    SpectralField,
-    WeightField,
-    field_to_csv,
-    synthesize,
-    weight_rectangle,
-)
+from .fields import (ProductGrid, SpectralField, WeightField, field_to_csv, synthesize,
+                     weight_rectangle)
 from .saddle import NoCoerciveDirectionError, SolverConfig, ground_state
 
 EXIT_OK = 0
@@ -58,25 +43,69 @@ class ConfigError(ValueError):
     pass
 
 
-# what a malformed config block raises while it is parsed
-_MALFORMED = (ValueError, KeyError, TypeError, OverflowError)
+# what a malformed config value raises in the library code that reads it
+_MALFORMED = (ValueError, TypeError, OverflowError)
 
 
-def _config_error(exc: Exception) -> ConfigError:
-    return ConfigError(f"missing key {exc}" if isinstance(exc, KeyError) else str(exc))
+# The input schema: each block's accepted keys and their defaults.  A dict value
+# is a nested block; a block with kinds maps "kind" to one key table per kind,
+# the first kind being the default.  ``...`` marks a required key, and None a key
+# with no default, which is left out unless given.
+_SCHEMA = {
+    "task": ...,
+    "domain": {"kind": {"circle": {}, "torus": {"dim": 1}, "sphere": {"dim": 2}}},
+    "operator": {"power": None, "klein_gordon": None, "coefficients": None},
+    "cutoffs": {"k_max": 8, "l_max": 8},
+    "nonlinearity": {"terms": [[1.0, 4.0]]},
+    "weight": {"kind": {
+        "constant": {"value": 1.0},
+        "rectangle": {"x": ..., "t": ..., "inside": 1.0, "outside": 0.0, "smoothing": 0.1},
+        "grid_file": {"path": ...},
+    }},
+    "grid": {"nx": None, "nt": None, "oversample": 2},
+    "solver": {"starts": SolverConfig.n_starts, "tol_outer": SolverConfig.tol_outer},
+    "series": {"p": None, "cutoff": 48, "j_cut": 64, "l_cut": 10000},
+    "witness": {"count": 5},
+    "raster": {"resolution": 256, "set": {"kind": {
+        "weight_support": {"threshold": 0.0},
+        "rectangle": {"x": ..., "t": ...},
+        "full": {},
+    }}},
+    "seed": 0,
+    "out": "out",
+}
+_INTEGER_KEYS = {"k_max", "l_max", "starts", "count", "resolution", "oversample", "nx", "nt",
+                 "cutoff", "j_cut", "l_cut", "dim", "power", "seed"}
 
 
-def _block(node: dict, key: str, default: dict, prefix: str = "") -> dict:
-    """``node[key]`` (``default`` when absent), which must be a JSON object."""
-    value = node.get(key, default)
-    if not isinstance(value, dict):
-        raise ConfigError(f"{prefix}{key} must be a JSON object")
-    return value
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
 
 
-def _reject_unknown_keys(node, allowed, where: str) -> None:
-    if unknown := sorted(set(node) - set(allowed)):
-        raise ConfigError(f"unknown {where} key(s) {unknown}; accepted: {list(allowed)}")
+def _fill(node, schema: dict, name: str) -> dict:
+    """``node`` checked against its ``schema`` table, with every default filled in."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    if "kind" in schema:
+        kinds = list(schema["kind"])
+        if (kind := node.get("kind", kinds[0])) not in kinds:
+            raise ConfigError(f"unknown {name} kind {kind!r}; accepted: {kinds}")
+        schema = {"kind": kind, **schema["kind"][kind]}
+    if unknown := sorted(set(node) - set(schema)):
+        raise ConfigError(f"unknown {name} key(s) {unknown}; accepted: {list(schema)}")
+    if missing := [key for key, default in schema.items() if default is ... and key not in node]:
+        raise ConfigError(f"missing {name} key(s) {missing}")
+    filled = {}
+    for key, default in schema.items():
+        if isinstance(default, dict):
+            filled[key] = _fill(node.get(key, {}), default,
+                                key if name == "config" else f"{name}.{key}")
+        elif key in node or default is not None:
+            value = node.get(key, default)
+            filled[key] = _integer(value, f"{name} {key}") if key in _INTEGER_KEYS else value
+    return filled
 
 
 def _read_json(path: Path):
@@ -97,11 +126,12 @@ class RunConfig:
     k_max: int
     l_max: int
     nonlinearity: NonlinearitySpec
-    weight_spec: dict
-    grid_spec: dict
     solver: SolverConfig
+    # the filled weight, grid, series, witness and raster blocks, as _fill returns them
+    weight: dict
+    grid: dict
     series: dict
-    witness_count: int
+    witness: dict
     raster: dict
     seed: int
     out: Path
@@ -120,58 +150,44 @@ class RunConfig:
             "operator": self.operator.to_json(),
             "cutoffs": {"k_max": self.k_max, "l_max": self.l_max},
             "nonlinearity": self.nonlinearity.to_json(),
-            "weight": self.weight_spec,
-            "grid": self.grid_spec,
+            "weight": self.weight,
+            "grid": self.grid,
             "solver": {"starts": self.solver.n_starts, "tol_outer": self.solver.tol_outer},
             "series": self.series,
-            "witness": {"count": self.witness_count},
+            "witness": self.witness,
             "raster": self.raster,
             "seed": self.seed,
         }
 
 
-def _parse_domain(node) -> DomainSpec:
-    kind = node.get("kind", "circle")
-    if kind == "circle":
-        return DomainSpec.circle()
-    # DomainSpec rejects every other kind
-    return DomainSpec(kind, int(node.get("dim", 2 if kind == "sphere" else 1)))
-
-
-def _parse_operator(node, domain) -> OperatorSpec:
-    if "power" in node:
-        return OperatorSpec.laplacian_power(int(node["power"]))
-    if node.get("klein_gordon"):
-        return OperatorSpec.klein_gordon(domain.dim)
-    if "coefficients" in node:
-        return OperatorSpec(tuple(node["coefficients"]))
-    raise ConfigError("operator needs 'power', 'klein_gordon' or 'coefficients'")
+def _parse_operator(node: dict, domain: DomainSpec) -> OperatorSpec:
+    if len(node) != 1:
+        raise ConfigError("operator takes exactly one of 'power', 'klein_gordon' or 'coefficients'")
+    ((form, value),) = node.items()
+    if form == "power":
+        return OperatorSpec.laplacian_power(value)
+    if form == "coefficients":
+        return OperatorSpec(tuple(value))
+    if value is not True:
+        raise ConfigError(f"operator klein_gordon must be true, got {value!r}")
+    return OperatorSpec.klein_gordon(domain.dim)
 
 
 def _build_weight(spec: dict, grid: ProductGrid, warn) -> WeightField:
-    kind = spec.get("kind", "constant")
-    if kind == "constant":
-        return WeightField.constant(grid, float(spec.get("value", 1.0)))
-    if kind == "rectangle":
-        smoothing = float(spec.get("smoothing", 0.1))
+    if spec["kind"] == "constant":
+        return WeightField.constant(grid, float(spec["value"]))
+    if spec["kind"] == "rectangle":
+        smoothing = float(spec["smoothing"])
         if smoothing == 0.0:
             warn("pure indicator weight: quadrature of q f(u) may be under-resolved")
-        return weight_rectangle(
-            grid,
-            tuple(spec["x"]),
-            tuple(spec["t"]),
-            inside=float(spec.get("inside", 1.0)),
-            outside=float(spec.get("outside", 0.0)),
-            smoothing=smoothing,
-        )
-    if kind == "grid_file":
-        path = Path(spec["path"])
-        if path.suffix == ".json":
-            values = np.asarray(_read_json(path), dtype=float).ravel()
-        else:
-            values = np.loadtxt(path, delimiter=",").ravel()
-        return WeightField(grid, values)  # which rejects negative and non-finite values
-    raise ConfigError(f"unknown weight kind {kind!r}")
+        return weight_rectangle(grid, tuple(spec["x"]), tuple(spec["t"]), inside=float(spec["inside"]),
+                                outside=float(spec["outside"]), smoothing=smoothing)
+    path = Path(spec["path"])  # grid_file
+    if path.suffix == ".json":
+        values = np.asarray(_read_json(path), dtype=float).ravel()
+    else:
+        values = np.loadtxt(path, delimiter=",").ravel()
+    return WeightField(grid, values)  # which rejects negative and non-finite values
 
 
 def validate_config(path, overrides: dict | None = None) -> RunConfig:
@@ -183,39 +199,32 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
         raw = _read_json(path)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse failure: {exc}") from exc
-    overrides = overrides or {}
 
-    task = raw.get("task") if isinstance(raw, dict) else None
+    blocks = {**_fill(raw, _SCHEMA, "config"), **(overrides or {})}
+    task, seed, dom = blocks["task"], blocks["seed"], blocks["domain"]
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
+    if ("nx" in blocks["grid"]) != ("nt" in blocks["grid"]):
+        raise ConfigError("grid takes both 'nx' and 'nt' or neither")
+    if blocks["witness"]["count"] < 1:
+        raise ConfigError("witness count must be at least 1")
     try:
-        seed = int(overrides.get("seed", raw.get("seed", 0)))
-        domain = _parse_domain(_block(raw, "domain", {"kind": "circle"}))
-        cut = _block(raw, "cutoffs", {})
-        nl_node = _block(raw, "nonlinearity", {"terms": [[1.0, 4.0]]})
-        solver_node = _block(raw, "solver", {})
-        _reject_unknown_keys(solver_node, ("starts", "tol_outer"), "solver")
+        domain = DomainSpec.circle() if dom["kind"] == "circle" else DomainSpec(dom["kind"], dom["dim"])
         config = RunConfig(
             task=task,
             domain=domain,
-            operator=_parse_operator(_block(raw, "operator", {"power": 1}), domain),
-            k_max=int(cut.get("k_max", 8)),
-            l_max=int(cut.get("l_max", 8)),
-            nonlinearity=NonlinearitySpec(tuple((a, p) for a, p in nl_node["terms"])),
-            weight_spec=_block(raw, "weight", {"kind": "constant", "value": 1.0}),
-            grid_spec=_block(raw, "grid", {"oversample": 2}),
-            solver=SolverConfig(float(solver_node.get("tol_outer", SolverConfig.tol_outer)),
-                                int(solver_node.get("starts", SolverConfig.n_starts)), seed),
-            series=_block(raw, "series", {}),
-            witness_count=int(_block(raw, "witness", {}).get("count", 5)),
-            raster=_block(raw, "raster", {"resolution": 256, "set": {"kind": "weight_support"}}),
+            operator=_parse_operator(blocks["operator"], domain),
+            k_max=blocks["cutoffs"]["k_max"],
+            l_max=blocks["cutoffs"]["l_max"],
+            nonlinearity=NonlinearitySpec(tuple((a, p) for a, p in blocks["nonlinearity"]["terms"])),
+            solver=SolverConfig(float(blocks["solver"]["tol_outer"]), blocks["solver"]["starts"], seed),
+            weight=blocks["weight"], grid=blocks["grid"], series=blocks["series"],
+            witness=blocks["witness"], raster=blocks["raster"],
             seed=seed,
-            out=Path(overrides.get("out", raw.get("out", "out"))),
+            out=Path(blocks["out"]),
         )
-        if config.witness_count < 1:
-            raise ConfigError("witness count must be at least 1")
     except _MALFORMED as exc:
-        raise _config_error(exc) from exc
+        raise ConfigError(str(exc)) from exc
 
     operator, p = config.operator, config.nonlinearity.p
     p_star = compactness_threshold(domain, operator)
@@ -230,20 +239,18 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
             )
         if domain.kind == "sphere":
             config.refusal = "sphere solves are out of scope (catalog and series diagnostics only)"
-    # the accepted keys are the ones resolved() writes, which re-run as written
-    _reject_unknown_keys(raw, [*config.resolved(), "out"], "config")
     return config
 
 
 def _discretize(config: RunConfig) -> tuple[SpectralCatalog, ProductGrid, WeightField]:
     """The catalog, grid and weight that the solve, gram and dalembert tasks share."""
     catalog = build_catalog(config.domain, config.operator, config.k_max, config.l_max)
-    node = config.grid_spec
-    if "nx" in node and "nt" in node:
-        grid = ProductGrid(catalog.domain.dim, int(node["nx"]), int(node["nt"]))
+    node = config.grid
+    if "nx" in node:
+        grid = ProductGrid(catalog.domain.dim, node["nx"], node["nt"])
     else:
-        grid = ProductGrid.for_catalog(catalog, int(node.get("oversample", 2)))
-    return catalog, grid, _build_weight(config.weight_spec, grid, config.warn)
+        grid = ProductGrid.for_catalog(catalog, node["oversample"])
+    return catalog, grid, _build_weight(config.weight, grid, config.warn)
 
 
 def _write_result(config: RunConfig, payload: dict) -> None:
@@ -298,17 +305,12 @@ def _run_gram(config: RunConfig) -> int:
 
 
 def _raster_from_config(config: RunConfig, grid, weight) -> RasterSet:
-    node = config.raster
-    resolution = int(node.get("resolution", 256))
-    setspec = _block(node, "set", {"kind": "weight_support"}, "raster.")
-    kind = setspec.get("kind", "weight_support")
-    if kind == "rectangle":
+    resolution, setspec = config.raster["resolution"], config.raster["set"]
+    if setspec["kind"] == "rectangle":
         return RasterSet.rectangle(tuple(setspec["x"]), tuple(setspec["t"]), resolution)
-    if kind == "full":
+    if setspec["kind"] == "full":
         return RasterSet.full(resolution)
-    if kind == "weight_support":
-        return RasterSet.from_weight(weight, float(setspec.get("threshold", 0.0)), resolution)
-    raise ConfigError(f"unknown raster set kind {kind!r}")
+    return RasterSet.from_weight(weight, float(setspec["threshold"]), resolution)
 
 
 def _run_dalembert(config: RunConfig) -> int:
@@ -328,11 +330,9 @@ def _run_dalembert(config: RunConfig) -> int:
         comments="",
     )
     payload: dict = {"inf_A": inf_a, "inf_B": inf_b, "resolution": omega.resolution}
-    setspec = config.raster.get("set", {})
-    if setspec.get("kind") == "rectangle":
-        x0, x1 = setspec["x"]
-        t0, t1 = setspec["t"]
-        payload["rectangle_margin"] = rectangle_margin(x0, x1, t0, t1)
+    setspec = config.raster["set"]
+    if setspec["kind"] == "rectangle":
+        payload["rectangle_margin"] = rectangle_margin(*setspec["x"], *setspec["t"])
 
     # split demo: a seeded random kernel field, reconstruction checked on the grid
     rng = np.random.default_rng(config.seed)
@@ -358,25 +358,19 @@ def _run_dalembert(config: RunConfig) -> int:
 
 def _run_series(config: RunConfig) -> int:
     node = config.series
-    p = float(node.get("p", config.nonlinearity.p))
+    p = float(node["p"]) if "p" in node else config.nonlinearity.p
     if config.domain.kind == "torus":
         m = config.operator.power_degree
         if m is None:
             raise ConfigError("torus series needs a pure power operator")
-        report = torus_gap_series(config.domain.dim, m, p, int(node.get("cutoff", 48)))
+        report = torus_gap_series(config.domain.dim, m, p, node["cutoff"])
     else:
         kg = config.operator == OperatorSpec.klein_gordon(config.domain.dim)
         m = 1 if kg else config.operator.power_degree
         if m is None:
             raise ConfigError("sphere series needs a pure power or the mass-shift operator")
-        report = sphere_embedding_series(
-            config.domain.dim,
-            m,
-            p,
-            j_cut=int(node.get("j_cut", 64)),
-            l_cut=int(node.get("l_cut", 10000)),
-            operator="klein_gordon" if kg else "power",
-        )
+        report = sphere_embedding_series(config.domain.dim, m, p, node["j_cut"], node["l_cut"],
+                                         "klein_gordon" if kg else "power")
     config.out.mkdir(parents=True, exist_ok=True)
     report.terms_to_csv(config.out / "series_terms.csv")
     _write_result(config, {"series": report.to_json()})
@@ -386,14 +380,11 @@ def _run_series(config: RunConfig) -> int:
 def _run_witness(config: RunConfig) -> int:
     m = config.operator.power_degree
     try:
-        wit = noncompact_witness(config.domain.dim, m if m is not None else 0, config.witness_count)
+        wit = noncompact_witness(config.domain.dim, m if m is not None else 0, config.witness["count"])
     except ValueError as exc:
         _write_result(config, {"error": str(exc)})
         return EXIT_REFUSED
-    _write_result(
-        config,
-        {"witness": [{"k": list(k), "l": l, "lambda": lam} for k, l, lam in wit]},
-    )
+    _write_result(config, {"witness": [{"k": list(k), "l": l, "lambda": lam} for k, l, lam in wit]})
     return EXIT_OK
 
 
@@ -419,8 +410,8 @@ def run(config: RunConfig) -> int:
         return _RUNNERS[config.task](config)
     except ConfigError:
         raise
-    except _MALFORMED as exc:  # the weight, raster and series blocks are parsed here
-        raise _config_error(exc) from exc
+    except _MALFORMED as exc:  # grid files, weight and raster shapes and series limits
+        raise ConfigError(str(exc)) from exc
 
 
 def main(argv=None) -> int:

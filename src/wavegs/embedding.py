@@ -130,6 +130,8 @@ def torus_gap_series(N: int, m: int, p: float, cutoff: int = 48) -> SeriesReport
         raise ValueError("need p > 2")
     if N < 1 or m < 1:
         raise ValueError("need N >= 1 and m >= 1")
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     params = {"N": N, "m": m, "p": p, "cutoff": cutoff}
     p_star = compactness_threshold(DomainSpec.torus(N), OperatorSpec.laplacian_power(m))
     if not _half_power_exact(N, m):
@@ -223,6 +225,9 @@ def sphere_embedding_series(
     """
     if p <= 2:
         raise ValueError("need p > 2")
+    for name, cut in (("j_cut", j_cut), ("l_cut", l_cut)):
+        if cut < 0:
+            raise ValueError(f"{name} must be >= 0, got {cut}")
     kg = operator == "klein_gordon"
     if kg:
         if N % 2 == 0:

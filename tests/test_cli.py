@@ -13,6 +13,7 @@ from wavegs.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_REFUSED,
+    _SCHEMA,
     ConfigError,
     main,
     run,
@@ -284,9 +285,56 @@ _WAVE = {"domain": {"kind": "circle"}, "operator": {"power": 1},
 # solver limits that are module constants now, and the old alias of "starts"
 REMOVED_SOLVER_KEYS = [("tol_inner", 1e-8), ("max_inner", 4000), ("max_outer", 400),
                        ("divergence_norm", 1e6), ("eps_kernel", 1e-8), ("n_starts", 2)]
+_T2 = {"domain": {"kind": "torus", "dim": 2}}
+# id: (doc, the start of its error message); each of these once ran with a default
+NAMED_FAULTS = {
+    # a typo in any block
+    "cutoffs-typo": ({"task": "solve", "cutoffs": {"kmax": 16}}, "unknown cutoffs key(s) ['kmax']"),
+    "weight-typo": ({"task": "gram", "weight": {"kind": "constant", "valu": 2.0}},
+                    "unknown weight key(s) ['valu']"),
+    "raster-typo": ({"task": "dalembert", "raster": {"resolutoin": 64}},
+                    "unknown raster key(s) ['resolutoin']"),
+    "raster-set-typo": ({"task": "dalembert", "raster": {"set": {"kind": "full", "thresh": 0.5}}},
+                        "unknown raster.set key(s) ['thresh']"),
+    "series-typo": ({"task": "series", **_T2, "operator": {"power": 2}, "series": {"cutof": 8}},
+                    "unknown series key(s) ['cutof']"),
+    "witness-typo": ({"task": "witness", **_T2, "witness": {"cnt": 3}},
+                     "unknown witness key(s) ['cnt']"),
+    "domain-typo": ({"task": "solve", "domain": {"kind": "torus", "dimm": 2}},
+                    "unknown domain key(s) ['dimm']"),
+    "nonlinearity-extra-key": ({"task": "solve", "nonlinearity": {"terms": [[1.0, 4.0]], "p": 4}},
+                               "unknown nonlinearity key(s) ['p']"),
+    "circle-with-dim": ({"task": "solve", "domain": {"kind": "circle", "dim": 2}},
+                        "unknown domain key(s) ['dim']"),
+    "unknown-domain-kind": ({"task": "solve", "domain": {"kind": "ball"}}, "unknown domain kind"),
+    "grid-nx-without-nt": ({"task": "gram", "grid": {"nx": 40}}, "grid takes both"),
+    "power-and-klein-gordon": ({"task": "solve", "operator": {"power": 2, "klein_gordon": True}},
+                               "operator takes exactly one"),
+    "operator-empty": ({"task": "solve", "operator": {}}, "operator takes exactly one"),
+    "klein-gordon-false": ({"task": "solve", "operator": {"klein_gordon": False}},
+                           "operator klein_gordon must be true"),
+    # integer keys take integers
+    "k-max-fraction": ({"task": "solve", "cutoffs": {"k_max": 4.9, "l_max": 4}},
+                       "cutoffs k_max must be an integer"),
+    "k-max-bool": ({"task": "solve", "cutoffs": {"k_max": True, "l_max": 4}},
+                   "cutoffs k_max must be an integer"),
+    "starts-fraction": ({"task": "solve", "solver": {"starts": 1.5}},
+                        "solver starts must be an integer"),
+    "resolution-fraction": ({"task": "dalembert", "raster": {"resolution": 64.5}},
+                            "raster resolution must be an integer"),
+    "seed-fraction": ({"task": "solve", "seed": 1.5}, "config seed must be an integer"),
+    "dim-fraction": ({"task": "witness", "domain": {"kind": "torus", "dim": 2.5}},
+                     "domain dim must be an integer"),
+    # series truncations are checked by the embedding module
+    "series-negative-cutoff": ({"task": "series", **_T2, "operator": {"power": 2},
+                                "series": {"cutoff": -3}}, "cutoff must be >= 0"),
+    "series-negative-j-cut": ({"task": "series", "domain": {"kind": "sphere", "dim": 2},
+                               "operator": {"power": 2}, "series": {"j_cut": -2}},
+                              "j_cut must be >= 0"),
+}
 
 
-@pytest.mark.parametrize("doc", [
+@pytest.mark.parametrize("doc, message", [*((doc, "") for doc in [
     {"task": "gram", "weight": {"kind": "rectangle", "t": [0.0, 1.0]}},
     {"task": "gram", "weight": {"kind": "rectangle", "x": 5, "t": [0.0, 1.0]}},
     {"task": "dalembert",
@@ -312,17 +360,19 @@ REMOVED_SOLVER_KEYS = [("tol_inner", 1e-8), ("max_inner", 4000), ("max_outer", 4
     {"task": "dalembert", "raster": {"set": "full"}},
     {"task": "witness", "domain": {"kind": "torus", "dim": 2}, "witness": {"count": "x"}},
     {"task": "witness", "domain": {"kind": "torus", "dim": 2}, "witness": {"count": 0}},
-], ids=["weight-without-x", "weight-x-not-a-pair", "raster-without-t", "series-cutoff-list",
-        "removed-solver-key",
-        *(f"removed-solver-key-{key}" for key, _ in REMOVED_SOLVER_KEYS),
-        "unknown-top-level-key", "tol-outer-infinity", "tol-outer-nan", "tol-outer-overflow",
-        "weight-int-overflow", "cutoffs-list", "domain-string", "operator-string", "series-list",
-        "raster-list", "grid-list", "weight-list", "raster-set-string", "witness-count-string",
-        "witness-count-zero"])
-def test_malformed_task_blocks_are_config_errors(tmp_path, capsys, doc):
+]), *NAMED_FAULTS.values()],
+    ids=["weight-without-x", "weight-x-not-a-pair", "raster-without-t", "series-cutoff-list",
+         "removed-solver-key",
+         *(f"removed-solver-key-{key}" for key, _ in REMOVED_SOLVER_KEYS),
+         "unknown-top-level-key", "tol-outer-infinity", "tol-outer-nan", "tol-outer-overflow",
+         "weight-int-overflow", "cutoffs-list", "domain-string", "operator-string", "series-list",
+         "raster-list", "grid-list", "weight-list", "raster-set-string", "witness-count-string",
+         "witness-count-zero", *NAMED_FAULTS])
+def test_malformed_task_blocks_are_config_errors(tmp_path, capsys, doc, message):
     doc = {**_WAVE, **doc, "out": str(tmp_path / "o")}
     assert main([doc["task"], "--config", str(write_config(tmp_path, doc))]) == EXIT_CONFIG
-    assert "config error: " in capsys.readouterr().err
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_a_block_that_is_not_an_object_is_named(tmp_path, capsys):
@@ -359,6 +409,49 @@ def test_determinism(tmp_path):
     first.pop("timestamp")
     second.pop("timestamp")
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+
+def _unfilled_keys(node, schema, where=""):
+    """The keys with a default or required in ``schema`` that ``node`` lacks, nested too."""
+    if "kind" in schema:
+        schema = {"kind": node["kind"], **schema["kind"][node["kind"]]}
+    missing = []
+    for key, default in schema.items():
+        if key not in node:
+            missing += [] if default is None else [where + key]
+        elif isinstance(default, dict):
+            missing += _unfilled_keys(node[key], default, f"{where}{key}.")
+    return missing
+
+
+def test_result_config_names_every_default(tmp_path):
+    qpath = tmp_path / "q.csv"
+    np.savetxt(qpath, np.ones((4, 4)), delimiter=",")
+    docs = {
+        "solve": {**toy_solve_doc(None), "weight": {"kind": "grid_file", "path": str(qpath)}},
+        # integral numbers are integers: they run, and the config records them as such
+        "gram": {**_WAVE, "cutoffs": {"k_max": 4.0, "l_max": 4},
+                 "weight": {"kind": "rectangle", "x": [0.0, 3.0], "t": [0.0, 3.0]}},
+        "dalembert": {**_WAVE, "raster": {"resolution": 64.0,
+                                          "set": {"kind": "rectangle", "x": [0, 4], "t": [0, 4]}}},
+        "series": {"domain": {"kind": "sphere", "dim": 3}, "operator": {"klein_gordon": True},
+                   "series": {"p": 3.0, "j_cut": 8, "l_cut": 200}},
+        "witness": {**_T2, "operator": {"power": 1}},
+    }
+    for task, doc in docs.items():
+        out = tmp_path / task
+        path = write_config(tmp_path, {**doc, "task": task, "out": str(out)}, f"{task}.json")
+        assert main([task, "--config", str(path)]) == EXIT_OK
+        config = json.loads((out / "result.json").read_text())["config"]
+        # every key but the output directory, which each run takes from --out
+        assert _unfilled_keys(config, _SCHEMA) == ["out"], task
+        rerun = validate_config(write_config(tmp_path, config, f"{task}-rerun.json"))
+        assert rerun.resolved() == config, task
+    saved = json.loads((tmp_path / "gram" / "result.json").read_text())["config"]
+    assert saved["cutoffs"] == {"k_max": 4, "l_max": 4} and type(saved["cutoffs"]["k_max"]) is int
+    assert saved["weight"]["smoothing"] == 0.1 and saved["raster"]["set"]["threshold"] == 0.0
+    result = json.loads((tmp_path / "dalembert" / "result.json").read_text())["result"]
+    assert result["resolution"] == 64
 
 
 def _fresh_python(*args):

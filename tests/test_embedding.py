@@ -49,6 +49,19 @@ def test_torus_series_thresholds_and_errors():
         torus_gap_series(2, 3, 3.0)  # odd m >= 3: open case
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: torus_gap_series(2, 2, 3.0, cutoff=-3), "cutoff"),
+    (lambda: torus_gap_series(2, 1, 3.0, cutoff=-1), "cutoff"),  # the witness branch too
+    (lambda: sphere_embedding_series(2, 2, 3.0, j_cut=-2), "j_cut"),
+    (lambda: sphere_embedding_series(3, 1, 3.0, l_cut=-1, operator="klein_gordon"), "l_cut"),
+], ids=["torus-cutoff", "torus-witness-cutoff", "sphere-j-cut", "sphere-l-cut"])
+def test_negative_series_truncations_are_named(call, name):
+    # numpy once raised its own "'minlength' must not be negative", and a negative
+    # j_cut returned an empty series with the verdict "inconclusive"
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+        call()
+
+
 def test_torus_series_shell_exponent_matches_theory():
     # per-shell sums scale like r^(N - 1 - m p/(p-2))
     rep = torus_gap_series(1, 2, 4.0, cutoff=200)
