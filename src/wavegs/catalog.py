@@ -82,6 +82,8 @@ class OperatorSpec:
     coefficients: tuple
 
     def __post_init__(self):
+        if not isinstance(self.coefficients, (list, tuple)):
+            raise ValueError(f"operator coefficients must be a list, got {self.coefficients!r}")
         coeffs = tuple(_as_fraction(c) for c in self.coefficients)
         if not coeffs or all(c == 0 for c in coeffs):
             raise ValueError("operator polynomial must be nonzero")

@@ -167,7 +167,7 @@ def _parse_operator(node: dict, domain: DomainSpec) -> OperatorSpec:
     if form == "power":
         return OperatorSpec.laplacian_power(value)
     if form == "coefficients":
-        return OperatorSpec(tuple(value))
+        return OperatorSpec(value)
     if value is not True:
         raise ConfigError(f"operator klein_gordon must be true, got {value!r}")
     return OperatorSpec.klein_gordon(domain.dim)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _accel
 from .catalog import TORUS, SpectralCatalog
-from .fields import TWO_PI, ProductGrid, SpectralField, WeightField, mode_factors
+from .fields import TWO_PI, ProductGrid, SpectralField, WeightField, mode_factors, span_ends
 from .fields import basis_rows  # noqa: F401  (re-exported as control.basis_rows)
 
 _REL_FLOOR_DEFAULT = 1e-8
@@ -191,8 +191,8 @@ class RasterSet:
     def rectangle(x_span, t_span, resolution: int = 256) -> "RasterSet":
         r = resolution
         centers = TWO_PI * (np.arange(r) + 0.5) / r
-        inx = _interval_mask(centers, *x_span)
-        int_ = _interval_mask(centers, *t_span)
+        inx = _interval_mask(centers, *span_ends("x", x_span))
+        int_ = _interval_mask(centers, *span_ends("t", t_span))
         return RasterSet(np.outer(inx, int_).astype(np.uint8))
 
     @staticmethod

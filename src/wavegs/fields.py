@@ -211,6 +211,13 @@ def _smooth_indicator(x: np.ndarray, a: float, b: float, width: float) -> np.nda
     return 0.5 - 0.5 * np.cos(math.pi * t)
 
 
+def span_ends(name: str, span):
+    """The two ends of an interval; a span without exactly two entries is named."""
+    if len(span) != 2:
+        raise ValueError(f"rectangle {name} span must have two entries, got {len(span)}")
+    return span
+
+
 def weight_rectangle(
     grid: ProductGrid,
     x_span,
@@ -224,8 +231,8 @@ def weight_rectangle(
     For torus dims > 1 the x-interval applies to the first coordinate only.
     """
     coords = grid.meshgrid()
-    bump = _smooth_indicator(coords[0], x_span[0], x_span[1], smoothing)
-    bump = bump * _smooth_indicator(coords[-1], t_span[0], t_span[1], smoothing)
+    bump = _smooth_indicator(coords[0], *span_ends("x", x_span), smoothing)
+    bump = bump * _smooth_indicator(coords[-1], *span_ends("t", t_span), smoothing)
     return WeightField(grid, outside + (inside - outside) * bump)
 
 

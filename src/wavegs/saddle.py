@@ -5,11 +5,14 @@ G(t, z) = t^2/2 - ||z^-||_-^2/2 - I(t w + z) over the half-space
 R+ w (+) E0 (+) E-, giving the maximizer m(w), its height s_w and the reduced
 value Psi(w).  Outer level: projected gradient descent of Psi on the unit
 sphere of the truncated plus space, multi-start.  The reduced gradient is the
-Riesz representative of h -> s_w Phi'(m(w))[h] in the plus inner product.
+Riesz representative of h -> s_w Phi'(m(w))[h] in the plus inner product.  A
+descent stops once the residual of its saddle, the dual norm of Phi'(m(w)),
+is within tol_outer: the same number certifies the returned ground state.
 
-Steps use a Barzilai-Borwein guess from successive gradients, safeguarded by
-backtracking so the inner ascent is monotone and the outer descent never
-increases Psi.
+Both levels start at step 1 and, after each accepted step, take the
+Barzilai-Borwein step of their last two iterates (``_bb_step``; the outer level
+measures it in the plus metric), safeguarded by backtracking so the inner
+ascent is monotone and the outer descent never increases Psi.
 
 An outer trial is accepted only if Psi(trial) <= Psi(w) - drop, so its inner
 ascent gets the ceiling Psi(w) - drop and stops as soon as its value exceeds
@@ -225,6 +228,17 @@ def _initial_height(problem):
     return t if t <= DIVERGENCE_NORM else None
 
 
+def _bb_step(ds, dd, eta, metric=1.0):
+    """Barzilai-Borwein step <ds, ds> / <ds, dd> in the inner product ``metric``.
+
+    ``ds`` is the change of the iterate and ``dd`` the fall of the Riesz step
+    direction; without positive curvature along ``ds`` the old ``eta`` stays.
+    """
+    mds = metric * ds
+    denom = float(mds @ dd)
+    return min(max(float(mds @ ds) / denom, 1e-12), 1e6) if denom > 1e-300 else eta
+
+
 def inner_maximize(
     w: SpectralField,
     ctx: EnergyContext,
@@ -288,10 +302,7 @@ def inner_maximize(
             return result(x, value, it - 1, gnorm, "diverged")
 
         if prev is not None:
-            ds, dg = x - prev[0], d - prev[1]
-            denom = -float(ds @ dg)
-            if denom > 1e-300:
-                eta = min(max(float(ds @ ds) / denom, 1e-12), 1e6)
+            eta = _bb_step(x - prev[0], prev[1] - d, eta)
         prev = (x, d)
 
         floor = 16.0 * np.finfo(float).eps * max(1.0, abs(value))
@@ -340,32 +351,39 @@ def psi_gradient(w: SpectralField, saddle: SaddleResult, ctx: EnergyContext) -> 
 
 
 def _run_start(start_id, w, ctx, cfg, kernel_basis, records):
-    """Outer descent from ``w``; its last record in ``records`` gets a ``stop`` key."""
+    """Outer descent from ``w``; its last record in ``records`` gets a ``stop`` key.
+
+    It stops ``converged`` as soon as the residual of its saddle, the dual norm
+    of Phi'(m_hat) that certifies the start, is within ``tol_outer``; else at
+    ``max_outer`` or ``stalled_at_floor`` (no trial beats the roundoff of Psi).
+    """
     saddle = inner_maximize(w, ctx, cfg, kernel_basis)
     if saddle.diverged:
         records.append({"start": start_id, "outer": 0, "event": "diverged", "stop": "diverged"})
         return None
-    eta = 0.5
-    outer = 0
-    grad = psi_gradient(w, saddle, ctx)
-    gn = plus_norm(grad)
-    records.append(
-        {"start": start_id, "outer": outer, "psi": saddle.psi, "grad_plus": gn,
-         "inner_iters": saddle.iterations}
-    )
-    stop = "max_outer"
-    while gn > cfg.tol_outer and outer < MAX_OUTER:
-        outer += 1
-        accepted = False
-        backtracks = rejected_iters = 0
+    cat = ctx.catalog
+    eta, prev, counts = 1.0, None, {}
+    for outer in range(MAX_OUTER + 1):
+        grad = psi_gradient(w, saddle, ctx)
+        gn = plus_norm(grad)
+        residual = residual_dual_norm(SpectralField(cat, saddle.grad))
+        record = {"start": start_id, "outer": outer, "psi": saddle.psi, "grad_plus": gn,
+                  "residual": residual}
+        records.append({**record, "inner_iters": saddle.iterations, **counts})
+        stop = "converged" if residual <= cfg.tol_outer else "max_outer"
+        if stop == "converged" or outer == MAX_OUTER:
+            break
+        if prev is not None:
+            eta = _bb_step(w.coeffs - prev[0].coeffs, grad.coeffs - prev[1].coeffs, eta, cat.eig)
+        prev = (w, grad)
+        counts = {"backtracks": 0, "rejected_inner_iters": 0}
         # require a decrease that beats both Armijo and the roundoff floor of Psi
         noise = 32.0 * np.finfo(float).eps * max(1.0, abs(saddle.psi))
-        while True:
-            trial = _normalized_plus(
-                ctx.catalog, (w.coeffs - eta * grad.coeffs)[ctx.catalog.plus_idx]
-            )
-            drop = max(1e-4 * eta * gn * gn, noise)
-            ceiling = saddle.psi - drop
+        # Psi falls by about eta * gn^2 along the step, so below the noise drop
+        # no shorter trial can be accepted (NaN also stops here)
+        while eta * gn * gn >= noise:
+            trial = _normalized_plus(cat, (w.coeffs - eta * grad.coeffs)[cat.plus_idx])
+            ceiling = saddle.psi - max(1e-4 * eta * gn * gn, noise)
             # the ceiling rides in ``warm``, so wrappers of the five-argument
             # call shape pass it on unchanged
             s_trial = inner_maximize(trial, ctx, cfg, kernel_basis, warm=(saddle._state, ceiling))
@@ -374,31 +392,16 @@ def _run_start(start_id, w, ctx, cfg, kernel_basis, records):
             # the maximum (toward t -> 0) and fake a decrease
             if s_trial.stop in ("converged", "roundoff_floor") and s_trial.psi <= ceiling:
                 w, saddle = trial, s_trial
-                accepted = True
-                eta = min(eta * 1.3, 1e3)
                 break
-            backtracks += 1
-            rejected_iters += s_trial.iterations
+            counts["backtracks"] += 1
+            counts["rejected_inner_iters"] += s_trial.iterations
             eta *= 0.5
-            # Psi falls by about eta * gn^2 along the step, so below the noise
-            # drop no shorter trial can be accepted (NaN also stops here)
-            if not eta * gn * gn >= noise:
-                break
-        counts = {"backtracks": backtracks, "rejected_inner_iters": rejected_iters}
-        if not accepted:
-            records.append({"start": start_id, "outer": outer, "event": "stalled",
-                            "psi": saddle.psi, "grad_plus": gn, **counts})
+        else:
             stop = "stalled_at_floor"
+            records.append({**record, "outer": outer + 1, "event": "stalled", **counts})
             break
-        grad = psi_gradient(w, saddle, ctx)
-        gn = plus_norm(grad)
-        records.append(
-            {"start": start_id, "outer": outer, "psi": saddle.psi, "grad_plus": gn,
-             "inner_iters": saddle.iterations, **counts}
-        )
-    stop = "converged" if gn <= cfg.tol_outer else stop
     records[-1]["stop"] = stop
-    return {"saddle": saddle, "stop": stop}
+    return {"saddle": saddle, "stop": stop, "residual": residual}
 
 
 def _kernel_split(ctx: EnergyContext):
@@ -434,31 +437,17 @@ def ground_state(ctx: EnergyContext, cfg: SolverConfig) -> GroundStateResult:
     if not finished:
         raise NoCoerciveDirectionError("no coercive direction detected: all starts diverged")
 
-    def rank(o):
-        res = residual_dual_norm(SpectralField(cat, o["saddle"].grad))
-        # a start that converged or stalled at the roundoff floor of Psi counts
-        # as solved when its residual is within tol_outer: the residual is the
-        # certificate, not the outer stop test, which carries the factor s_w
-        certified = o["stop"] in ("converged", "stalled_at_floor") and res <= cfg.tol_outer
-        return (not certified, o["saddle"].psi, res)
-
-    # the start index breaks ties, in start order, before the dicts are compared
-    uncertified, _, residual, _, best = min((*rank(o), i, o) for i, o in enumerate(finished))
+    # a start is certified exactly when it stopped converged; the start index
+    # breaks ties, in start order, before the dicts are compared
+    _, _, residual, _, best = min((o["stop"] != "converged", o["saddle"].psi, o["residual"], i, o)
+                                  for i, o in enumerate(finished))
     u_star = best["saddle"].m_hat
-    e_star = phi_eval(u_star, ctx)
-    converged = not uncertified
-    if converged and best["stop"] == "converged":
-        message = "converged"
-    elif converged:
-        message = (f"converged: stalled at the roundoff floor of Psi with residual "
-                   f"{residual:.3e} <= tol_outer")
-    elif best["stop"] == "max_outer":
-        message = "max_outer reached; best iterate returned"
-    else:
-        message = f"residual {residual:.3e} above tol_outer; best iterate returned"
+    converged = best["stop"] == "converged"
+    message = "converged" if converged else (
+        f"{best['stop']}: residual {residual:.3e} above tol_outer; best iterate returned")
     return GroundStateResult(
         u_star=u_star,
-        energy=e_star,
+        energy=phi_eval(u_star, ctx),
         residual=residual,
         s_w=best["saddle"].s_w,
         converged=converged,

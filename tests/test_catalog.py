@@ -70,6 +70,12 @@ def test_operator_spec_validation():
     assert op.evaluate(2) == Fraction(9, 2)
     assert OperatorSpec.laplacian_power(3).power_degree == 3
     assert op.power_degree is None
+    # a string is iterable, so "12" once ran as P(tau) = 1 + 2 tau; "1/2"
+    # strings inside a list stay rationals
+    for bad in ("12", "1/2", 2, {"a": 1}):
+        with pytest.raises(ValueError, match="operator coefficients must be a list"):
+            OperatorSpec(bad)
+    assert OperatorSpec(["1/2", 0, 1]) == op
 
 
 def test_sphere_multiplicity_values():

@@ -313,6 +313,15 @@ NAMED_FAULTS = {
     "operator-empty": ({"task": "solve", "operator": {}}, "operator takes exactly one"),
     "klein-gordon-false": ({"task": "solve", "operator": {"klein_gordon": False}},
                            "operator klein_gordon must be true"),
+    "coefficients-string": ({"task": "solve", "operator": {"coefficients": "12"}},
+                            "operator coefficients must be a list, got '12'"),
+    # a third span entry was dropped by the weight and crashed the raster
+    "weight-x-three-entries": ({"task": "gram", "weight": {
+        "kind": "rectangle", "x": [0.0, 1.0, 2.0], "t": [0.0, 1.0]}},
+                               "rectangle x span must have two entries, got 3"),
+    "raster-t-three-entries": ({"task": "dalembert", "raster": {"resolution": 64, "set": {
+        "kind": "rectangle", "x": [0.0, 1.0], "t": [0.0, 1.0, 2.0]}}},
+                               "rectangle t span must have two entries, got 3"),
     # integer keys take integers
     "k-max-fraction": ({"task": "solve", "cutoffs": {"k_max": 4.9, "l_max": 4}},
                        "cutoffs k_max must be an integer"),
