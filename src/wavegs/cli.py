@@ -1,10 +1,9 @@
 """Batch front-end: validate a JSON run configuration, dispatch, write artifacts.
 
 Subcommands mirror the tasks: solve, gram, dalembert, series, witness.  Every
-run writes a result.json embedding the resolved configuration in the input
-schema, every default filled in (it re-runs as written), the tool version and
-the seed; two runs with the same config and seed differ only in the timestamp
-field.
+run writes a result.json embedding its configuration as given, every default
+filled in (it re-runs as written), the tool version and the seed; two runs with
+the same config and seed differ only in the timestamp field.
 
 Exit codes: 0 success, 2 config error, 3 solver non-convergence,
 4 refused (a hypothesis check failed for the requested task).
@@ -108,6 +107,14 @@ def _fill(node, schema: dict, name: str) -> dict:
     return filled
 
 
+def _read_text(path: Path) -> str:
+    """An input file's text; a file that cannot be read as UTF-8 is a config error."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
 def _read_json(path: Path):
     """Parse a JSON input file; NaN, Infinity and numbers that overflow are config errors."""
     def finite(text: str) -> float:
@@ -115,26 +122,20 @@ def _read_json(path: Path):
             raise ConfigError(f"{path}: non-finite number {text}")
         return value
 
-    return json.loads(path.read_text(), parse_float=finite, parse_constant=finite)
+    try:
+        return json.loads(_read_text(path), parse_float=finite, parse_constant=finite)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
 
 @dataclass
 class RunConfig:
-    task: str
+    # the input as _fill returns it, with the --seed and --out overrides applied
+    blocks: dict
     domain: DomainSpec
     operator: OperatorSpec
-    k_max: int
-    l_max: int
     nonlinearity: NonlinearitySpec
     solver: SolverConfig
-    # the filled weight, grid, series, witness and raster blocks, as _fill returns them
-    weight: dict
-    grid: dict
-    series: dict
-    witness: dict
-    raster: dict
-    seed: int
-    out: Path
     warnings: list = field(default_factory=list)
     refusal: str | None = None
 
@@ -144,20 +145,8 @@ class RunConfig:
         print(f"warning: {msg}", file=sys.stderr)
 
     def resolved(self) -> dict:
-        return {
-            "task": self.task,
-            "domain": self.domain.to_json(),
-            "operator": self.operator.to_json(),
-            "cutoffs": {"k_max": self.k_max, "l_max": self.l_max},
-            "nonlinearity": self.nonlinearity.to_json(),
-            "weight": self.weight,
-            "grid": self.grid,
-            "solver": {"starts": self.solver.n_starts, "tol_outer": self.solver.tol_outer},
-            "series": self.series,
-            "witness": self.witness,
-            "raster": self.raster,
-            "seed": self.seed,
-        }
+        """The config that result.json embeds: every block but the output directory."""
+        return {key: value for key, value in self.blocks.items() if key != "out"}
 
 
 def _parse_operator(node: dict, domain: DomainSpec) -> OperatorSpec:
@@ -186,24 +175,18 @@ def _build_weight(spec: dict, grid: ProductGrid, warn) -> WeightField:
     if path.suffix == ".json":
         values = np.asarray(_read_json(path), dtype=float).ravel()
     else:
-        values = np.loadtxt(path, delimiter=",").ravel()
+        values = np.loadtxt(_read_text(path).splitlines(), delimiter=",").ravel()
     return WeightField(grid, values)  # which rejects negative and non-finite values
 
 
 def validate_config(path, overrides: dict | None = None) -> RunConfig:
     """Parse, fill defaults, enforce invariants; warnings never block diagnostics."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
-    try:
-        raw = _read_json(path)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config parse failure: {exc}") from exc
-
-    blocks = {**_fill(raw, _SCHEMA, "config"), **(overrides or {})}
+    blocks = {**_fill(_read_json(Path(path)), _SCHEMA, "config"), **(overrides or {})}
     task, seed, dom = blocks["task"], blocks["seed"], blocks["domain"]
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     if ("nx" in blocks["grid"]) != ("nt" in blocks["grid"]):
         raise ConfigError("grid takes both 'nx' and 'nt' or neither")
     if blocks["witness"]["count"] < 1:
@@ -211,17 +194,9 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
     try:
         domain = DomainSpec.circle() if dom["kind"] == "circle" else DomainSpec(dom["kind"], dom["dim"])
         config = RunConfig(
-            task=task,
-            domain=domain,
-            operator=_parse_operator(blocks["operator"], domain),
-            k_max=blocks["cutoffs"]["k_max"],
-            l_max=blocks["cutoffs"]["l_max"],
-            nonlinearity=NonlinearitySpec(tuple((a, p) for a, p in blocks["nonlinearity"]["terms"])),
-            solver=SolverConfig(float(blocks["solver"]["tol_outer"]), blocks["solver"]["starts"], seed),
-            weight=blocks["weight"], grid=blocks["grid"], series=blocks["series"],
-            witness=blocks["witness"], raster=blocks["raster"],
-            seed=seed,
-            out=Path(blocks["out"]),
+            blocks, domain, _parse_operator(blocks["operator"], domain),
+            NonlinearitySpec(tuple((a, p) for a, p in blocks["nonlinearity"]["terms"])),
+            SolverConfig(float(blocks["solver"]["tol_outer"]), blocks["solver"]["starts"], seed),
         )
     except _MALFORMED as exc:
         raise ConfigError(str(exc)) from exc
@@ -239,32 +214,46 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
             )
         if domain.kind == "sphere":
             config.refusal = "sphere solves are out of scope (catalog and series diagnostics only)"
+    if task == "dalembert" and not (domain.is_circle and operator.power_degree == 1):
+        config.refusal = "d'Alembert diagnostics need the classical wave on the circle"
     return config
 
 
 def _discretize(config: RunConfig) -> tuple[SpectralCatalog, ProductGrid, WeightField]:
     """The catalog, grid and weight that the solve, gram and dalembert tasks share."""
-    catalog = build_catalog(config.domain, config.operator, config.k_max, config.l_max)
-    node = config.grid
+    cutoffs, node = config.blocks["cutoffs"], config.blocks["grid"]
+    catalog = build_catalog(config.domain, config.operator, cutoffs["k_max"], cutoffs["l_max"])
     if "nx" in node:
         grid = ProductGrid(catalog.domain.dim, node["nx"], node["nt"])
     else:
         grid = ProductGrid.for_catalog(catalog, node["oversample"])
-    return catalog, grid, _build_weight(config.weight, grid, config.warn)
+    return catalog, grid, _build_weight(config.blocks["weight"], grid, config.warn)
+
+
+def _out(config: RunConfig) -> Path:
+    """The run's output directory, made if missing."""
+    out = Path(config.blocks["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _write_result(config: RunConfig, payload: dict) -> None:
-    config.out.mkdir(parents=True, exist_ok=True)
     doc = {
         "version": __version__,
-        "task": config.task,
-        "seed": config.seed,
+        "task": config.blocks["task"],
+        "seed": config.blocks["seed"],
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "config": config.resolved(),
         "warnings": config.warnings,
         "result": payload,
     }
-    (config.out / "result.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
+    (_out(config) / "result.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
+
+
+def _refuse(config: RunConfig, reason: str) -> int:
+    print(f"refused: {reason}", file=sys.stderr)
+    _write_result(config, {"error": reason})
+    return EXIT_REFUSED
 
 
 def _run_solve(config: RunConfig) -> int:
@@ -276,14 +265,12 @@ def _run_solve(config: RunConfig) -> int:
         _write_result(config, {"error": str(exc)})
         return EXIT_NO_CONVERGENCE
 
-    config.out.mkdir(parents=True, exist_ok=True)
-    with open(config.out / "solver_log.jsonl", "w") as fh:
+    out = _out(config)
+    with open(out / "solver_log.jsonl", "w") as fh:
         for rec in result.history:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    (config.out / "coefficients.json").write_text(
-        json.dumps(result.u_star.to_json(), sort_keys=True)
-    )
-    field_to_csv(result.u_star, grid, config.out / "field.csv")
+    (out / "coefficients.json").write_text(json.dumps(result.u_star.to_json(), sort_keys=True))
+    field_to_csv(result.u_star, grid, out / "field.csv")
     payload = {
         "energy": result.energy,
         "s_w": result.s_w,
@@ -305,7 +292,7 @@ def _run_gram(config: RunConfig) -> int:
 
 
 def _raster_from_config(config: RunConfig, grid, weight) -> RasterSet:
-    resolution, setspec = config.raster["resolution"], config.raster["set"]
+    resolution, setspec = config.blocks["raster"]["resolution"], config.blocks["raster"]["set"]
     if setspec["kind"] == "rectangle":
         return RasterSet.rectangle(tuple(setspec["x"]), tuple(setspec["t"]), resolution)
     if setspec["kind"] == "full":
@@ -314,28 +301,25 @@ def _raster_from_config(config: RunConfig, grid, weight) -> RasterSet:
 
 
 def _run_dalembert(config: RunConfig) -> int:
-    if not (config.domain.is_circle and config.operator.power_degree == 1):
-        _write_result(config, {"error": "d'Alembert diagnostics need the classical wave on the circle"})
-        return EXIT_REFUSED
     catalog, grid, weight = _discretize(config)
     omega = _raster_from_config(config, grid, weight)
     inf_a, inf_b = xi_eta_infimum(omega)
     offsets, meas_a, meas_b = slice_profiles(omega)
-    config.out.mkdir(parents=True, exist_ok=True)
+    out = _out(config)
     np.savetxt(
-        config.out / "slices.csv",
+        out / "slices.csv",
         np.column_stack([offsets, meas_a, meas_b]),
         delimiter=",",
         header="offset,measure_A,measure_B",
         comments="",
     )
     payload: dict = {"inf_A": inf_a, "inf_B": inf_b, "resolution": omega.resolution}
-    setspec = config.raster["set"]
+    setspec = config.blocks["raster"]["set"]
     if setspec["kind"] == "rectangle":
         payload["rectangle_margin"] = rectangle_margin(*setspec["x"], *setspec["t"])
 
     # split demo: a seeded random kernel field, reconstruction checked on the grid
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.blocks["seed"])
     coeffs = np.zeros(catalog.size)
     coeffs[catalog.zero_idx] = rng.standard_normal(catalog.kernel_dim())
     u0 = SpectralField(catalog, coeffs)
@@ -346,7 +330,7 @@ def _run_dalembert(config: RunConfig) -> int:
     payload["split_reconstruction_error"] = err
     s = np.linspace(0.0, 2 * np.pi, 257)[:-1]
     np.savetxt(
-        config.out / "profiles.csv",
+        out / "profiles.csv",
         np.column_stack([s, phi(s), psi(s)]),
         delimiter=",",
         header="s,phi,psi",
@@ -357,7 +341,7 @@ def _run_dalembert(config: RunConfig) -> int:
 
 
 def _run_series(config: RunConfig) -> int:
-    node = config.series
+    node = config.blocks["series"]
     p = float(node["p"]) if "p" in node else config.nonlinearity.p
     if config.domain.kind == "torus":
         m = config.operator.power_degree
@@ -371,8 +355,7 @@ def _run_series(config: RunConfig) -> int:
             raise ConfigError("sphere series needs a pure power or the mass-shift operator")
         report = sphere_embedding_series(config.domain.dim, m, p, node["j_cut"], node["l_cut"],
                                          "klein_gordon" if kg else "power")
-    config.out.mkdir(parents=True, exist_ok=True)
-    report.terms_to_csv(config.out / "series_terms.csv")
+    report.terms_to_csv(_out(config) / "series_terms.csv")
     _write_result(config, {"series": report.to_json()})
     return EXIT_OK
 
@@ -380,10 +363,9 @@ def _run_series(config: RunConfig) -> int:
 def _run_witness(config: RunConfig) -> int:
     m = config.operator.power_degree
     try:
-        wit = noncompact_witness(config.domain.dim, m if m is not None else 0, config.witness["count"])
+        wit = noncompact_witness(config.domain.dim, m or 0, config.blocks["witness"]["count"])
     except ValueError as exc:
-        _write_result(config, {"error": str(exc)})
-        return EXIT_REFUSED
+        return _refuse(config, str(exc))
     _write_result(config, {"witness": [{"k": list(k), "l": l, "lambda": lam} for k, l, lam in wit]})
     return EXIT_OK
 
@@ -399,15 +381,13 @@ TASKS = tuple(_RUNNERS)
 
 
 def run(config: RunConfig) -> int:
-    """Dispatch a validated config; artifacts land in config.out."""
+    """Dispatch a validated config; artifacts land in its ``out`` directory."""
     for msg in config.warnings:
         print(f"warning: {msg}", file=sys.stderr)
     if config.refusal is not None:
-        print(f"refused: {config.refusal}", file=sys.stderr)
-        _write_result(config, {"error": config.refusal})
-        return EXIT_REFUSED
+        return _refuse(config, config.refusal)
     try:
-        return _RUNNERS[config.task](config)
+        return _RUNNERS[config.blocks["task"]](config)
     except ConfigError:
         raise
     except _MALFORMED as exc:  # grid files, weight and raster shapes and series limits
@@ -430,9 +410,8 @@ def main(argv=None) -> int:
     overrides = {k: v for k in ("out", "seed") if (v := getattr(args, k)) is not None}
     try:
         config = validate_config(args.config, overrides)
-        if config.task != args.command:
-            raise ConfigError(
-                f"config task {config.task!r} does not match subcommand {args.command!r}")
+        if (task := config.blocks["task"]) != args.command:
+            raise ConfigError(f"config task {task!r} does not match subcommand {args.command!r}")
         return run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

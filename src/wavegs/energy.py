@@ -55,9 +55,6 @@ class NonlinearitySpec:
     def exponents(self) -> np.ndarray:
         return np.array([p for _, p in self.terms])
 
-    def to_json(self):
-        return {"terms": [[a, p] for a, p in self.terms]}
-
 
 def nonlinearity_eval(s, spec: NonlinearitySpec):
     """(f(s), F(s)) for scalar or array input; f is odd and F >= 0."""

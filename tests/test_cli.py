@@ -50,7 +50,7 @@ def test_validate_minimal_solve(tmp_path):
         "nonlinearity": {"terms": [[1.0, 4.0]]},
     }
     cfg = validate_config(write_config(tmp_path, doc))
-    assert cfg.k_max == 8 and cfg.l_max == 8  # defaults filled
+    assert cfg.blocks["cutoffs"] == {"k_max": 8, "l_max": 8}  # defaults filled
     assert cfg.refusal is None
     assert cfg.warnings == []
     echo = cfg.resolved()
@@ -144,6 +144,27 @@ def test_validate_rejects_garbage(tmp_path):
         validate_config(write_config(tmp_path, [{"task": "solve"}], "list.json"))
 
 
+@pytest.mark.parametrize("fault", ["grid-file-missing", "grid-file-directory",
+                                   "config-directory", "config-not-utf8"])
+def test_unreadable_input_files_are_config_errors(tmp_path, capsys, fault):
+    # each of these once left the CLI with a traceback and exit 1
+    doc = toy_solve_doc(tmp_path / "o")
+    path = unreadable = tmp_path / "config.json"
+    if fault.startswith("grid-file"):
+        unreadable = tmp_path / "q.csv"
+        if fault == "grid-file-directory":
+            unreadable.mkdir()
+        doc["weight"] = {"kind": "grid_file", "path": str(unreadable)}
+        write_config(tmp_path, doc)
+    elif fault == "config-directory":
+        path.mkdir()
+    else:
+        path.write_bytes(json.dumps(doc).encode("utf-16"))
+    assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: cannot read {unreadable}: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_solve_toy_writes_artifacts(tmp_path):
     out = tmp_path / "run"
     code = main(["solve", "--config", str(write_config(tmp_path, toy_solve_doc(out)))])
@@ -220,7 +241,7 @@ def test_series_task_on_the_circle_sphere(tmp_path):
     assert saved["warnings"] == []
 
 
-def test_witness_task_and_refusal(tmp_path):
+def test_witness_task_and_refusal(tmp_path, capsys):
     out = tmp_path / "w"
     doc = {
         "task": "witness",
@@ -235,7 +256,10 @@ def test_witness_task_and_refusal(tmp_path):
 
     doc["operator"] = {"power": 2}
     doc["out"] = str(tmp_path / "w2")
+    capsys.readouterr()
     assert main(["witness", "--config", str(write_config(tmp_path, doc, "c2.json"))]) == EXIT_REFUSED
+    error = json.loads((tmp_path / "w2" / "result.json").read_text())["result"]["error"]
+    assert capsys.readouterr().err == f"refused: {error}\n"
 
 
 def test_dalembert_task(tmp_path):
@@ -259,6 +283,18 @@ def test_dalembert_task(tmp_path):
     assert saved["result"]["split_reconstruction_error"] < 1e-10
     assert (out / "slices.csv").exists()
     assert (out / "profiles.csv").exists()
+
+
+@pytest.mark.parametrize("change", [{"operator": {"power": 2}},
+                                    {"domain": {"kind": "torus", "dim": 2}}])
+def test_dalembert_refuses_all_but_the_classical_wave_on_the_circle(tmp_path, capsys, change):
+    out = tmp_path / "d"
+    doc = {**_WAVE, "task": "dalembert", **change, "out": str(out)}
+    assert main(["dalembert", "--config", str(write_config(tmp_path, doc))]) == EXIT_REFUSED
+    error = json.loads((out / "result.json").read_text())["result"]["error"]
+    assert error == "d'Alembert diagnostics need the classical wave on the circle"
+    assert capsys.readouterr().err == f"refused: {error}\n"
+    assert [path.name for path in out.iterdir()] == ["result.json"]
 
 
 def test_dalembert_default_raster_below_the_solve_grid_size(tmp_path):
@@ -332,6 +368,10 @@ NAMED_FAULTS = {
     "resolution-fraction": ({"task": "dalembert", "raster": {"resolution": 64.5}},
                             "raster resolution must be an integer"),
     "seed-fraction": ({"task": "solve", "seed": 1.5}, "config seed must be an integer"),
+    # a negative seed reached numpy's generator, in a dalembert run after it wrote slices.csv
+    "seed-negative-dalembert": ({"task": "dalembert", "seed": -1},
+                                "seed must be non-negative, got -1"),
+    "seed-negative-solve": ({"task": "solve", "seed": -1}, "seed must be non-negative, got -1"),
     "dim-fraction": ({"task": "witness", "domain": {"kind": "torus", "dim": 2.5}},
                      "domain dim must be an integer"),
     # series truncations are checked by the embedding module
@@ -402,6 +442,13 @@ def test_warnings_found_while_running_reach_stderr(tmp_path, capsys):
     assert err == [f"warning: {msg}" for msg in warnings]
 
 
+def test_a_negative_seed_override_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, toy_solve_doc(tmp_path / "o"))
+    assert main(["solve", "--config", str(path), "--seed", "-1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: seed must be non-negative, got -1\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_command_config_mismatch(tmp_path):
     path = write_config(tmp_path, toy_solve_doc(tmp_path / "x"))
     assert main(["gram", "--config", str(path)]) == EXIT_CONFIG
@@ -433,11 +480,27 @@ def _unfilled_keys(node, schema, where=""):
     return missing
 
 
+def _filled(node, schema):
+    """``node`` with every default in ``schema`` added, nested blocks too."""
+    if "kind" in schema:
+        kind = node.get("kind", next(iter(schema["kind"])))
+        schema = {"kind": kind, **schema["kind"][kind]}
+    filled = dict(node)
+    for key, default in schema.items():
+        if isinstance(default, dict):
+            filled[key] = _filled(node.get(key, {}), default)
+        elif key not in node and default is not None and default is not ...:
+            filled[key] = default
+    return filled
+
+
 def test_result_config_names_every_default(tmp_path):
     qpath = tmp_path / "q.csv"
     np.savetxt(qpath, np.ones((4, 4)), delimiter=",")
     docs = {
-        "solve": {**toy_solve_doc(None), "weight": {"kind": "grid_file", "path": str(qpath)}},
+        # rationals as strings and [num, den] pairs are embedded as written
+        "solve": {**toy_solve_doc(None), "operator": {"coefficients": ["2/2", [1, 1]]},
+                  "weight": {"kind": "grid_file", "path": str(qpath)}},
         # integral numbers are integers: they run, and the config records them as such
         "gram": {**_WAVE, "cutoffs": {"k_max": 4.0, "l_max": 4},
                  "weight": {"kind": "rectangle", "x": [0.0, 3.0], "t": [0.0, 3.0]}},
@@ -449,13 +512,19 @@ def test_result_config_names_every_default(tmp_path):
     }
     for task, doc in docs.items():
         out = tmp_path / task
-        path = write_config(tmp_path, {**doc, "task": task, "out": str(out)}, f"{task}.json")
-        assert main([task, "--config", str(path)]) == EXIT_OK
-        config = json.loads((out / "result.json").read_text())["config"]
+        doc = {**doc, "task": task, "out": str(out)}
+        assert main([task, "--config", str(write_config(tmp_path, doc, f"{task}.json"))]) == EXIT_OK
+        first = json.loads((out / "result.json").read_text())
+        config = first["config"]
         # every key but the output directory, which each run takes from --out
         assert _unfilled_keys(config, _SCHEMA) == ["out"], task
-        rerun = validate_config(write_config(tmp_path, config, f"{task}-rerun.json"))
-        assert rerun.resolved() == config, task
+        # the input as written, the circle and the operator form included
+        assert config == {k: v for k, v in _filled(doc, _SCHEMA).items() if k != "out"}, task
+        rerun, out = write_config(tmp_path, config, f"{task}-rerun.json"), tmp_path / f"{task}-rerun"
+        assert validate_config(rerun).resolved() == config, task
+        assert main([task, "--config", str(rerun), "--out", str(out)]) == EXIT_OK
+        second = json.loads((out / "result.json").read_text())
+        assert second["result"] == first["result"], task
     saved = json.loads((tmp_path / "gram" / "result.json").read_text())["config"]
     assert saved["cutoffs"] == {"k_max": 4, "l_max": 4} and type(saved["cutoffs"]["k_max"]) is int
     assert saved["weight"]["smoothing"] == 0.1 and saved["raster"]["set"]["threshold"] == 0.0
@@ -499,14 +568,15 @@ def test_readme_examples_run(tmp_path, capsys):
     # its resolved form is that config again (less the output directory)
     doc = json.loads(_readme_block("json"))
     cfg = validate_config(write_config(tmp_path, doc))
-    assert (cfg.solver.n_starts, cfg.solver.tol_outer, cfg.seed) == (4, 1e-6, 0)
-    assert (cfg.k_max, cfg.l_max, cfg.out) == (8, 8, Path(doc["out"]))
+    assert (cfg.solver.n_starts, cfg.solver.tol_outer, cfg.solver.seed) == (4, 1e-6, 0)
+    assert cfg.blocks["cutoffs"] == {"k_max": 8, "l_max": 8} and cfg.blocks["out"] == doc["out"]
     assert cfg.warnings == [] and cfg.refusal is None
-    resolved = cfg.resolved()
-    assert {key: resolved[key] for key in doc if key != "out"} == {
+    # the blocks a solve does not read are the only ones the README leaves to their defaults
+    assert cfg.resolved() == {
         **{key: value for key, value in doc.items() if key != "out"},
-        "domain": {"kind": "torus", "dim": 1},
-        "operator": {"coefficients": [[0, 1], [0, 1], [1, 1]]},
+        "series": {"cutoff": 48, "j_cut": 64, "l_cut": 10000},
+        "witness": {"count": 5},
+        "raster": {"resolution": 256, "set": {"kind": "weight_support", "threshold": 0.0}},
     }
     # the library quick start runs as written
     namespace: dict = {}
