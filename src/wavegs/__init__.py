@@ -33,18 +33,14 @@ from .embedding import (
     compactness_threshold,
     gap_ratio_bracket,
     noncompact_witness,
-    resonant_offset,
     sphere_embedding_series,
-    sphere_mode_shift,
     torus_gap_series,
 )
 from .energy import (
     EnergyContext,
     NonlinearitySpec,
     I_eval,
-    nonlinearity_eval,
     phi_eval,
-    phi_gradient,
     residual_dual_norm,
 )
 from .fields import (
@@ -57,7 +53,6 @@ from .fields import (
     norm_zero,
     project,
     synthesize,
-    wave_apply,
     weight_rectangle,
 )
 from .saddle import (

@@ -218,9 +218,6 @@ class SpectralCatalog:
         self.zero_idx = np.flatnonzero(self.classes == CLASS_ZERO)
         self.minus_idx = np.flatnonzero(self.classes == CLASS_MINUS)
 
-    def __len__(self):
-        return len(self.l)
-
     @property
     def size(self):
         return len(self.l)
@@ -234,16 +231,6 @@ class SpectralCatalog:
     def eigenvalues(self) -> tuple:
         """The exact eigenvalues as ``Fraction`` objects, built on first use."""
         return tuple(Fraction(n, self.lam_den) for n in self.lam_num)
-
-    def index_of(self, mode: ModeKey) -> int:
-        if len(mode.space) == self.space.shape[1]:
-            hits = np.flatnonzero((self.space == mode.space).all(axis=1) & (self.l == mode.l))
-            if len(hits):
-                return int(hits[0])
-        raise KeyError(mode)
-
-    def class_of(self, i: int) -> str:
-        return _CLASS_NAMES[int(self.classes[i])]
 
     def kernel_dim(self) -> int:
         return len(self.zero_idx)

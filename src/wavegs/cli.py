@@ -83,6 +83,11 @@ def _integer(value, where: str) -> int:
     return int(value)
 
 
+def _holds_bool(value) -> bool:
+    """Whether a JSON value is a boolean or a list holding one at any depth."""
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
+
+
 def _fill(node, schema: dict, name: str) -> dict:
     """``node`` checked against its ``schema`` table, with every default filled in."""
     if not isinstance(node, dict):
@@ -104,6 +109,8 @@ def _fill(node, schema: dict, name: str) -> dict:
         elif key in node or default is not None:
             value = node.get(key, default)
             filled[key] = _integer(value, f"{name} {key}") if key in _INTEGER_KEYS else value
+            if key != "klein_gordon" and _holds_bool(value):
+                raise ConfigError(f"{name} {key} takes no boolean, got {json.dumps(value)}")
     return filled
 
 
@@ -225,6 +232,10 @@ def _discretize(config: RunConfig) -> tuple[SpectralCatalog, ProductGrid, Weight
     catalog = build_catalog(config.domain, config.operator, cutoffs["k_max"], cutoffs["l_max"])
     if "nx" in node:
         grid = ProductGrid(catalog.domain.dim, node["nx"], node["nt"])
+        if not grid.compliant_with(catalog):
+            least = ProductGrid.for_catalog(catalog, 1)  # which refuses a sphere
+            raise ConfigError(f"grid nx = {grid.nx}, nt = {grid.nt} is too coarse: the cutoffs need "
+                              f"nx >= {least.nx} and nt >= {least.nt}")
     else:
         grid = ProductGrid.for_catalog(catalog, node["oversample"])
     return catalog, grid, _build_weight(config.blocks["weight"], grid, config.warn)

@@ -175,14 +175,6 @@ class RasterSet:
     def cell_width(self) -> float:
         return TWO_PI / self.resolution
 
-    def doubled(self) -> np.ndarray:
-        """The time-doubled set: the mask stacked with its 2pi translate in t."""
-        return np.concatenate([self.mask, self.mask], axis=1)
-
-    @staticmethod
-    def empty(resolution: int = 256) -> "RasterSet":
-        return RasterSet(np.zeros((resolution, resolution), dtype=np.uint8))
-
     @staticmethod
     def full(resolution: int = 256) -> "RasterSet":
         return RasterSet(np.ones((resolution, resolution), dtype=np.uint8))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -159,47 +158,6 @@ def torus_gap_series(N: int, m: int, p: float, cutoff: int = 48) -> SeriesReport
     tail = tail_exponent(shells, sums)
     total = float(np.sum(sums))
     return SeriesReport(params, shells, sums, total, tail, _verdict_from_tail(tail), p_star)
-
-
-def sphere_mode_shift(N: int, m: int, l: int):
-    """(k_l*, k_l): the real resonance degree for frequency l and its rounding."""
-    if N < 1 or m < 1:
-        raise ValueError("need N >= 1 and m >= 1")
-    _require_half_power(N, m)
-    c = 0.5 * (N - 1)
-    x = float(abs(l)) ** (2.0 / m)
-    k_star = -c + math.sqrt(x + c * c)
-    k_l = int(math.floor(k_star + 0.5))
-    return k_star, k_l
-
-
-def resonant_offset(N: int, m: int, r: int):
-    """Exact offset s*(r) with l = r^m + s*(r) resonant when integral.
-
-    Requires r^2 > ((N-1)/2)^2 and the half-power to be exact: m even, or
-    N = 1 (where the offset vanishes identically).
-    """
-    c = Fraction(N - 1, 2) ** 2
-    if Fraction(r * r) <= c:
-        raise ValueError("r too small: need r^2 > ((N-1)/2)^2")
-    base = Fraction(r * r) - c
-    if m % 2 == 0:
-        shift = base ** (m // 2)
-    elif N == 1:
-        shift = Fraction(r) ** m
-    else:
-        raise ValueError("odd m needs N = 1 for an exact half-power")
-    s_star = -Fraction(r) ** m + shift
-    if s_star.denominator == 1:
-        l = r**m + int(s_star)
-        k = Fraction(r) - Fraction(N - 1, 2)
-        if k.denominator == 1 and k >= 0:
-            ki = int(k)
-            nu = (ki * (ki + N - 1)) ** m
-            if nu != l * l:
-                raise AssertionError("resonance certification failed")
-        return int(s_star)
-    return s_star
 
 
 def _sigma_p(N: int, p: float) -> float:

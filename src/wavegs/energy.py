@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import _accel
 from .catalog import SpectralCatalog
+from .control import kernel_gram_eigh
 from .fields import ProductGrid, SpectralField, TensorTransform, WeightField, energy_norms, synthesize
 
 
@@ -56,16 +58,6 @@ class NonlinearitySpec:
         return np.array([p for _, p in self.terms])
 
 
-def nonlinearity_eval(s, spec: NonlinearitySpec):
-    """(f(s), F(s)) for scalar or array input; f is odd and F >= 0."""
-    arr = np.atleast_1d(np.asarray(s, dtype=np.float64)).ravel()
-    f = _accel.quasipoly_f(arr, spec.amplitudes, spec.exponents)
-    F = _accel.quasipoly_prim(arr, spec.amplitudes, spec.exponents)
-    if np.isscalar(s) or np.ndim(s) == 0:
-        return float(f[0]), float(F[0])
-    return f, F
-
-
 class EnergyContext:
     """Catalog + grid + weight + nonlinearity, with the transform plan baked in."""
 
@@ -88,8 +80,16 @@ class EnergyContext:
         self._qw = weight.values * grid.quad_weight
         self._amps = nonlinearity.amplitudes
         self._exps = nonlinearity.exponents
-        # one-slot memo owned by saddle._kernel_split (the q-Gram split)
-        self._kernel_memo = None
+
+    @cached_property
+    def kernel_split(self):
+        """(q-Gram report, its eigenvectors above the floor), or (None, None) with no kernel.
+
+        One Gram and one eigh on first use; every solve on this context shares them."""
+        if self.catalog.kernel_dim() == 0:
+            return None, None
+        report, eigvecs = kernel_gram_eigh(self.weight, self.catalog, self.grid)
+        return report, eigvecs[:, len(report.below_floor):]
 
     def synth(self, coeffs: np.ndarray) -> np.ndarray:
         return self._transform.synth(coeffs)
@@ -113,12 +113,6 @@ def phi_eval(u: SpectralField, ctx: EnergyContext) -> float:
     """Phi(u) = 1/2 (||u+||_+^2 - ||u-||_-^2) - I(u)."""
     plus, minus, _ = energy_norms(u)
     return 0.5 * (plus * plus - minus * minus) - I_eval(u, ctx)
-
-
-def phi_gradient(u: SpectralField, ctx: EnergyContext) -> SpectralField:
-    """Coefficient gradient of Phi: lambda * a - analyze(q f(u))."""
-    g = ctx.nonlinear_coeffs(ctx.synth(u.coeffs))
-    return SpectralField(u.catalog, u.catalog.eig * u.coeffs - g)
 
 
 def residual_dual_norm(g: SpectralField) -> float:

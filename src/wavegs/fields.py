@@ -43,9 +43,6 @@ class SpectralField:
     def zeros(catalog: SpectralCatalog) -> "SpectralField":
         return SpectralField(catalog, np.zeros(catalog.size))
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.catalog, self.coeffs.copy())
-
     def to_json(self):
         return {"catalog": self.catalog.digest, "coefficients": self.coeffs.tolist()}
 
@@ -230,6 +227,8 @@ def weight_rectangle(
 
     For torus dims > 1 the x-interval applies to the first coordinate only.
     """
+    if not smoothing >= 0:
+        raise ValueError("smoothing must be non-negative")
     coords = grid.meshgrid()
     bump = _smooth_indicator(coords[0], *span_ends("x", x_span), smoothing)
     bump = bump * _smooth_indicator(coords[-1], *span_ends("t", t_span), smoothing)
@@ -270,11 +269,6 @@ def analyze(values: np.ndarray, catalog: SpectralCatalog, grid: ProductGrid) -> 
     if values.shape != (grid.n_points,):
         raise ValueError("value array does not match grid")
     return SpectralField(catalog, TensorTransform(catalog, grid).analyze(values))
-
-
-def wave_apply(u: SpectralField) -> SpectralField:
-    """Diagonal action of the wave operator: multiply by the eigenvalues."""
-    return SpectralField(u.catalog, u.catalog.eig * u.coeffs)
 
 
 def norm_zero(u: SpectralField, q: WeightField, p: float) -> float:

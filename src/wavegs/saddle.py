@@ -32,7 +32,7 @@ import numpy as np
 
 from . import energy
 # saddle.kernel_gram stays importable: the benchmark tracer wraps it by name
-from .control import GramReport, kernel_gram, kernel_gram_eigh  # noqa: F401
+from .control import GramReport, kernel_gram  # noqa: F401
 from .energy import EnergyContext, phi_eval, residual_dual_norm
 from .fields import SpectralField
 
@@ -404,26 +404,18 @@ def _run_start(start_id, w, ctx, cfg, kernel_basis, records):
     return {"saddle": saddle, "stop": stop, "residual": residual}
 
 
-def _kernel_split(ctx: EnergyContext):
-    """(q-Gram report, kept kernel basis), memoized on ctx: one Gram and one eigh per context."""
-    if ctx._kernel_memo is None:
-        report, eigvecs = kernel_gram_eigh(ctx.weight, ctx.catalog, ctx.grid)
-        ctx._kernel_memo = report, eigvecs[:, len(report.below_floor):]
-    return ctx._kernel_memo
-
-
 def ground_state(ctx: EnergyContext, cfg: SolverConfig) -> GroundStateResult:
     """Multi-start outer minimization; returns the best converged saddle point.
 
-    Before solving, the truncated-kernel q-Gram is diagonalized and directions
-    below the eigenvalue floor are dropped from the inner problem (reported in
-    the result).  Raises NoCoerciveDirectionError if every start diverges.
+    Before solving, the context's q-Gram split (``ctx.kernel_split``) drops the
+    kernel directions below the eigenvalue floor from the inner problem
+    (reported in the result).  Raises NoCoerciveDirectionError if every start diverges.
     The starts run one after another.
     """
     if ctx.weight.is_trivial():
         raise ValueError("weight must not vanish identically for a solve")
     cat = ctx.catalog
-    kernel_report, kernel_basis = _kernel_split(ctx) if cat.kernel_dim() > 0 else (None, None)
+    kernel_report, kernel_basis = ctx.kernel_split
 
     rng = np.random.default_rng(cfg.seed)
     starts = [lowest_plus_direction(cat)]

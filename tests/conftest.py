@@ -46,3 +46,9 @@ def make_context(catalog, p=4.0, weight_value=1.0, oversample=2, terms=None):
 
 def random_field(catalog, rng, scale=1.0):
     return SpectralField(catalog, scale * rng.standard_normal(catalog.size))
+
+
+def phi_gradient(u: SpectralField, ctx: EnergyContext) -> SpectralField:
+    """Coefficient gradient of Phi: lambda * a - analyze(q f(u))."""
+    g = ctx.nonlinear_coeffs(ctx.synth(u.coeffs))
+    return SpectralField(u.catalog, u.catalog.eig * u.coeffs - g)

@@ -18,7 +18,6 @@ from wavegs import (
     _accel,
     build_catalog,
     kernel_gram,
-    sphere_mode_shift,
     weight_rectangle,
 )
 from wavegs.fields import basis_rows
@@ -68,10 +67,12 @@ def test_torus_l_sums_rejects_non_square():
 
 
 def _sphere_inner_loop(j, N, m, s, wexp, l_cut, klein_gordon):
-    half = (N - 1) // 2
+    half, c = (N - 1) // 2, 0.5 * (N - 1)
     acc = 0.0
     for l in range(l_cut + 1):
-        kl = max(l - half, 0) if klein_gordon else sphere_mode_shift(N, m, l)[1]
+        # k_l rounds the real root k* of k (k + N - 1) = l^(2/m)
+        kl = max(l - half, 0) if klein_gordon else math.floor(
+            -c + math.sqrt(l ** (2.0 / m) + c * c) + 0.5)
         k = kl + j
         if k < 0:
             continue

@@ -111,9 +111,9 @@ def test_build_catalog_kernel_by_brute_force():
 
 def test_build_catalog_torus_plus_mode():
     cat = build_catalog(DomainSpec.torus(2), OperatorSpec.laplacian_power(1), 3, 3)
-    i = cat.index_of(ModeKey((3, 1), 3))
+    i = cat.modes.index(ModeKey((3, 1), 3))
     assert cat.eigenvalues[i] == 1
-    assert cat.class_of(i) == "plus"
+    assert cat.classes[i] == 1  # plus
 
 
 def test_build_catalog_all_plus_when_time_frozen():

@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -380,6 +382,22 @@ NAMED_FAULTS = {
     "series-negative-j-cut": ({"task": "series", "domain": {"kind": "sphere", "dim": 2},
                                "operator": {"power": 2}, "series": {"j_cut": -2}},
                               "j_cut must be >= 0"),
+    # a grid below the cutoffs failed only after slices.csv was written
+    "dalembert-grid-too-coarse": ({"task": "dalembert", "cutoffs": {"k_max": 8, "l_max": 8},
+                                   "grid": {"nx": 4, "nt": 4}},
+                                  "grid nx = 4, nt = 4 is too coarse: the cutoffs need "
+                                  "nx >= 18 and nt >= 18"),
+    # a negative ramp width ran as a hard indicator, without the zero width's warning
+    "smoothing-negative": ({"task": "gram", "weight": {
+        "kind": "rectangle", "x": [0.0, 3.0], "t": [0.0, 3.0], "smoothing": -0.5}},
+                           "smoothing must be non-negative"),
+    # a boolean ran as the number 1.0
+    "tol-outer-bool": ({"task": "solve", "solver": {"tol_outer": True}},
+                       "solver tol_outer takes no boolean, got true"),
+    "terms-bool": ({"task": "solve", "nonlinearity": {"terms": [[True, 4.0]]}},
+                   "nonlinearity terms takes no boolean, got [[true, 4.0]]"),
+    "weight-value-bool": ({"task": "gram", "weight": {"kind": "constant", "value": True}},
+                          "weight value takes no boolean, got true"),
 }
 
 
@@ -583,3 +601,14 @@ def test_readme_examples_run(tmp_path, capsys):
     exec(_readme_block("python"), namespace)
     assert namespace["res"].converged
     assert capsys.readouterr().out.split()[-1] == "True"
+
+
+def test_readme_api_list_is_what_wavegs_exports():
+    section = README.read_text().split("\n## API\n", 1)[1].split("\n## ", 1)[0]
+    listed = [name for row in section.splitlines() if row.startswith("| `wavegs.")
+              for name in re.findall(r"`(\w+)`", row.split("|")[2])]
+    exported = {name for name, value in vars(wavegs).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(listed) == len(set(listed)) == 47
+    assert set(listed) == exported
+    assert f"exports these {len(listed)} names" in section

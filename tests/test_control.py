@@ -136,7 +136,7 @@ def test_gram_rejects_sphere_catalogs(sphere_kg_cat):
 
 def test_dalembert_cos_cos(circle_wave_cat):
     u = SpectralField.zeros(circle_wave_cat)
-    u.coeffs[circle_wave_cat.index_of(ModeKey((1,), 1))] = np.pi  # cos(x)cos(t)
+    u.coeffs[circle_wave_cat.modes.index(ModeKey((1,), 1))] = np.pi  # cos(x)cos(t)
     phi, psi = dalembert_split(u)
     assert phi.const == 0.0 and psi.const == 0.0
     assert phi.cos[0] == pytest.approx(0.5)
@@ -146,7 +146,7 @@ def test_dalembert_cos_cos(circle_wave_cat):
 
 def test_dalembert_sin_cos(circle_wave_cat):
     u = SpectralField.zeros(circle_wave_cat)
-    u.coeffs[circle_wave_cat.index_of(ModeKey((-1,), 1))] = np.pi  # sin(x)cos(t)
+    u.coeffs[circle_wave_cat.modes.index(ModeKey((-1,), 1))] = np.pi  # sin(x)cos(t)
     phi, psi = dalembert_split(u)
     assert phi.sin[0] == pytest.approx(0.5)
     assert psi.sin[0] == pytest.approx(0.5)
@@ -184,7 +184,7 @@ def test_slice_infima_strip():
 
 def test_slice_infima_full_and_empty():
     assert xi_eta_infimum(RasterSet.full(128)) == (TWO_PI, TWO_PI)
-    assert xi_eta_infimum(RasterSet.empty(128)) == (0.0, 0.0)
+    assert xi_eta_infimum(RasterSet(np.zeros((128, 128)))) == (0.0, 0.0)
 
 
 def test_slice_resolution_floor():
@@ -196,14 +196,6 @@ def test_positive_margin_rectangle_has_positive_slices():
     omega = RasterSet.rectangle((0.0, 1.5 * np.pi), (0.0, 1.5 * np.pi), 256)
     inf_a, inf_b = xi_eta_infimum(omega)
     assert inf_a > 0 and inf_b > 0
-
-
-def test_doubled_set_shape():
-    omega = RasterSet.rectangle((0.0, np.pi), (0.0, np.pi), 64)
-    doubled = omega.doubled()
-    assert doubled.shape == (64, 128)
-    np.testing.assert_array_equal(doubled[:, :64], omega.mask)
-    np.testing.assert_array_equal(doubled[:, 64:], omega.mask)
 
 
 def test_slice_profiles_export_shape():

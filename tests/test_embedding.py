@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,14 +6,19 @@ import pytest
 from wavegs import (
     DomainSpec,
     OperatorSpec,
+    _accel,
     compactness_threshold,
     gap_ratio_bracket,
     noncompact_witness,
-    resonant_offset,
     sphere_embedding_series,
-    sphere_mode_shift,
     torus_gap_series,
 )
+
+
+def mode_shift(N, m, l):
+    """(k_l*, k_l) for one frequency, from the kernel the sphere series uses."""
+    k_star, k_l = _accel._mode_shift(np.array([l], dtype=np.int64), N, m)
+    return float(k_star[0]), int(k_l[0])
 
 
 def test_torus_series_circle_beam_converges():
@@ -71,18 +75,18 @@ def test_torus_series_shell_exponent_matches_theory():
 
 
 def test_mode_shift_examples():
-    k_star, k_l = sphere_mode_shift(1, 2, 9)
+    k_star, k_l = mode_shift(1, 2, 9)
     assert k_star == pytest.approx(3.0) and k_l == 3
-    k_star, k_l = sphere_mode_shift(2, 2, 6)
+    k_star, k_l = mode_shift(2, 2, 6)
     assert k_star == pytest.approx(2.0) and k_l == 2  # k(k+1) = 6 exactly
-    k_star, k_l = sphere_mode_shift(3, 2, 5)
+    k_star, k_l = mode_shift(3, 2, 5)
     assert k_star == pytest.approx(math.sqrt(6) - 1)
     assert k_l == 1
 
 
 def test_mode_shift_rounding_slack():
     for l in range(1, 300):
-        k_star, k_l = sphere_mode_shift(3, 2, l)
+        k_star, k_l = mode_shift(3, 2, l)
         assert abs(k_l - k_star) <= 0.5 + 1e-12
 
 
@@ -91,7 +95,7 @@ def test_mode_shift_near_optimality():
     # half-integer rounding slack of the exact resonance degree
     N, m = 2, 2
     for l in range(1, 500):
-        k_star, k_l = sphere_mode_shift(N, m, l)
+        k_star, k_l = mode_shift(N, m, l)
         gap = abs((k_l * (k_l + N - 1)) ** m - l * l)
         neighbor_optimal = all(
             gap <= abs((o * (o + N - 1)) ** m - l * l)
@@ -99,25 +103,6 @@ def test_mode_shift_near_optimality():
             if o >= 0
         )
         assert neighbor_optimal or abs(k_l - k_star) <= 0.5 + 1e-12
-
-
-def test_resonant_offsets():
-    assert resonant_offset(3, 2, 5) == -1
-    assert resonant_offset(1, 2, 3) == 0
-    assert resonant_offset(3, 2, 10) == -1
-    with pytest.raises(ValueError):
-        resonant_offset(5, 2, 1)  # r too small
-    # certification: l = r^m + s*(r) resonates with degree k = r - (N-1)/2
-    for r in (5, 10, 17):
-        s = resonant_offset(3, 2, r)
-        l = r**2 + s
-        k = r - 1
-        assert (k * (k + 2)) ** 2 == l * l
-
-
-def test_resonant_offset_rational_when_not_integral():
-    val = resonant_offset(2, 2, 3)  # (9 - 1/4) - 9 = -1/4
-    assert val == Fraction(-1, 4)
 
 
 def test_sphere_series_biharmonic_s2_converges():
@@ -194,7 +179,7 @@ def test_integer_gaps_off_kernel():
     assert rep.total < math.inf
     N, m = 3, 2
     for l in range(0, 200):
-        _, k_l = sphere_mode_shift(N, m, l)
+        _, k_l = mode_shift(N, m, l)
         for j in range(-3, 4):
             k = k_l + j
             if k < 0:

@@ -16,7 +16,6 @@ from wavegs import (
     norm_zero,
     project,
     synthesize,
-    wave_apply,
     weight_rectangle,
 )
 from wavegs.catalog import SpectralCatalog
@@ -49,41 +48,41 @@ def test_project_idempotent_and_orthogonal(circle_beam_cat):
 def test_project_keeps_resonant_mode():
     cat = build_catalog(DomainSpec.circle(), OperatorSpec.laplacian_power(2), 2, 2)
     u = SpectralField.zeros(cat)
-    u.coeffs[cat.index_of(ModeKey((1,), 1))] = 3.0  # lambda = 1 - 1 = 0
+    u.coeffs[cat.modes.index(ModeKey((1,), 1))] = 3.0  # lambda = 1 - 1 = 0
     np.testing.assert_array_equal(project(u, "zero").coeffs, u.coeffs)
 
 
 def test_energy_norms_single_and_multi_mode():
     cat = build_catalog(DomainSpec.circle(), OperatorSpec.laplacian_power(1), 3, 4)
     u = SpectralField.zeros(cat)
-    u.coeffs[cat.index_of(ModeKey((3,), 2))] = 1.0  # lambda = 9 - 4 = 5
+    u.coeffs[cat.modes.index(ModeKey((3,), 2))] = 1.0  # lambda = 9 - 4 = 5
     plus, minus, l2 = energy_norms(u)
     assert plus == pytest.approx(math.sqrt(5.0), abs=1e-15)
     assert minus == 0.0
     assert l2 == 1.0
 
     kern = SpectralField.zeros(cat)
-    kern.coeffs[cat.index_of(ModeKey((2,), 2))] = 7.0  # lambda = 0
+    kern.coeffs[cat.modes.index(ModeKey((2,), 2))] = 7.0  # lambda = 0
     plus, minus, _ = energy_norms(kern)
     assert plus == 0.0 and minus == 0.0
 
     two = SpectralField.zeros(cat)
-    two.coeffs[cat.index_of(ModeKey((0,), 1))] = 1.0  # lambda = -1
-    two.coeffs[cat.index_of(ModeKey((0,), 2))] = 1.0  # lambda = -4
+    two.coeffs[cat.modes.index(ModeKey((0,), 1))] = 1.0  # lambda = -1
+    two.coeffs[cat.modes.index(ModeKey((0,), 2))] = 1.0  # lambda = -4
     assert energy_norms(two)[1] == pytest.approx(math.sqrt(5.0), abs=1e-15)
 
 
 def test_synthesize_constant_mode(circle_beam_cat):
     grid = ProductGrid.for_catalog(circle_beam_cat)
     u = SpectralField.zeros(circle_beam_cat)
-    u.coeffs[circle_beam_cat.index_of(ModeKey((0,), 0))] = 1.0
+    u.coeffs[circle_beam_cat.modes.index(ModeKey((0,), 0))] = 1.0
     np.testing.assert_allclose(synthesize(u, grid), 1.0 / TWO_PI, rtol=1e-14)
 
 
 def test_synthesize_cos_cos_pointwise(circle_beam_cat):
     grid = ProductGrid.for_catalog(circle_beam_cat)
     u = SpectralField.zeros(circle_beam_cat)
-    u.coeffs[circle_beam_cat.index_of(ModeKey((1,), 1))] = np.pi
+    u.coeffs[circle_beam_cat.modes.index(ModeKey((1,), 1))] = np.pi
     vals = synthesize(u, grid).reshape(grid.nx, grid.nt)
     oracle = np.outer(np.cos(grid.x_nodes), np.cos(grid.t_nodes))
     np.testing.assert_allclose(vals, oracle, atol=1e-13)
@@ -102,7 +101,7 @@ def test_analyze_zero_and_unit_modes(circle_beam_cat):
     z = analyze(np.zeros(grid.n_points), circle_beam_cat, grid)
     assert np.all(z.coeffs == 0.0)
     one = SpectralField.zeros(circle_beam_cat)
-    i = circle_beam_cat.index_of(ModeKey((-2,), -3))
+    i = circle_beam_cat.modes.index(ModeKey((-2,), -3))
     one.coeffs[i] = 1.0
     got = analyze(synthesize(one, grid), circle_beam_cat, grid)
     assert got.coeffs[i] == pytest.approx(1.0, abs=1e-12)
@@ -121,17 +120,18 @@ def test_analyze_mode_outside_cutoff_is_invisible():
 
 def test_wave_apply_kernel_annihilation(circle_wave_cat):
     rng = np.random.default_rng(3)
+    lam = circle_wave_cat.eig  # the wave operator acts diagonally: lam * coeffs
     u = random_field(circle_wave_cat, rng)
     ker = project(u, "zero")
-    assert np.all(wave_apply(ker).coeffs == 0.0)
-    out = wave_apply(u)
+    assert np.all(lam * ker.coeffs == 0.0)
+    out = lam * u.coeffs
     # annihilates exactly the kernel class and only it
-    nonzero_classes = circle_wave_cat.classes[np.abs(out.coeffs) > 0]
+    nonzero_classes = circle_wave_cat.classes[np.abs(out) > 0]
     assert 0 not in nonzero_classes
     single = SpectralField.zeros(circle_wave_cat)
-    i = circle_wave_cat.index_of(ModeKey((3,), 2))
+    i = circle_wave_cat.modes.index(ModeKey((3,), 2))
     single.coeffs[i] = 2.0
-    assert wave_apply(single).coeffs[i] == pytest.approx(10.0)
+    assert (lam * single.coeffs)[i] == pytest.approx(10.0)
 
 
 def test_wave_apply_matches_signed_quadratic_forms(circle_wave_cat):
@@ -139,13 +139,21 @@ def test_wave_apply_matches_signed_quadratic_forms(circle_wave_cat):
     lam = circle_wave_cat.eig
     for _ in range(10):
         u, v = random_field(circle_wave_cat, rng), random_field(circle_wave_cat, rng)
-        lhs = float(wave_apply(u).coeffs @ v.coeffs)
+        lhs = float((lam * u.coeffs) @ v.coeffs)
         up, vp = project(u, "plus").coeffs, project(v, "plus").coeffs
         um, vm = project(u, "minus").coeffs, project(v, "minus").coeffs
         rhs = float(np.sum(lam[lam > 0] * (up * vp)[lam > 0])) - float(
             np.sum(-lam[lam < 0] * (um * vm)[lam < 0])
         )
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def test_weight_rectangle_rejects_a_negative_smoothing(circle_beam_cat):
+    grid = ProductGrid.for_catalog(circle_beam_cat)
+    with pytest.raises(ValueError, match="smoothing must be non-negative"):
+        weight_rectangle(grid, (0.0, 3.0), (0.0, 3.0), smoothing=-0.5)
+    assert np.all(np.isin(weight_rectangle(grid, (0.0, 3.0), (0.0, 3.0), smoothing=0.0).values,
+                          (0.0, 1.0)))
 
 
 def test_parseval(circle_beam_cat):
@@ -167,7 +175,7 @@ def test_norm_zero_closed_forms(circle_wave_cat):
     # constant kernel field with pointwise value a
     a = 0.7
     c = SpectralField.zeros(circle_wave_cat)
-    c.coeffs[circle_wave_cat.index_of(ModeKey((0,), 0))] = TWO_PI * a
+    c.coeffs[circle_wave_cat.modes.index(ModeKey((0,), 0))] = TWO_PI * a
     expect = (TWO_PI**2 * a**4) ** 0.25
     assert norm_zero(c, q, 4.0) == pytest.approx(expect, rel=1e-12)
     # weight vanishing on the support kills the norm

@@ -26,7 +26,8 @@ from wavegs import (
     weight_rectangle,
 )
 from wavegs import saddle as saddle_mod
-from conftest import make_context
+from wavegs import energy as energy_mod
+from conftest import make_context, phi_gradient
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +67,7 @@ def test_inner_divergence_when_weight_misses_ray():
     qv[grid.nx // 2, :] = 1.0
     ctx = EnergyContext(cat, grid, WeightField(grid, qv.ravel()), NonlinearitySpec.pure_power(4))
     w = SpectralField.zeros(cat)
-    i = cat.index_of(ModeKey((-1,), 0))
+    i = cat.modes.index(ModeKey((-1,), 0))
     w.coeffs[i] = 1.0 / math.sqrt(cat.eig[i])
     res = inner_maximize(w, ctx, SolverConfig())
     assert res.diverged
@@ -115,8 +116,6 @@ def test_converged_saddle_is_nehari_pankov_member(beam_ctx):
     w = lowest_plus_direction(cat)
     res = inner_maximize(w, beam_ctx, cfg)
     assert res.converged
-    from wavegs import phi_gradient
-
     g = phi_gradient(res.m_hat, beam_ctx).coeffs
     t_dir = float(g[cat.plus_idx] @ w.coeffs[cat.plus_idx])
     assert abs(t_dir) <= 10 * saddle_mod.TOL_INNER
@@ -275,8 +274,6 @@ def readme_beam_ctx():
 
 
 def test_inner_ascent_carries_the_gradient_of_its_last_state(readme_beam_ctx, monkeypatch):
-    from wavegs import phi_gradient
-
     ctx = readme_beam_ctx
     orig_inner, orig_grad = saddle_mod.inner_maximize, saddle_mod._InnerProblem.gradient
     orig_synth, orig_psi_gradient = EnergyContext.synth, saddle_mod.psi_gradient
@@ -340,7 +337,7 @@ def test_unfinished_trial_ascent_is_not_accepted(readme_beam_ctx, seed, draw):
     for _ in range(draw):
         coeffs = rng.standard_normal(len(cat.plus_idx))
     w = saddle_mod._normalized_plus(cat, coeffs)
-    _, basis = saddle_mod._kernel_split(ctx)
+    _, basis = ctx.kernel_split
     records: list = []
     out = saddle_mod._run_start(draw, w, ctx, cfg, basis, records)
     assert abs(out["saddle"].psi - README_BEAM_ENERGY) <= 1e-9
@@ -482,13 +479,13 @@ def test_kernel_gram_is_computed_once_per_context(beam_ctx, monkeypatch):
     contexts = [EnergyContext(cat, beam_ctx.grid, beam_ctx.weight, beam_ctx.nonlinearity)
                 for _ in range(2)]
     calls = []
-    orig = saddle_mod.kernel_gram_eigh
+    orig = energy_mod.kernel_gram_eigh
 
     def counted(*args):
         calls.append(args)
         return orig(*args)
 
-    monkeypatch.setattr(saddle_mod, "kernel_gram_eigh", counted)
+    monkeypatch.setattr(energy_mod, "kernel_gram_eigh", counted)
     a = ground_state(contexts[0], SolverConfig(n_starts=1, seed=0))
     b = ground_state(contexts[0], SolverConfig(n_starts=1, seed=4))
     assert len(calls) == 1
