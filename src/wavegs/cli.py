@@ -1,9 +1,11 @@
 """Batch front-end: validate a JSON run configuration, dispatch, write artifacts.
 
-Subcommands mirror the tasks: solve, gram, dalembert, series, witness.  Every
-run writes a result.json embedding its configuration as given, every default
-filled in (it re-runs as written), the tool version and the seed; two runs with
-the same config and seed differ only in the timestamp field.
+Subcommands mirror the tasks: solve, gram, dalembert, series, witness.
+``validate_config`` decides every refusal and warning, a task's runner only
+computes, and ``run`` alone writes: a config error leaves no output directory,
+a refusal only result.json.  Every result.json embeds its configuration as
+given, every default filled in (it re-runs as written), the tool version and the
+seed; two runs with the same config and seed differ only in the timestamp field.
 
 Exit codes: 0 success, 2 config error, 3 solver non-convergence,
 4 refused (a hypothesis check failed for the requested task).
@@ -75,6 +77,8 @@ _SCHEMA = {
 }
 _INTEGER_KEYS = {"k_max", "l_max", "starts", "count", "resolution", "oversample", "nx", "nt",
                  "cutoff", "j_cut", "l_cut", "dim", "power", "seed"}
+# the keys whose values may hold text (coefficients "1/2"; klein_gordon is checked as true)
+_TEXT_KEYS = {"task", "kind", "path", "out", "coefficients", "klein_gordon"}
 
 
 def _integer(value, where: str) -> int:
@@ -83,9 +87,9 @@ def _integer(value, where: str) -> int:
     return int(value)
 
 
-def _holds_bool(value) -> bool:
-    """Whether a JSON value is a boolean or a list holding one at any depth."""
-    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
+def _holds(value, kind) -> bool:
+    """Whether a JSON value is a ``kind`` or a list holding one at any depth."""
+    return isinstance(value, kind) or isinstance(value, list) and any(_holds(v, kind) for v in value)
 
 
 def _fill(node, schema: dict, name: str) -> dict:
@@ -109,8 +113,10 @@ def _fill(node, schema: dict, name: str) -> dict:
         elif key in node or default is not None:
             value = node.get(key, default)
             filled[key] = _integer(value, f"{name} {key}") if key in _INTEGER_KEYS else value
-            if key != "klein_gordon" and _holds_bool(value):
+            if key != "klein_gordon" and _holds(value, bool):
                 raise ConfigError(f"{name} {key} takes no boolean, got {json.dumps(value)}")
+            if key not in _TEXT_KEYS and _holds(value, str):
+                raise ConfigError(f"{name} {key} takes no string, got {json.dumps(value)}")
     return filled
 
 
@@ -146,11 +152,6 @@ class RunConfig:
     warnings: list = field(default_factory=list)
     refusal: str | None = None
 
-    def warn(self, msg: str) -> None:
-        """Add a warning found while a task runs: to result.json and, at once, stderr."""
-        self.warnings.append(msg)
-        print(f"warning: {msg}", file=sys.stderr)
-
     def resolved(self) -> dict:
         """The config that result.json embeds: every block but the output directory."""
         return {key: value for key, value in self.blocks.items() if key != "out"}
@@ -169,18 +170,17 @@ def _parse_operator(node: dict, domain: DomainSpec) -> OperatorSpec:
     return OperatorSpec.klein_gordon(domain.dim)
 
 
-def _build_weight(spec: dict, grid: ProductGrid, warn) -> WeightField:
+def _build_weight(spec: dict, grid: ProductGrid) -> WeightField:
     if spec["kind"] == "constant":
         return WeightField.constant(grid, float(spec["value"]))
     if spec["kind"] == "rectangle":
-        smoothing = float(spec["smoothing"])
-        if smoothing == 0.0:
-            warn("pure indicator weight: quadrature of q f(u) may be under-resolved")
         return weight_rectangle(grid, tuple(spec["x"]), tuple(spec["t"]), inside=float(spec["inside"]),
-                                outside=float(spec["outside"]), smoothing=smoothing)
+                                outside=float(spec["outside"]), smoothing=float(spec["smoothing"]))
     path = Path(spec["path"])  # grid_file
     if path.suffix == ".json":
-        values = np.asarray(_read_json(path), dtype=float).ravel()
+        if _holds(values := _read_json(path), (bool, str)):
+            raise ConfigError(f"{path}: weight values must be numbers, not booleans or strings")
+        values = np.asarray(values, dtype=float).ravel()
     else:
         values = np.loadtxt(_read_text(path).splitlines(), delimiter=",").ravel()
     return WeightField(grid, values)  # which rejects negative and non-finite values
@@ -213,16 +213,24 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
     if p_star is not None and p >= p_star:
         config.warnings.append(f"p = {p} is at or above the compactness threshold p* = {p_star}; "
                                "ground-state existence is not covered")
+    # the classical wave on T^N, N >= 2: the mode family k = (l, 1, 0, ...) has gap 1
+    bounded_gap = domain.kind == "torus" and domain.dim >= 2 and operator.power_degree == 1
     if task == "solve":
-        if domain.kind == "torus" and domain.dim >= 2 and operator.power_degree == 1:
+        if bounded_gap:
             config.refusal = (
                 "compact embedding fails for the classical wave on higher tori "
                 "(bounded-gap mode family); solve refused, diagnostics still allowed"
             )
         if domain.kind == "sphere":
             config.refusal = "sphere solves are out of scope (catalog and series diagnostics only)"
+    if task == "witness" and not bounded_gap:
+        config.refusal = ("the bounded-gap witness family exists only for the classical wave "
+                          "on T^N, N >= 2")
     if task == "dalembert" and not (domain.is_circle and operator.power_degree == 1):
         config.refusal = "d'Alembert diagnostics need the classical wave on the circle"
+    smoothing = blocks["weight"].get("smoothing")  # a rectangle weight's ramp width
+    if task in ("solve", "gram", "dalembert") and config.refusal is None and smoothing == 0:
+        config.warnings.append("pure indicator weight: quadrature of q f(u) may be under-resolved")
     return config
 
 
@@ -238,50 +246,33 @@ def _discretize(config: RunConfig) -> tuple[SpectralCatalog, ProductGrid, Weight
                               f"nx >= {least.nx} and nt >= {least.nt}")
     else:
         grid = ProductGrid.for_catalog(catalog, node["oversample"])
-    return catalog, grid, _build_weight(config.blocks["weight"], grid, config.warn)
+    return catalog, grid, _build_weight(config.blocks["weight"], grid)
 
 
-def _out(config: RunConfig) -> Path:
-    """The run's output directory, made if missing."""
-    out = Path(config.blocks["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+# a runner's exit code, result block and other artifacts: {file name: writer(path)}
+Outcome = tuple[int, dict, dict]
 
 
-def _write_result(config: RunConfig, payload: dict) -> None:
-    doc = {
-        "version": __version__,
-        "task": config.blocks["task"],
-        "seed": config.blocks["seed"],
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "config": config.resolved(),
-        "warnings": config.warnings,
-        "result": payload,
-    }
-    (_out(config) / "result.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
+def _csv(columns, header: str):
+    return lambda path: np.savetxt(path, np.column_stack(columns), delimiter=",", header=header,
+                                   comments="")
 
 
-def _refuse(config: RunConfig, reason: str) -> int:
-    print(f"refused: {reason}", file=sys.stderr)
-    _write_result(config, {"error": reason})
-    return EXIT_REFUSED
-
-
-def _run_solve(config: RunConfig) -> int:
+def _run_solve(config: RunConfig) -> Outcome:
     catalog, grid, weight = _discretize(config)
     ctx = EnergyContext(catalog, grid, weight, config.nonlinearity)
     try:
         result = ground_state(ctx, config.solver)
     except NoCoerciveDirectionError as exc:
-        _write_result(config, {"error": str(exc)})
-        return EXIT_NO_CONVERGENCE
+        return EXIT_NO_CONVERGENCE, {"error": str(exc)}, {}
 
-    out = _out(config)
-    with open(out / "solver_log.jsonl", "w") as fh:
-        for rec in result.history:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    (out / "coefficients.json").write_text(json.dumps(result.u_star.to_json(), sort_keys=True))
-    field_to_csv(result.u_star, grid, out / "field.csv")
+    writers = {
+        "solver_log.jsonl": lambda path: path.write_text(
+            "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in result.history)),
+        "coefficients.json": lambda path: path.write_text(
+            json.dumps(result.u_star.to_json(), sort_keys=True)),
+        "field.csv": lambda path: field_to_csv(result.u_star, grid, path),
+    }
     payload = {
         "energy": result.energy,
         "s_w": result.s_w,
@@ -292,14 +283,12 @@ def _run_solve(config: RunConfig) -> int:
         "kernel_gram": result.kernel_report.to_json() if result.kernel_report else None,
         "outer_records": len(result.history),
     }
-    _write_result(config, payload)
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE, payload, writers
 
 
-def _run_gram(config: RunConfig) -> int:
+def _run_gram(config: RunConfig) -> Outcome:
     catalog, grid, weight = _discretize(config)
-    _write_result(config, {"gram": kernel_gram(weight, catalog, grid).to_json()})
-    return EXIT_OK
+    return EXIT_OK, {"gram": kernel_gram(weight, catalog, grid).to_json()}, {}
 
 
 def _raster_from_config(config: RunConfig, grid, weight) -> RasterSet:
@@ -311,19 +300,11 @@ def _raster_from_config(config: RunConfig, grid, weight) -> RasterSet:
     return RasterSet.from_weight(weight, float(setspec["threshold"]), resolution)
 
 
-def _run_dalembert(config: RunConfig) -> int:
+def _run_dalembert(config: RunConfig) -> Outcome:
     catalog, grid, weight = _discretize(config)
     omega = _raster_from_config(config, grid, weight)
     inf_a, inf_b = xi_eta_infimum(omega)
     offsets, meas_a, meas_b = slice_profiles(omega)
-    out = _out(config)
-    np.savetxt(
-        out / "slices.csv",
-        np.column_stack([offsets, meas_a, meas_b]),
-        delimiter=",",
-        header="offset,measure_A,measure_B",
-        comments="",
-    )
     payload: dict = {"inf_A": inf_a, "inf_B": inf_b, "resolution": omega.resolution}
     setspec = config.blocks["raster"]["set"]
     if setspec["kind"] == "rectangle":
@@ -340,18 +321,13 @@ def _run_dalembert(config: RunConfig) -> int:
     err = float(np.max(np.abs(recon.ravel() - synthesize(u0, grid))))
     payload["split_reconstruction_error"] = err
     s = np.linspace(0.0, 2 * np.pi, 257)[:-1]
-    np.savetxt(
-        out / "profiles.csv",
-        np.column_stack([s, phi(s), psi(s)]),
-        delimiter=",",
-        header="s,phi,psi",
-        comments="",
-    )
-    _write_result(config, payload)
-    return EXIT_OK
+    return EXIT_OK, payload, {
+        "slices.csv": _csv([offsets, meas_a, meas_b], "offset,measure_A,measure_B"),
+        "profiles.csv": _csv([s, phi(s), psi(s)], "s,phi,psi"),
+    }
 
 
-def _run_series(config: RunConfig) -> int:
+def _run_series(config: RunConfig) -> Outcome:
     node = config.blocks["series"]
     p = float(node["p"]) if "p" in node else config.nonlinearity.p
     if config.domain.kind == "torus":
@@ -366,19 +342,12 @@ def _run_series(config: RunConfig) -> int:
             raise ConfigError("sphere series needs a pure power or the mass-shift operator")
         report = sphere_embedding_series(config.domain.dim, m, p, node["j_cut"], node["l_cut"],
                                          "klein_gordon" if kg else "power")
-    report.terms_to_csv(_out(config) / "series_terms.csv")
-    _write_result(config, {"series": report.to_json()})
-    return EXIT_OK
+    return EXIT_OK, {"series": report.to_json()}, {"series_terms.csv": report.terms_to_csv}
 
 
-def _run_witness(config: RunConfig) -> int:
-    m = config.operator.power_degree
-    try:
-        wit = noncompact_witness(config.domain.dim, m or 0, config.blocks["witness"]["count"])
-    except ValueError as exc:
-        return _refuse(config, str(exc))
-    _write_result(config, {"witness": [{"k": list(k), "l": l, "lambda": lam} for k, l, lam in wit]})
-    return EXIT_OK
+def _run_witness(config: RunConfig) -> Outcome:
+    wit = noncompact_witness(config.domain.dim, 1, config.blocks["witness"]["count"])
+    return EXIT_OK, {"witness": [{"k": list(k), "l": l, "lambda": lam} for k, l, lam in wit]}, {}
 
 
 _RUNNERS = {
@@ -392,17 +361,28 @@ TASKS = tuple(_RUNNERS)
 
 
 def run(config: RunConfig) -> int:
-    """Dispatch a validated config; artifacts land in its ``out`` directory."""
+    """Run a validated config; once it is done, write its artifacts to its ``out`` directory."""
     for msg in config.warnings:
         print(f"warning: {msg}", file=sys.stderr)
     if config.refusal is not None:
-        return _refuse(config, config.refusal)
-    try:
-        return _RUNNERS[config.blocks["task"]](config)
-    except ConfigError:
-        raise
-    except _MALFORMED as exc:  # grid files, weight and raster shapes and series limits
-        raise ConfigError(str(exc)) from exc
+        print(f"refused: {config.refusal}", file=sys.stderr)
+        code, payload, writers = EXIT_REFUSED, {"error": config.refusal}, {}
+    else:
+        try:
+            code, payload, writers = _RUNNERS[config.blocks["task"]](config)
+        except ConfigError:
+            raise
+        except _MALFORMED as exc:  # grid files, weight and raster shapes and series limits
+            raise ConfigError(str(exc)) from exc
+    out = Path(config.blocks["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write in writers.items():
+        write(out / name)
+    doc = {"version": __version__, "task": config.blocks["task"], "seed": config.blocks["seed"],
+           "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"), "config": config.resolved(),
+           "warnings": config.warnings, "result": payload}
+    (out / "result.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
+    return code
 
 
 def main(argv=None) -> int:

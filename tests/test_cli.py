@@ -103,6 +103,7 @@ def test_validate_refuses_wave_on_higher_torus(tmp_path):
     assert run(cfg) == EXIT_REFUSED
     saved = json.loads((tmp_path / "o" / "result.json").read_text())
     assert "error" in saved["result"]
+    assert [path.name for path in (tmp_path / "o").iterdir()] == ["result.json"]
 
 
 def test_validate_rejects_negative_grid_weight(tmp_path):
@@ -113,6 +114,20 @@ def test_validate_rejects_negative_grid_weight(tmp_path):
     cfg = validate_config(write_config(tmp_path, doc))
     with pytest.raises(ConfigError):
         run(cfg)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", [True, "1"])
+def test_a_grid_file_of_booleans_or_strings_is_a_config_error(tmp_path, capsys, value):
+    # JSON true once ran as the weight 1.0, and "1" as the number it spells
+    qpath = tmp_path / "q.json"
+    qpath.write_text(json.dumps([value] * 16))
+    doc = {**_WAVE, "task": "gram", "cutoffs": {"k_max": 1, "l_max": 1}, "grid": {"nx": 4, "nt": 4},
+           "weight": {"kind": "grid_file", "path": str(qpath)}, "out": str(tmp_path / "o")}
+    assert main(["gram", "--config", str(write_config(tmp_path, doc))]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"config error: {qpath}: weight values must be numbers, "
+                                       "not booleans or strings\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("name, value", [("q.csv", math.nan), ("q.json", math.nan),
@@ -262,6 +277,20 @@ def test_witness_task_and_refusal(tmp_path, capsys):
     assert main(["witness", "--config", str(write_config(tmp_path, doc, "c2.json"))]) == EXIT_REFUSED
     error = json.loads((tmp_path / "w2" / "result.json").read_text())["result"]["error"]
     assert capsys.readouterr().err == f"refused: {error}\n"
+    assert [path.name for path in (tmp_path / "w2").iterdir()] == ["result.json"]
+
+
+def test_witness_is_refused_off_the_higher_tori(tmp_path, capsys):
+    # the family k = (l, 1) of the classical wave on T^2 was once printed for the sphere
+    out = tmp_path / "w"
+    doc = {"task": "witness", "domain": {"kind": "sphere", "dim": 2}, "operator": {"power": 1},
+           "out": str(out)}
+    assert main(["witness", "--config", str(write_config(tmp_path, doc))]) == EXIT_REFUSED
+    error = json.loads((out / "result.json").read_text())["result"]["error"]
+    assert error == ("the bounded-gap witness family exists only for the classical wave "
+                     "on T^N, N >= 2")
+    assert capsys.readouterr().err == f"refused: {error}\n"
+    assert [path.name for path in out.iterdir()] == ["result.json"]
 
 
 def test_dalembert_task(tmp_path):
@@ -398,6 +427,22 @@ NAMED_FAULTS = {
                    "nonlinearity terms takes no boolean, got [[true, 4.0]]"),
     "weight-value-bool": ({"task": "gram", "weight": {"kind": "constant", "value": True}},
                           "weight value takes no boolean, got true"),
+    # a string ran as the number float() reads from it
+    "weight-value-string": ({"task": "gram", "weight": {"kind": "constant", "value": "2"}},
+                            'weight value takes no string, got "2"'),
+    "terms-string": ({"task": "solve", "nonlinearity": {"terms": [["1", "4"]]}},
+                     'nonlinearity terms takes no string, got [["1", "4"]]'),
+    "series-p-string": ({"task": "series", **_T2, "operator": {"power": 2}, "series": {"p": "3"}},
+                        'series p takes no string, got "3"'),
+    "tol-outer-string": ({"task": "solve", "solver": {"tol_outer": "1e-6"}},
+                         'solver tol_outer takes no string, got "1e-6"'),
+    # a raster rectangle that rectangle_margin refuses failed only after slices.csv was written
+    "raster-rectangle-reversed": ({"task": "dalembert", "raster": {"resolution": 64, "set": {
+        "kind": "rectangle", "x": [4.71, 0.0], "t": [0.0, 1.0]}}},
+                                  "malformed rectangle: need a_i <= b_i"),
+    "raster-rectangle-over-period": ({"task": "dalembert", "raster": {"resolution": 64, "set": {
+        "kind": "rectangle", "x": [0.0, 4.71], "t": [0.0, 6.2832]}}},
+                                     "malformed rectangle: side exceeds a full period"),
 }
 
 
@@ -470,6 +515,7 @@ def test_a_negative_seed_override_is_a_config_error(tmp_path, capsys):
 def test_command_config_mismatch(tmp_path):
     path = write_config(tmp_path, toy_solve_doc(tmp_path / "x"))
     assert main(["gram", "--config", str(path)]) == EXIT_CONFIG
+    assert not (tmp_path / "x").exists()
 
 
 def test_determinism(tmp_path):
