@@ -149,6 +149,7 @@ class RunConfig:
     operator: OperatorSpec
     nonlinearity: NonlinearitySpec
     solver: SolverConfig
+    p: float  # the exponent the task runs at: a series task's own p if given
     warnings: list = field(default_factory=list)
     refusal: str | None = None
 
@@ -200,15 +201,17 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError("witness count must be at least 1")
     try:
         domain = DomainSpec.circle() if dom["kind"] == "circle" else DomainSpec(dom["kind"], dom["dim"])
+        nonlinearity = NonlinearitySpec(tuple((a, p) for a, p in blocks["nonlinearity"]["terms"]))
+        series = blocks["series"]
         config = RunConfig(
-            blocks, domain, _parse_operator(blocks["operator"], domain),
-            NonlinearitySpec(tuple((a, p) for a, p in blocks["nonlinearity"]["terms"])),
+            blocks, domain, _parse_operator(blocks["operator"], domain), nonlinearity,
             SolverConfig(float(blocks["solver"]["tol_outer"]), blocks["solver"]["starts"], seed),
+            float(series["p"]) if task == "series" and "p" in series else nonlinearity.p,
         )
     except _MALFORMED as exc:
         raise ConfigError(str(exc)) from exc
 
-    operator, p = config.operator, config.nonlinearity.p
+    operator, p = config.operator, config.p
     p_star = compactness_threshold(domain, operator)
     if p_star is not None and p >= p_star:
         config.warnings.append(f"p = {p} is at or above the compactness threshold p* = {p_star}; "
@@ -328,8 +331,7 @@ def _run_dalembert(config: RunConfig) -> Outcome:
 
 
 def _run_series(config: RunConfig) -> Outcome:
-    node = config.blocks["series"]
-    p = float(node["p"]) if "p" in node else config.nonlinearity.p
+    node, p = config.blocks["series"], config.p
     if config.domain.kind == "torus":
         m = config.operator.power_degree
         if m is None:

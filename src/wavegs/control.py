@@ -18,10 +18,12 @@ import numpy as np
 
 from . import _accel
 from .catalog import TORUS, SpectralCatalog
-from .fields import TWO_PI, ProductGrid, SpectralField, WeightField, mode_factors, span_ends
+from .fields import (TWO_PI, ProductGrid, SpectralField, WeightField, _smooth_indicator, arc,
+                     mode_factors)
 from .fields import basis_rows  # noqa: F401  (re-exported as control.basis_rows)
 
-_REL_FLOOR_DEFAULT = 1e-8
+REL_FLOOR = 1e-8  # Gram eigenvalues at most this times the largest are below the floor
+OFF_KERNEL_TOL = 1e-12  # the largest off-kernel coefficient dalembert_split reads as zero
 
 
 @dataclass
@@ -48,22 +50,18 @@ class GramReport:
         }
 
 
-def kernel_gram(
-    q: WeightField,
-    catalog: SpectralCatalog,
-    grid: ProductGrid | None = None,
-    rel_floor: float = _REL_FLOOR_DEFAULT,
-) -> GramReport:
+def kernel_gram(q: WeightField, catalog: SpectralCatalog,
+                grid: ProductGrid | None = None) -> GramReport:
     """Assemble G_ab = integral q phi_a phi_b over the kernel basis and eigensolve.
 
     An empty kernel reports dim 0 with constant 0 by convention.  A
     near-singular Gram is a report state (directions below the floor listed),
     never an error.
     """
-    return kernel_gram_eigh(q, catalog, grid, rel_floor)[0]
+    return kernel_gram_eigh(q, catalog, grid)[0]
 
 
-def kernel_gram_eigh(q, catalog, grid=None, rel_floor=_REL_FLOOR_DEFAULT):
+def kernel_gram_eigh(q, catalog, grid=None):
     """(``kernel_gram`` report, eigenvectors) from one ``eigh``.
 
     ``below_floor`` indexes the leading columns.  The report does not keep the
@@ -74,7 +72,7 @@ def kernel_gram_eigh(q, catalog, grid=None, rel_floor=_REL_FLOOR_DEFAULT):
         raise ValueError("weight grid mismatch")
     dim = catalog.kernel_dim()
     if dim == 0:
-        return GramReport(0, np.zeros((0, 0)), 0.0, 0.0, 0.0, [], rel_floor), np.zeros((0, 0))
+        return GramReport(0, np.zeros((0, 0)), 0.0, 0.0, 0.0, [], REL_FLOOR), np.zeros((0, 0))
     # G = sum over the nodes of one factor of (f f^T) * (H diag(w) H^T), with
     # f, H the space/time mode factors, so no modes x points table is formed;
     # the loop runs over the factor with fewer nodes
@@ -91,9 +89,9 @@ def kernel_gram_eigh(q, catalog, grid=None, rel_floor=_REL_FLOOR_DEFAULT):
     eig_min = float(eigvals[0])
     eig_max = float(eigvals[-1])
     constant = 1.0 / eig_min if eig_min > 0 else math.inf
-    floor_value = rel_floor * max(eig_max, 0.0)
+    floor_value = REL_FLOOR * max(eig_max, 0.0)
     below = [int(i) for i in np.flatnonzero(eigvals <= floor_value)]
-    return GramReport(dim, gram, eig_min, eig_max, constant, below, rel_floor), eigvecs
+    return GramReport(dim, gram, eig_min, eig_max, constant, below, REL_FLOOR), eigvecs
 
 
 @dataclass
@@ -114,7 +112,7 @@ class CircleProfile:
         return self.const + acc.real
 
 
-def dalembert_split(u: SpectralField, atol: float = 1e-12):
+def dalembert_split(u: SpectralField):
     """Split a kernel field of the classical 1+1 wave into phi(x+t) + psi(x-t).
 
     The constant mode is shared evenly between the two profiles; the split is
@@ -124,7 +122,7 @@ def dalembert_split(u: SpectralField, atol: float = 1e-12):
     if not (cat.domain.kind == TORUS and cat.domain.dim == 1 and cat.operator.power_degree == 1):
         raise ValueError("d'Alembert split applies to the classical wave on the circle")
     off_kernel = u.coeffs[cat.classes != 0]
-    if off_kernel.size and float(np.max(np.abs(off_kernel))) > atol:
+    if off_kernel.size and float(np.max(np.abs(off_kernel))) > OFF_KERNEL_TOL:
         raise ValueError("input must be purely kernel-class")
     kmax = cat.k_max
     phi = CircleProfile(0.0, np.zeros(kmax), np.zeros(kmax))
@@ -181,11 +179,12 @@ class RasterSet:
 
     @staticmethod
     def rectangle(x_span, t_span, resolution: int = 256) -> "RasterSet":
-        r = resolution
-        centers = TWO_PI * (np.arange(r) + 0.5) / r
-        inx = _interval_mask(centers, *span_ends("x", x_span))
-        int_ = _interval_mask(centers, *span_ends("t", t_span))
-        return RasterSet(np.outer(inx, int_).astype(np.uint8))
+        """The cells whose centre lies in the rectangle that ``weight_rectangle``
+        reads from the same spans at smoothing 0."""
+        centers = TWO_PI * (np.arange(resolution) + 0.5) / resolution
+        inx = _smooth_indicator(centers, *arc("x", x_span), 0.0) > 0
+        int_ = _smooth_indicator(centers, *arc("t", t_span), 0.0) > 0
+        return RasterSet(np.outer(inx, int_))
 
     @staticmethod
     def from_weight(q: WeightField, threshold: float = 0.0, resolution: int = 256) -> "RasterSet":
@@ -204,12 +203,6 @@ class RasterSet:
 
         return RasterSet((vals[np.ix_(nearest(grid.nx), nearest(grid.nt))] > threshold)
                          .astype(np.uint8))
-
-
-def _interval_mask(points, a, b):
-    # interval on the circle, b may wrap past 2pi
-    rel = np.mod(points - a, TWO_PI)
-    return rel <= (b - a)
 
 
 def slice_profiles(omega: RasterSet):
@@ -234,9 +227,6 @@ def xi_eta_infimum(omega: RasterSet):
 
 
 def rectangle_margin(a1: float, b1: float, a2: float, b2: float) -> float:
-    """b1 + b2 - a1 - a2 - 2pi; positive iff the rectangle criterion holds."""
-    if b1 < a1 or b2 < a2:
-        raise ValueError("malformed rectangle: need a_i <= b_i")
-    if b1 - a1 > TWO_PI or b2 - a2 > TWO_PI:
-        raise ValueError("malformed rectangle: side exceeds a full period")
-    return (b1 + b2 - a1 - a2) - TWO_PI
+    """The two side lengths of [a1, b1] x [a2, b2], each an ``arc``, minus 2pi;
+    positive iff the rectangle criterion holds."""
+    return arc("x", (a1, b1))[1] + arc("t", (a2, b2))[1] - TWO_PI

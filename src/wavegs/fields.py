@@ -194,25 +194,29 @@ class WeightField:
         return bool(np.all(self.values == 0.0))
 
 
-def _smooth_indicator(x: np.ndarray, a: float, b: float, width: float) -> np.ndarray:
-    """Cosine-ramped indicator of [a, b] on the circle; ramps eat into the set."""
-    span = b - a
-    if span >= TWO_PI * (1.0 - 1e-12):
-        return np.ones_like(np.asarray(x, dtype=float))
-    x = np.mod(x - a, TWO_PI)
-    if width <= 0:
-        return (x <= span).astype(float)
-    rise = np.clip(x / width, 0.0, 1.0)
-    fall = np.clip((span - x) / width, 0.0, 1.0)
-    t = np.where(x <= span, np.minimum(rise, fall), 0.0)
-    return 0.5 - 0.5 * np.cos(math.pi * t)
-
-
-def span_ends(name: str, span):
-    """The two ends of an interval; a span without exactly two entries is named."""
+def arc(name: str, span):
+    """A rectangle side [a, b] as the arc (start, length) on the circle: b may wrap
+    past 2pi, and a side of a full period or more (to 1e-12) is the whole circle.
+    Weights, raster sets and the rectangle margin all read a side through here."""
     if len(span) != 2:
         raise ValueError(f"rectangle {name} span must have two entries, got {len(span)}")
-    return span
+    a, b = span
+    if not a <= b:
+        raise ValueError(f"malformed rectangle: need a_i <= b_i, but {name} spans [{a}, {b}]")
+    return a, (TWO_PI if b - a >= TWO_PI * (1.0 - 1e-12) else b - a)
+
+
+def _smooth_indicator(x: np.ndarray, start: float, length: float, width: float) -> np.ndarray:
+    """Cosine-ramped indicator of an ``arc`` on the circle; ramps eat into the set."""
+    if length >= TWO_PI:
+        return np.ones_like(np.asarray(x, dtype=float))
+    x = np.mod(x - start, TWO_PI)
+    if width <= 0:
+        return (x <= length).astype(float)
+    rise = np.clip(x / width, 0.0, 1.0)
+    fall = np.clip((length - x) / width, 0.0, 1.0)
+    t = np.where(x <= length, np.minimum(rise, fall), 0.0)
+    return 0.5 - 0.5 * np.cos(math.pi * t)
 
 
 def weight_rectangle(
@@ -230,8 +234,8 @@ def weight_rectangle(
     if not smoothing >= 0:
         raise ValueError("smoothing must be non-negative")
     coords = grid.meshgrid()
-    bump = _smooth_indicator(coords[0], *span_ends("x", x_span), smoothing)
-    bump = bump * _smooth_indicator(coords[-1], *span_ends("t", t_span), smoothing)
+    bump = _smooth_indicator(coords[0], *arc("x", x_span), smoothing)
+    bump = bump * _smooth_indicator(coords[-1], *arc("t", t_span), smoothing)
     return WeightField(grid, outside + (inside - outside) * bump)
 
 

@@ -91,6 +91,22 @@ def test_validate_warns_above_threshold(tmp_path):
     assert cfg.refusal is None
 
 
+@pytest.mark.parametrize("series_p, terms, verdict", [(7, [[1.0, 4.0]], "diverges"),
+                                                     (3, [[1.0, 7.0]], "converges")])
+def test_series_warns_on_the_exponent_it_runs_at(tmp_path, series_p, terms, verdict):
+    # the warning read the nonlinearity's p while the series ran at series.p
+    out = tmp_path / "s"
+    doc = {"task": "series", "domain": {"kind": "torus", "dim": 3}, "operator": {"power": 2},
+           "nonlinearity": {"terms": terms}, "series": {"p": series_p, "cutoff": 16},
+           "out": str(out)}  # p* = 6
+    assert main(["series", "--config", str(write_config(tmp_path, doc))]) == EXIT_OK
+    saved = json.loads((out / "result.json").read_text())
+    assert saved["result"]["series"]["verdict"] == verdict
+    above = [f"p = {float(series_p)} is at or above the compactness threshold p* = 6.0; "
+             "ground-state existence is not covered"]
+    assert saved["warnings"] == (above if series_p >= 6 else [])
+
+
 def test_validate_refuses_wave_on_higher_torus(tmp_path):
     doc = {
         "task": "solve",
@@ -316,6 +332,17 @@ def test_dalembert_task(tmp_path):
     assert (out / "profiles.csv").exists()
 
 
+def test_dalembert_reads_a_raster_side_of_a_full_period_as_the_circle(tmp_path):
+    # the README weight's spans: t covers the period, so the margin is the x side, 4.71
+    out = tmp_path / "d"
+    doc = {**_WAVE, "task": "dalembert", "out": str(out), "raster": {"resolution": 64, "set": {
+        "kind": "rectangle", "x": [0.0, 4.71], "t": [0.0, 6.2832]}}}
+    assert main(["dalembert", "--config", str(write_config(tmp_path, doc))]) == EXIT_OK
+    result = json.loads((out / "result.json").read_text())["result"]
+    assert result["rectangle_margin"] == pytest.approx(4.71, abs=1e-12)
+    assert result["inf_A"] > 0 and result["inf_B"] > 0
+
+
 @pytest.mark.parametrize("change", [{"operator": {"power": 2}},
                                     {"domain": {"kind": "torus", "dim": 2}}])
 def test_dalembert_refuses_all_but_the_classical_wave_on_the_circle(tmp_path, capsys, change):
@@ -440,9 +467,13 @@ NAMED_FAULTS = {
     "raster-rectangle-reversed": ({"task": "dalembert", "raster": {"resolution": 64, "set": {
         "kind": "rectangle", "x": [4.71, 0.0], "t": [0.0, 1.0]}}},
                                   "malformed rectangle: need a_i <= b_i"),
-    "raster-rectangle-over-period": ({"task": "dalembert", "raster": {"resolution": 64, "set": {
-        "kind": "rectangle", "x": [0.0, 4.71], "t": [0.0, 6.2832]}}},
-                                     "malformed rectangle: side exceeds a full period"),
+    # a reversed weight side ran as q = 0: every kernel direction below the floor, inf_A = 0
+    "weight-rectangle-reversed-gram": ({"task": "gram", "weight": {
+        "kind": "rectangle", "x": [4.71, 0.0], "t": [0.0, 6.2832]}},
+        "malformed rectangle: need a_i <= b_i, but x spans [4.71, 0.0]"),
+    "weight-rectangle-reversed-dalembert": ({"task": "dalembert", "weight": {
+        "kind": "rectangle", "x": [0.0, 4.71], "t": [6.2832, 0.0]}, "raster": {"resolution": 64}},
+                                            "malformed rectangle: need a_i <= b_i, but t spans"),
 }
 
 

@@ -22,6 +22,7 @@ from wavegs import (
     weight_rectangle,
     xi_eta_infimum,
 )
+from wavegs import control
 from wavegs.control import kernel_gram_eigh
 
 TWO_PI = 2 * np.pi
@@ -109,13 +110,15 @@ def test_gram_near_singular_is_reported_not_raised(circle_wave_cat):
     assert len(rep.below_floor) == rep.dim
 
 
-def test_gram_basis_drops_exactly_the_reported_directions():
+def test_gram_basis_drops_exactly_the_reported_directions(monkeypatch):
     cat = build_catalog(DomainSpec.circle(), OperatorSpec.laplacian_power(1), 6, 6)
     grid = ProductGrid.for_catalog(cat)
     q = weight_rectangle(grid, (0.0, 1.0), (0.0, 1.0), 1.0, 0.0, 0.1)
-    rep, eigvecs = kernel_gram_eigh(q, cat, grid, 1e-3)
+    # a floor high enough to drop some directions of this small kernel
+    monkeypatch.setattr(control, "REL_FLOOR", 1e-3)
+    rep, eigvecs = kernel_gram_eigh(q, cat, grid)
     assert (rep.dim, len(rep.below_floor)) == (25, 16)
-    assert rep.to_json() == kernel_gram(q, cat, grid, 1e-3).to_json()
+    assert rep.to_json() == kernel_gram(q, cat, grid).to_json()
     # the solve keeps the columns after the leading below-floor ones
     kept = eigvecs[:, len(rep.below_floor):]
     assert kept.shape == (25, 9)
@@ -215,8 +218,7 @@ def test_rectangle_margin_values():
 def test_rectangle_margin_rejects_malformed():
     with pytest.raises(ValueError):
         rectangle_margin(1.0, 0.5, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        rectangle_margin(0.0, 7.0, 0.0, 1.0)
+    assert rectangle_margin(0.0, 7.0, 0.0, 1.0) == pytest.approx(1.0)
 
 
 @given(
@@ -229,6 +231,30 @@ def test_rectangle_margin_formula(a1, b1, a2, b2):
     assert rectangle_margin(a1, b1, a2, b2) == pytest.approx(
         b1 + b2 - a1 - a2 - TWO_PI, abs=1e-12
     )
+
+
+@pytest.mark.parametrize("x_span, t_span, side", [((1.0, 0.5), (0.0, 1.0), "x"),
+                                                  ((0.0, 7.0), (3.0, -1.0), "t")])
+@pytest.mark.parametrize("read", [
+    lambda x, t: weight_rectangle(ProductGrid(1, 8, 8), x, t),
+    lambda x, t: RasterSet.rectangle(x, t, 64),
+    lambda x, t: rectangle_margin(*x, *t),
+], ids=["weight", "raster", "margin"])
+def test_every_rectangle_reader_refuses_a_reversed_side(read, x_span, t_span, side):
+    with pytest.raises(ValueError, match=f"^malformed rectangle: need a_i <= b_i, but {side} "):
+        read(x_span, t_span)
+
+
+_SIDE = st.tuples(st.floats(-10.0, 10.0), st.floats(0.0, 8.0)).map(lambda s: (s[0], s[0] + s[1]))
+
+
+@given(_SIDE, _SIDE, st.sampled_from([16, 64]))
+def test_weight_and_raster_read_a_rectangle_alike(x_span, t_span, resolution):
+    # the odd nodes of a 2R grid are the centres of the R raster cells
+    grid = ProductGrid(1, 2 * resolution, 2 * resolution)
+    q = weight_rectangle(grid, x_span, t_span, smoothing=0.0).values.reshape(grid.nx, grid.nt)
+    mask = RasterSet.rectangle(x_span, t_span, resolution).mask
+    np.testing.assert_array_equal(q[1::2, 1::2] > 0, mask == 1)
 
 
 def test_raster_from_weight():
