@@ -283,7 +283,7 @@ def _run_solve(config: RunConfig) -> Outcome:
         "converged": result.converged,
         "message": result.message,
         "quadrature_gap": result.quadrature_gap,
-        "kernel_gram": result.kernel_report.to_json() if result.kernel_report else None,
+        "kernel_gram": result.kernel_report.to_json(),
         "outer_records": len(result.history),
     }
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE, payload, writers

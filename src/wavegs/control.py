@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,12 @@ class GramReport:
     below_floor: list
     floor: float
 
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """Orthonormal eigenvectors above the floor, as columns: the kernel block the inner
+        ascent keeps.  Taken on first read, so a report kept for its spectrum holds none."""
+        return np.linalg.eigh(self.gram)[1][:, len(self.below_floor):]
+
     def to_json(self):
         return {
             "kernel_dim": self.dim,
@@ -55,24 +62,15 @@ def kernel_gram(q: WeightField, catalog: SpectralCatalog,
     """Assemble G_ab = integral q phi_a phi_b over the kernel basis and eigensolve.
 
     An empty kernel reports dim 0 with constant 0 by convention.  A
-    near-singular Gram is a report state (directions below the floor listed),
-    never an error.
-    """
-    return kernel_gram_eigh(q, catalog, grid)[0]
-
-
-def kernel_gram_eigh(q, catalog, grid=None):
-    """(``kernel_gram`` report, eigenvectors) from one ``eigh``.
-
-    ``below_floor`` indexes the leading columns.  The report does not keep the
-    eigenvectors, so a caller holding many reports pays for the Gram only.
+    near-singular Gram is a report state (directions below the floor listed,
+    the leading eigenvalues), never an error.
     """
     grid = grid or q.grid
     if q.grid != grid:
         raise ValueError("weight grid mismatch")
     dim = catalog.kernel_dim()
     if dim == 0:
-        return GramReport(0, np.zeros((0, 0)), 0.0, 0.0, 0.0, [], REL_FLOOR), np.zeros((0, 0))
+        return GramReport(0, np.zeros((0, 0)), 0.0, 0.0, 0.0, [], REL_FLOOR)
     # G = sum over the nodes of one factor of (f f^T) * (H diag(w) H^T), with
     # f, H the space/time mode factors, so no modes x points table is formed;
     # the loop runs over the factor with fewer nodes
@@ -85,13 +83,13 @@ def kernel_gram_eigh(q, catalog, grid=None):
     for f, w in zip(outer.T, weights):
         gram += np.outer(f, f) * ((inner * w) @ inner.T)
     gram = 0.5 * (gram + gram.T)
-    eigvals, eigvecs = np.linalg.eigh(gram)
+    eigvals = np.linalg.eigh(gram)[0]  # as ``basis`` takes them; eigvalsh differs in the last bits
     eig_min = float(eigvals[0])
     eig_max = float(eigvals[-1])
     constant = 1.0 / eig_min if eig_min > 0 else math.inf
     floor_value = REL_FLOOR * max(eig_max, 0.0)
     below = [int(i) for i in np.flatnonzero(eigvals <= floor_value)]
-    return GramReport(dim, gram, eig_min, eig_max, constant, below, REL_FLOOR), eigvecs
+    return GramReport(dim, gram, eig_min, eig_max, constant, below, REL_FLOOR)
 
 
 @dataclass

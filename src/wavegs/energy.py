@@ -14,9 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _accel
+from . import _accel, control
 from .catalog import SpectralCatalog
-from .control import kernel_gram_eigh
 from .fields import ProductGrid, SpectralField, TensorTransform, WeightField, energy_norms, synthesize
 
 
@@ -82,14 +81,10 @@ class EnergyContext:
         self._exps = nonlinearity.exponents
 
     @cached_property
-    def kernel_split(self):
-        """(q-Gram report, its eigenvectors above the floor), or (None, None) with no kernel.
-
-        One Gram and one eigh on first use; every solve on this context shares them."""
-        if self.catalog.kernel_dim() == 0:
-            return None, None
-        report, eigvecs = kernel_gram_eigh(self.weight, self.catalog, self.grid)
-        return report, eigvecs[:, len(report.below_floor):]
+    def kernel_report(self):
+        """The q-Gram report, whose ``basis`` is the kernel block of every ascent: one
+        ``control.kernel_gram`` call (looked up at call time), shared by every solve."""
+        return control.kernel_gram(self.weight, self.catalog, self.grid)
 
     def synth(self, coeffs: np.ndarray) -> np.ndarray:
         return self._transform.synth(coeffs)

@@ -229,14 +229,14 @@ def weight_rectangle(
 ) -> WeightField:
     """Weight that is `inside` on a rectangle in (x_1, t) and `outside` elsewhere.
 
-    For torus dims > 1 the x-interval applies to the first coordinate only.
+    For torus dims > 1 the x-interval applies to x_1 only: the (x_1, t) plane is broadcast.
     """
     if not smoothing >= 0:
         raise ValueError("smoothing must be non-negative")
-    coords = grid.meshgrid()
-    bump = _smooth_indicator(coords[0], *arc("x", x_span), smoothing)
-    bump = bump * _smooth_indicator(coords[-1], *arc("t", t_span), smoothing)
-    return WeightField(grid, outside + (inside - outside) * bump)
+    bump = np.outer(_smooth_indicator(grid.x_nodes, *arc("x", x_span), smoothing),
+                    _smooth_indicator(grid.t_nodes, *arc("t", t_span), smoothing))
+    plane = np.expand_dims(outside + (inside - outside) * bump, tuple(range(1, grid.dims)))
+    return WeightField(grid, np.broadcast_to(plane, (grid.nx,) * grid.dims + (grid.nt,)).copy())
 
 
 # ---------------------------------------------------------------------------

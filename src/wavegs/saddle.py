@@ -104,7 +104,7 @@ class GroundStateResult:
     converged: bool
     message: str
     history: list
-    kernel_report: GramReport | None
+    kernel_report: GramReport
     quadrature_gap: float = 0.0
 
 
@@ -156,7 +156,7 @@ def _check_plus_unit(w: SpectralField):
 
 
 class _InnerProblem:
-    """G(x) with its Riesz-ascent gradient; x = (t, y, z^-) on the restricted kernel."""
+    """G(x) with its Riesz-ascent gradient; x = (t, y, z^-), y in the kernel basis."""
 
     def __init__(self, w, ctx, kernel_basis):
         cat = ctx.catalog
@@ -166,8 +166,7 @@ class _InnerProblem:
         self.zero = cat.zero_idx
         self.minus = cat.minus_idx
         self.wp = w.coeffs[self.plus]
-        # (n_zero, n_kept); None keeps the whole kernel
-        self.V = np.eye(len(self.zero)) if kernel_basis is None else kernel_basis
+        self.V = ctx.kernel_report.basis if kernel_basis is None else kernel_basis
         self.ys = slice(1, 1 + self.V.shape[1])
         self.ms = slice(self.ys.stop, None)
         # Riesz metric of the state: 1 on t and y, |lambda| on z^-
@@ -249,8 +248,9 @@ def inner_maximize(
     """Maximize Phi over the half-space of w; see module docstring.
 
     ``kernel_basis`` restricts the kernel block to the columns of an
-    orthonormal matrix (the q-Gram subspace computed by the caller); ``warm``
-    is ``(state, ceiling)``: a previous ``_state`` and a ceiling (``inf`` for
+    orthonormal matrix; None, as in every solve, takes
+    ``ctx.kernel_report.basis``, the q-Gram eigenvectors above the floor.
+    ``warm`` is ``(state, ceiling)``: a previous ``_state`` and a ceiling (``inf`` for
     none).  A warm state whose value is below 0 is off the maximizer's basin
     (Psi > 0 and s_w is bounded away from 0 on the Nehari-Pankov set), so the
     height is re-seeded as for a cold start.  With a ceiling the ascent returns
@@ -350,14 +350,14 @@ def psi_gradient(w: SpectralField, saddle: SaddleResult, ctx: EnergyContext) -> 
     return SpectralField(cat, out)
 
 
-def _run_start(start_id, w, ctx, cfg, kernel_basis, records):
+def _run_start(start_id, w, ctx, cfg, records):
     """Outer descent from ``w``; its last record in ``records`` gets a ``stop`` key.
 
     It stops ``converged`` as soon as the residual of its saddle, the dual norm
     of Phi'(m_hat) that certifies the start, is within ``tol_outer``; else at
     ``max_outer`` or ``stalled_at_floor`` (no trial beats the roundoff of Psi).
     """
-    saddle = inner_maximize(w, ctx, cfg, kernel_basis)
+    saddle = inner_maximize(w, ctx, cfg)
     if saddle.diverged:
         records.append({"start": start_id, "outer": 0, "event": "diverged", "stop": "diverged"})
         return None
@@ -386,7 +386,7 @@ def _run_start(start_id, w, ctx, cfg, kernel_basis, records):
             ceiling = saddle.psi - max(1e-4 * eta * gn * gn, noise)
             # the ceiling rides in ``warm``, so wrappers of the five-argument
             # call shape pass it on unchanged
-            s_trial = inner_maximize(trial, ctx, cfg, kernel_basis, warm=(saddle._state, ceiling))
+            s_trial = inner_maximize(trial, ctx, cfg, warm=(saddle._state, ceiling))
             # a Psi value counts only from an ascent that converged or reached
             # the roundoff floor of G; an unfinished ascent can sit far below
             # the maximum (toward t -> 0) and fake a decrease
@@ -407,23 +407,21 @@ def _run_start(start_id, w, ctx, cfg, kernel_basis, records):
 def ground_state(ctx: EnergyContext, cfg: SolverConfig) -> GroundStateResult:
     """Multi-start outer minimization; returns the best converged saddle point.
 
-    Before solving, the context's q-Gram split (``ctx.kernel_split``) drops the
-    kernel directions below the eigenvalue floor from the inner problem
-    (reported in the result).  Raises NoCoerciveDirectionError if every start diverges.
+    Every inner ascent keeps the kernel block of ``ctx.kernel_report`` (the
+    directions above its eigenvalue floor), which the result reports.  Raises
+    NoCoerciveDirectionError if every start diverges.
     The starts run one after another.
     """
     if ctx.weight.is_trivial():
         raise ValueError("weight must not vanish identically for a solve")
     cat = ctx.catalog
-    kernel_report, kernel_basis = ctx.kernel_split
-
     rng = np.random.default_rng(cfg.seed)
     starts = [lowest_plus_direction(cat)]
     while len(starts) < cfg.n_starts:
         starts.append(random_plus_direction(cat, rng))
 
     records: list = []
-    outcomes = [_run_start(i, w, ctx, cfg, kernel_basis, records) for i, w in enumerate(starts)]
+    outcomes = [_run_start(i, w, ctx, cfg, records) for i, w in enumerate(starts)]
 
     finished = [o for o in outcomes if o is not None]
     if not finished:
@@ -445,6 +443,6 @@ def ground_state(ctx: EnergyContext, cfg: SolverConfig) -> GroundStateResult:
         converged=converged,
         message=message,
         history=records,
-        kernel_report=kernel_report,
+        kernel_report=ctx.kernel_report,
         quadrature_gap=energy.quadrature_refinement_gap(u_star, ctx),
     )

@@ -11,6 +11,8 @@ import inspect
 from pathlib import Path
 
 import wavegs.saddle as saddle
+from wavegs import (DomainSpec, EnergyContext, NonlinearitySpec, OperatorSpec, ProductGrid,
+                    WeightField, build_catalog)
 
 SPANS = Path(__file__).resolve().parents[1] / "wavebench" / "spans.py"
 
@@ -42,3 +44,19 @@ def test_inner_maximize_keeps_the_five_argument_shape():
     # the tracer's wrapper passes (w, ctx, cfg, kernel_basis, warm) positionally
     params = list(inspect.signature(saddle.inner_maximize).parameters)
     assert params == ["w", "ctx", "cfg", "kernel_basis", "warm"]
+
+
+def test_a_traced_solve_records_its_kernel_gram():
+    # a solve's q-Gram goes through the hooked control.kernel_gram, so traced
+    # runs report control.gram_s
+    spans = _load_spans()
+    cat = build_catalog(DomainSpec.circle(), OperatorSpec.laplacian_power(2), 2, 2)
+    grid = ProductGrid.for_catalog(cat)
+    ctx = EnergyContext(cat, grid, WeightField.constant(grid), NonlinearitySpec.pure_power(4.0))
+    tracer = spans.Tracer()
+    hooks = spans.Instrumentation(tracer)
+    try:
+        saddle.ground_state(ctx, saddle.SolverConfig(n_starts=1))
+    finally:
+        hooks.remove()
+    assert spans.summarize(tracer)["by_name"]["control.kernel_gram"]["calls"] == 1

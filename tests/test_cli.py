@@ -212,6 +212,17 @@ def test_solve_toy_writes_artifacts(tmp_path):
     assert records[-1]["stop"] == "converged"
 
 
+def test_kernel_free_solve_writes_the_gram_tasks_block(tmp_path):
+    # P(tau) = 1 + tau has no kernel: the solve reports the dim-0 q-Gram, as `gram` does
+    solve = toy_solve_doc(tmp_path / "solve")
+    gram = {**solve, "task": "gram", "out": str(tmp_path / "gram")}
+    assert main(["solve", "--config", str(write_config(tmp_path, solve, "solve.json"))]) == EXIT_OK
+    assert main(["gram", "--config", str(write_config(tmp_path, gram, "gram.json"))]) == EXIT_OK
+    block = json.loads((tmp_path / "solve" / "result.json").read_text())["result"]["kernel_gram"]
+    assert block == json.loads((tmp_path / "gram" / "result.json").read_text())["result"]["gram"]
+    assert block["kernel_dim"] == 0
+
+
 def test_gram_task(tmp_path):
     out = tmp_path / "g"
     doc = {

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wavegs import (
@@ -23,7 +23,6 @@ from wavegs import (
     xi_eta_infimum,
 )
 from wavegs import control
-from wavegs.control import kernel_gram_eigh
 
 TWO_PI = 2 * np.pi
 
@@ -54,6 +53,7 @@ def test_gram_empty_kernel_convention():
     rep = kernel_gram(WeightField.constant(grid), cat, grid)
     assert rep.dim == 0
     assert rep.constant == 0.0
+    assert rep.basis.shape == (0, 0)
 
 
 def test_gram_cutoff_decay_recorded():
@@ -116,11 +116,14 @@ def test_gram_basis_drops_exactly_the_reported_directions(monkeypatch):
     q = weight_rectangle(grid, (0.0, 1.0), (0.0, 1.0), 1.0, 0.0, 0.1)
     # a floor high enough to drop some directions of this small kernel
     monkeypatch.setattr(control, "REL_FLOOR", 1e-3)
-    rep, eigvecs = kernel_gram_eigh(q, cat, grid)
+    rep = kernel_gram(q, cat, grid)
     assert (rep.dim, len(rep.below_floor)) == (25, 16)
-    assert rep.to_json() == kernel_gram(q, cat, grid).to_json()
-    # the solve keeps the columns after the leading below-floor ones
-    kept = eigvecs[:, len(rep.below_floor):]
+    assert "basis" not in rep.to_json()
+    assert "basis" not in vars(rep)  # a report holds its basis only once it is read
+    # the kept basis is the columns of eigh(gram) after the leading below-floor ones
+    eigvecs = np.linalg.eigh(rep.gram)[1]
+    kept = rep.basis
+    np.testing.assert_array_equal(kept, eigvecs[:, len(rep.below_floor):])
     assert kept.shape == (25, 9)
     assert rep.below_floor == list(range(16))
     np.testing.assert_allclose(kept.T @ kept, np.eye(9), atol=1e-12)
@@ -227,9 +230,14 @@ def test_rectangle_margin_rejects_malformed():
     st.floats(0.0, 2.0),
     st.floats(2.1, TWO_PI),
 )
+@example(1e-12, TWO_PI, 0.0, 3.0)
 def test_rectangle_margin_formula(a1, b1, a2, b2):
+    # the documented rule: a side of at least 2 pi (1 - 1e-12) is the whole circle
+    def side(a, b):
+        return TWO_PI if b - a >= TWO_PI * (1 - 1e-12) else b - a
+
     assert rectangle_margin(a1, b1, a2, b2) == pytest.approx(
-        b1 + b2 - a1 - a2 - TWO_PI, abs=1e-12
+        side(a1, b1) + side(a2, b2) - TWO_PI, abs=1e-12
     )
 
 

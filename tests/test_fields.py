@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from wavegs import (
     weight_rectangle,
 )
 from wavegs.catalog import SpectralCatalog
-from wavegs.fields import basis_rows
+from wavegs.fields import _smooth_indicator, arc, basis_rows
 from conftest import random_field
 
 TWO_PI = 2 * np.pi
@@ -246,6 +247,35 @@ def test_weight_rectangle_ramp():
     x = grid.x_nodes
     deep_inside = (x > 0.4) & (x < np.pi - 0.4)
     assert np.all(vals[deep_inside, :] == pytest.approx(2.0))
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3])
+@pytest.mark.parametrize("x_span, t_span, inside, outside, smoothing", [
+    ((0.0, 4.71), (0.0, 6.2832), 1.0, 0.0, 0.1),
+    ((5.0, 8.0), (1.0, 2.0), 1e6, 0.3, 0.0),
+    ((0.1, 2.0), (-1.0, 3.0), 2.0, 0.0, 0.5),
+])
+def test_weight_rectangle_is_the_full_grid_formula(dims, x_span, t_span, inside, outside,
+                                                   smoothing):
+    # the (x_1, t) plane broadcast over the other axes gives the values of the
+    # formula evaluated on every grid point, bit for bit
+    grid = ProductGrid(dims, 20, 24)
+    coords = grid.meshgrid()
+    bump = (_smooth_indicator(coords[0], *arc("x", x_span), smoothing)
+            * _smooth_indicator(coords[-1], *arc("t", t_span), smoothing))
+    q = weight_rectangle(grid, x_span, t_span, inside, outside, smoothing)
+    assert q.values.tobytes() == (outside + (inside - outside) * bump).tobytes()
+
+
+def test_weight_rectangle_allocates_no_full_grid_temporaries():
+    grid = ProductGrid(3, 20, 20)  # the T^3 grid of K = L = 4
+    tracemalloc.start()
+    try:
+        q = weight_rectangle(grid, (0.0, 4.71), (0.0, 6.2832))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * q.values.nbytes
 
 
 def test_field_json_and_csv(tmp_path, circle_beam_cat):

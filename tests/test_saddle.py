@@ -26,7 +26,7 @@ from wavegs import (
     weight_rectangle,
 )
 from wavegs import saddle as saddle_mod
-from wavegs import energy as energy_mod
+from wavegs import control as control_mod
 from conftest import make_context, phi_gradient
 
 
@@ -337,9 +337,8 @@ def test_unfinished_trial_ascent_is_not_accepted(readme_beam_ctx, seed, draw):
     for _ in range(draw):
         coeffs = rng.standard_normal(len(cat.plus_idx))
     w = saddle_mod._normalized_plus(cat, coeffs)
-    _, basis = ctx.kernel_split
     records: list = []
-    out = saddle_mod._run_start(draw, w, ctx, cfg, basis, records)
+    out = saddle_mod._run_start(draw, w, ctx, cfg, records)
     assert abs(out["saddle"].psi - README_BEAM_ENERGY) <= 1e-9
     assert out["saddle"].s_w > 1.0
     assert records[-1]["stop"] in ("converged", "stalled_at_floor")
@@ -474,18 +473,43 @@ def test_inner_ceiling_decides_like_the_full_ascent(beam_ctx):
     assert checked["above"] > 0 and checked["below"] > 0
 
 
+@pytest.mark.parametrize("case, dropped", [("no kernel", 0), ("whole kernel", 0),
+                                           ("floor 0.7", 2)])
+def test_direct_inner_call_keeps_the_solves_kernel_block(case, dropped, toy_ctx, beam_ctx,
+                                                         monkeypatch):
+    # without a basis the ascent takes ctx.kernel_report.basis, as in a solve
+    ctx, cfg = toy_ctx, SolverConfig()
+    if case != "no kernel":
+        grid = beam_ctx.grid
+        weight = weight_rectangle(grid, (0.0, 4.71), (0.0, 6.2832), 1.0, 0.0, 0.1)
+        if case == "floor 0.7":  # drops the two weakest of the nine kernel directions
+            monkeypatch.setattr(control_mod, "REL_FLOOR", 0.7)
+        ctx = EnergyContext(beam_ctx.catalog, grid, weight, beam_ctx.nonlinearity)
+    report = ctx.kernel_report
+    assert len(report.below_floor) == dropped
+    w = lowest_plus_direction(ctx.catalog)
+    a = inner_maximize(w, ctx, cfg)
+    b = inner_maximize(w, ctx, cfg, report.basis)
+    assert a.stop == "converged"
+    assert a._state.size == 1 + report.dim - dropped + len(ctx.catalog.minus_idx)
+    assert (a.psi, a.s_w, a.iterations, a.grad_norm, a.stop) == (
+        b.psi, b.s_w, b.iterations, b.grad_norm, b.stop)
+    for x, y in ((a._state, b._state), (a.grad, b.grad), (a.m_hat.coeffs, b.m_hat.coeffs)):
+        np.testing.assert_array_equal(x, y)
+
+
 def test_kernel_gram_is_computed_once_per_context(beam_ctx, monkeypatch):
     cat = beam_ctx.catalog
     contexts = [EnergyContext(cat, beam_ctx.grid, beam_ctx.weight, beam_ctx.nonlinearity)
                 for _ in range(2)]
     calls = []
-    orig = energy_mod.kernel_gram_eigh
+    orig = control_mod.kernel_gram
 
     def counted(*args):
         calls.append(args)
         return orig(*args)
 
-    monkeypatch.setattr(energy_mod, "kernel_gram_eigh", counted)
+    monkeypatch.setattr(control_mod, "kernel_gram", counted)
     a = ground_state(contexts[0], SolverConfig(n_starts=1, seed=0))
     b = ground_state(contexts[0], SolverConfig(n_starts=1, seed=4))
     assert len(calls) == 1
