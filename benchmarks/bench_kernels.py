@@ -2,7 +2,8 @@
 
 Sizes are those of the ``wavebench`` diagnostics batch (and, for the
 pointwise nonlinearity, a large solve grid; for the catalog, the circle
-classical wave at K = L = 48 and T^2 beams at 16 and 24).  Each kernel is
+classical wave at K = L = 48 and T^2 beams at 16 and 24; for the kernel Gram,
+also the README beam's weight on T^2 and T^3 at K = L = 8).  Each kernel is
 timed in this process as the best of a few calls; ``import wavegs`` is timed
 cold, in fresh interpreters (best and median).  The script prints a table and then one JSON
 line with the seconds per kernel, the import times and the machine facts, and
@@ -75,6 +76,12 @@ def cases():
     xs, ts = np.meshgrid(grid.x_nodes, grid.t_nodes, indexing="ij")
     circle, torus2 = wavegs.DomainSpec.circle(), wavegs.DomainSpec.torus(2)
     wave, beam = wavegs.OperatorSpec.laplacian_power(1), wavegs.OperatorSpec.laplacian_power(2)
+    # the README beam's weight on T^2 and T^3 at K = L = 8 (ROADMAP item 12's sizes)
+    tori = {}
+    for n in (2, 3):
+        tcat = wavegs.build_catalog(wavegs.DomainSpec.torus(n), beam, 8, 8)
+        tgrid = wavegs.ProductGrid.for_catalog(tcat)
+        tori[n] = (wavegs.weight_rectangle(tgrid, X_SPAN, T_SPAN, 1.0, 0.0, 0.1), tcat, tgrid)
     return [
         ("build_catalog_circle_48", lambda: wavegs.build_catalog(circle, wave, 48, 48)),
         ("build_catalog_T2_16", lambda: wavegs.build_catalog(torus2, beam, 16, 16)),
@@ -91,6 +98,8 @@ def cases():
         ("gap_ratio_scan_l1e4", lambda: _accel.gap_ratio_scan(2, 2, 10000)),
         ("char_slice_counts_2048", lambda: _accel.char_slice_counts(mask)),
         ("kernel_gram_circle_48", lambda: wavegs.kernel_gram(weight, cat, grid)),
+        ("kernel_gram_T2_8", lambda: wavegs.kernel_gram(*tori[2])),
+        ("kernel_gram_T3_8", lambda: wavegs.kernel_gram(*tori[3])),
         ("dalembert_profiles_circle_48", lambda: phi(xs + ts) + psi(xs - ts)),
     ]
 

@@ -11,6 +11,7 @@ for a positive continuum constant.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,8 +20,7 @@ import numpy as np
 
 from . import _accel
 from .catalog import TORUS, SpectralCatalog
-from .fields import (TWO_PI, ProductGrid, SpectralField, WeightField, _smooth_indicator, arc,
-                     mode_factors)
+from .fields import TWO_PI, ProductGrid, SpectralField, WeightField, _smooth_indicator, arc
 from .fields import basis_rows  # noqa: F401  (re-exported as control.basis_rows)
 
 REL_FLOOR = 1e-8  # Gram eigenvalues at most this times the largest are below the floor
@@ -71,18 +71,32 @@ def kernel_gram(q: WeightField, catalog: SpectralCatalog,
     dim = catalog.kernel_dim()
     if dim == 0:
         return GramReport(0, np.zeros((0, 0)), 0.0, 0.0, 0.0, [], REL_FLOOR)
-    # G = sum over the nodes of one factor of (f f^T) * (H diag(w) H^T), with
-    # f, H the space/time mode factors, so no modes x points table is formed;
-    # the loop runs over the factor with fewer nodes
-    space, time = mode_factors(catalog, grid, catalog.zero_idx)
-    weights = (q.values * grid.quad_weight).reshape(space.shape[1], time.shape[1])
-    outer, inner = space, time
-    if space.shape[1] > time.shape[1]:
-        outer, inner, weights = time, space, weights.T
-    gram = np.zeros((dim, dim))
-    for f, w in zip(outer.T, weights):
-        gram += np.outer(f, f) * ((inner * w) @ inner.T)
-    gram = 0.5 * (gram + gram.T)
+    if not grid.compliant_with(catalog):
+        raise ValueError("grid too coarse (or wrong shape) for catalog")
+    # On each axis a basis factor is b+ e^{i|r|x} + b- e^{-i|r|x} (r the signed index), so
+    # phi_a phi_b sums exponentials e^{if.x}, f = s|r_a| + s'|r_b| per axis, and the rectangle
+    # rule of q e^{if.x} is the DFT of q at -f mod n, aliasing included: window[f] for |f| <= 2c.
+    # b+ = b- = 1/(2 sqrt pi) for cos, b+ = -b- = -i/(2 sqrt pi) for sin, 1/(2 sqrt 2pi) for 1
+    sizes = [grid.nx] * grid.dims + [grid.nt]
+    freqs = [np.arange(-2 * c, 2 * c + 1) for c in [catalog.k_max] * grid.dims + [catalog.l_max]]
+    neg, pos = [-f % n for f, n in zip(freqs, sizes)], [f % n for f, n in zip(freqs, sizes)]
+    rft, low = np.fft.rfftn(q.values.reshape(sizes)), neg[-1] <= grid.nt // 2
+    window = np.empty([len(f) for f in freqs], dtype=complex)  # rfftn keeps half; Q[-g] = conj Q[g]
+    window[..., low] = rft[np.ix_(*neg[:-1], neg[-1][low])]
+    window[..., ~low] = rft[np.ix_(*pos[:-1], pos[-1][~low])].conj()
+    modes = np.column_stack([catalog.space[catalog.zero_idx], catalog.l[catalog.zero_idx]])
+    beta = np.where(modes > 0, 1, np.where(modes < 0, -1j, math.sqrt(0.5))) / math.sqrt(4 * math.pi)
+    steps = np.abs(modes) * (np.array(window.strides) // window.itemsize)
+    sides = [(np.prod(np.where(s, beta, beta.conj()), axis=1), steps @ np.where(s, 1, -1))
+             for s in itertools.product((True, False), repeat=grid.dims + 1)]
+    flat, gram = window.ravel(), np.zeros((dim, dim))
+    for ca, oa in sides[:len(sides) // 2]:  # s = + on axis 0; the other half is the conjugate
+        for cb, ob in sides:
+            term = flat[(window.size // 2 + oa)[:, None] + ob]  # f = 0 is the window's centre
+            term *= ca[:, None]
+            term *= cb
+            gram += term.real
+    gram = grid.quad_weight * (gram + gram.T)  # 2 Re over the half, symmetrized
     eigvals = np.linalg.eigh(gram)[0]  # as ``basis`` takes them; eigvalsh differs in the last bits
     eig_min = float(eigvals[0])
     eig_max = float(eigvals[-1])

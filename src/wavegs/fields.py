@@ -115,24 +115,18 @@ def _axis_tables(catalog: SpectralCatalog, grid: ProductGrid):
     return _axis_table(catalog.k_max, grid.x_nodes), _axis_table(catalog.l_max, grid.t_nodes)
 
 
-def mode_factors(catalog: SpectralCatalog, grid: ProductGrid, mode_indices):
-    """Space and time factors of a subset of modes: (len(idx), nx^dims) and (len(idx), nt).
+def basis_rows(catalog: SpectralCatalog, grid: ProductGrid, mode_indices) -> np.ndarray:
+    """Basis-value table for a subset of modes, (len(idx), n_points); uncached.
 
-    Basis function a at grid point (x, t) is space[a, x] * time[a, t].
+    Each row is the outer product of the mode's circle factors, one per axis.
     """
     x_table, t_table = _axis_tables(catalog, grid)
     idx = np.asarray(mode_indices, dtype=int)
-    rows = catalog.space[idx] + catalog.k_max
-    space = np.ones((len(idx), 1))
-    for axis in range(grid.dims):
-        space = (space[:, :, None] * x_table[rows[:, axis]][:, None, :]).reshape(len(idx), -1)
-    return space, t_table[catalog.l[idx] + catalog.l_max]
-
-
-def basis_rows(catalog: SpectralCatalog, grid: ProductGrid, mode_indices) -> np.ndarray:
-    """Basis-value table for a subset of modes, (len(idx), n_points); uncached."""
-    space, time = mode_factors(catalog, grid, mode_indices)
-    return (space[:, :, None] * time[:, None, :]).reshape(len(space), -1)
+    rows = np.column_stack([catalog.space[idx] + catalog.k_max, catalog.l[idx] + catalog.l_max])
+    out = np.ones((len(idx), 1))
+    for table, row in zip([x_table] * grid.dims + [t_table], rows.T):
+        out = (out[:, :, None] * table[row][:, None, :]).reshape(len(idx), -1)
+    return out
 
 
 class TensorTransform:

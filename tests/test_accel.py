@@ -6,6 +6,7 @@ kernel Gram is checked against the dense basis-row product.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,17 +149,38 @@ def test_slice_counts_paths_agree(rng):
 
 @pytest.mark.parametrize(
     "dim, power, k_max, l_max, shape",
-    [(1, 1, 12, 12, None), (2, 2, 4, 16, (12, 64))],
+    # (1, 11, 13): odd sizes below 4K + 1, where the DFT of q aliases as the node sum does
+    [(1, 1, 12, 12, None), (2, 2, 4, 16, (12, 64)), (3, 2, 2, 2, None), (1, 2, 4, 4, (11, 13))],
 )
 def test_kernel_gram_matches_dense_rows(dim, power, k_max, l_max, shape):
     domain = DomainSpec.circle() if dim == 1 else DomainSpec.torus(dim)
     cat = build_catalog(domain, OperatorSpec.laplacian_power(power), k_max, l_max)
     grid = ProductGrid(dim, *shape) if shape else ProductGrid.for_catalog(cat)
-    q = weight_rectangle(grid, (0.5, 2.5), (0.5, 2.5), smoothing=0.2)
     rows = basis_rows(cat, grid, cat.zero_idx)
-    dense = (rows * (q.values * grid.quad_weight)) @ rows.T
-    rep = kernel_gram(q, cat, grid)
-    assert rep.dim == len(cat.zero_idx) > 0
-    np.testing.assert_allclose(rep.gram, dense, rtol=0, atol=1e-13)
+    # a rectangle and a random nonnegative weight that vanishes on a random set, as a
+    # grid_file weight may
+    rng = np.random.default_rng(dim)
+    for q in (weight_rectangle(grid, (0.5, 2.5), (0.5, 2.5), smoothing=0.2),
+              WeightField(grid, np.maximum(rng.standard_normal(grid.n_points), 0.0))):
+        dense = (rows * (q.values * grid.quad_weight)) @ rows.T
+        rep = kernel_gram(q, cat, grid)
+        assert rep.dim == len(cat.zero_idx) > 0
+        np.testing.assert_allclose(rep.gram, dense, rtol=0, atol=1e-13)
     unit = kernel_gram(WeightField.constant(grid), cat, grid)
     np.testing.assert_allclose(unit.gram, np.eye(rep.dim), rtol=0, atol=1e-13)
+
+
+def test_kernel_gram_peak_memory_at_the_diagnostics_size():
+    # circle classical wave at K = L = 48: a 193 x 193 Gram (0.3 MB); the DFT window
+    # and a few dim x dim transients stay well under 4 MB
+    cat = build_catalog(DomainSpec.circle(), OperatorSpec.laplacian_power(1), 48, 48)
+    grid = ProductGrid.for_catalog(cat)
+    q = weight_rectangle(grid, (0.0, 4.71), (0.0, 6.2832), 1.0, 0.0, 0.1)
+    kernel_gram(q, cat, grid)  # loads numpy.fft outside the measurement
+    tracemalloc.start()
+    try:
+        kernel_gram(q, cat, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
