@@ -1,4 +1,4 @@
-"""Time catalog builds, the numpy kernels of ``wavegs._accel``, the kernel Gram and the profiles.
+"""Time catalog builds, the ``wavegs._accel`` kernels, the kernel Gram and the d'Alembert split.
 
 Sizes are those of the ``wavebench`` diagnostics batch (and, for the
 pointwise nonlinearity, a large solve grid; for the catalog, the circle
@@ -72,7 +72,8 @@ def cases():
     weight = wavegs.weight_rectangle(grid, X_SPAN, T_SPAN, 1.0, 0.0, 0.1)
     coeffs = np.zeros(cat.size)
     coeffs[cat.zero_idx] = rng.standard_normal(cat.kernel_dim())
-    phi, psi = wavegs.dalembert_split(wavegs.SpectralField(cat, coeffs))
+    kernel_field = wavegs.SpectralField(cat, coeffs)
+    phi, psi = wavegs.dalembert_split(kernel_field)
     xs, ts = np.meshgrid(grid.x_nodes, grid.t_nodes, indexing="ij")
     circle, torus2 = wavegs.DomainSpec.circle(), wavegs.DomainSpec.torus(2)
     wave, beam = wavegs.OperatorSpec.laplacian_power(1), wavegs.OperatorSpec.laplacian_power(2)
@@ -100,6 +101,7 @@ def cases():
         ("kernel_gram_circle_48", lambda: wavegs.kernel_gram(weight, cat, grid)),
         ("kernel_gram_T2_8", lambda: wavegs.kernel_gram(*tori[2])),
         ("kernel_gram_T3_8", lambda: wavegs.kernel_gram(*tori[3])),
+        ("dalembert_split_circle_48", lambda: wavegs.dalembert_split(kernel_field)),
         ("dalembert_profiles_circle_48", lambda: phi(xs + ts) + psi(xs - ts)),
     ]
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import _accel
 from .catalog import TORUS, SpectralCatalog
-from .fields import TWO_PI, ProductGrid, SpectralField, WeightField, _smooth_indicator, arc
+from .fields import (TWO_PI, ProductGrid, SpectralField, WeightField, _smooth_indicator, arc,
+                     axis_amplitudes)
 from .fields import basis_rows  # noqa: F401  (re-exported as control.basis_rows)
 
 REL_FLOOR = 1e-8  # Gram eigenvalues at most this times the largest are below the floor
@@ -76,7 +77,6 @@ def kernel_gram(q: WeightField, catalog: SpectralCatalog,
     # On each axis a basis factor is b+ e^{i|r|x} + b- e^{-i|r|x} (r the signed index), so
     # phi_a phi_b sums exponentials e^{if.x}, f = s|r_a| + s'|r_b| per axis, and the rectangle
     # rule of q e^{if.x} is the DFT of q at -f mod n, aliasing included: window[f] for |f| <= 2c.
-    # b+ = b- = 1/(2 sqrt pi) for cos, b+ = -b- = -i/(2 sqrt pi) for sin, 1/(2 sqrt 2pi) for 1
     sizes = [grid.nx] * grid.dims + [grid.nt]
     freqs = [np.arange(-2 * c, 2 * c + 1) for c in [catalog.k_max] * grid.dims + [catalog.l_max]]
     neg, pos = [-f % n for f, n in zip(freqs, sizes)], [f % n for f, n in zip(freqs, sizes)]
@@ -85,7 +85,7 @@ def kernel_gram(q: WeightField, catalog: SpectralCatalog,
     window[..., low] = rft[np.ix_(*neg[:-1], neg[-1][low])]
     window[..., ~low] = rft[np.ix_(*pos[:-1], pos[-1][~low])].conj()
     modes = np.column_stack([catalog.space[catalog.zero_idx], catalog.l[catalog.zero_idx]])
-    beta = np.where(modes > 0, 1, np.where(modes < 0, -1j, math.sqrt(0.5))) / math.sqrt(4 * math.pi)
+    beta = axis_amplitudes(modes)  # b+ = beta, b- = conj(beta)
     steps = np.abs(modes) * (np.array(window.strides) // window.itemsize)
     sides = [(np.prod(np.where(s, beta, beta.conj()), axis=1), steps @ np.where(s, 1, -1))
              for s in itertools.product((True, False), repeat=grid.dims + 1)]
@@ -136,34 +136,18 @@ def dalembert_split(u: SpectralField):
     off_kernel = u.coeffs[cat.classes != 0]
     if off_kernel.size and float(np.max(np.abs(off_kernel))) > OFF_KERNEL_TOL:
         raise ValueError("input must be purely kernel-class")
-    kmax = cat.k_max
-    phi = CircleProfile(0.0, np.zeros(kmax), np.zeros(kmax))
-    psi = CircleProfile(0.0, np.zeros(kmax), np.zeros(kmax))
-    for i in cat.zero_idx:
-        a = u.coeffs[i]
-        if a == 0.0:
-            continue
-        kx, lt = int(cat.space[i, 0]), int(cat.l[i])
-        k = abs(kx)
-        if k == 0:
-            # constant eigenfunction 1/(2pi); gauge: even split
-            phi.const += a / (4.0 * math.pi)
-            psi.const += a / (4.0 * math.pi)
-            continue
-        c = a / (2.0 * math.pi)  # 1/pi normalization, then product-to-sum 1/2
-        if kx > 0 and lt > 0:  # cos cos
-            phi.cos[k - 1] += c
-            psi.cos[k - 1] += c
-        elif kx > 0 and lt < 0:  # cos sin
-            phi.sin[k - 1] += c
-            psi.sin[k - 1] -= c
-        elif kx < 0 and lt > 0:  # sin cos
-            phi.sin[k - 1] += c
-            psi.sin[k - 1] += c
-        else:  # sin sin
-            phi.cos[k - 1] -= c
-            psi.cos[k - 1] += c
-    return phi, psi
+    # a kernel mode has |k| = |l| = n, and 2 Re(b_k e^{inx}) 2 Re(b_l e^{int}) is
+    # 2 Re(b_k b_l e^{in(x+t)}) + 2 Re(b_k conj(b_l) e^{in(x-t)}): phi and psi collect c_n
+    # of sum_n Re(c_n e^{ins}) by n = |l|; the constant mode lands half in each
+    idx = cat.zero_idx
+    a = u.coeffs[idx]
+    beta_k, beta_l = axis_amplitudes(cat.space[idx, 0]), axis_amplitudes(cat.l[idx])
+    profiles = []
+    for prod in (beta_k * beta_l, beta_k * beta_l.conj()):
+        c = np.zeros(cat.k_max + 1, dtype=complex)
+        np.add.at(c, np.abs(cat.l[idx]), 2.0 * a * prod)
+        profiles.append(CircleProfile(float(c[0].real), c[1:].real, -c[1:].imag))
+    return tuple(profiles)
 
 
 @dataclass

@@ -76,7 +76,7 @@ class EnergyContext:
         self.weight = weight
         self.nonlinearity = nonlinearity
         self._transform = TensorTransform(catalog, grid)
-        self._qw = weight.values * grid.quad_weight
+        self.qw = weight.values * grid.quad_weight  # q times the rectangle-rule weight
         self._amps = nonlinearity.amplitudes
         self._exps = nonlinearity.exponents
 
@@ -91,7 +91,7 @@ class EnergyContext:
 
     def potential_from_values(self, values: np.ndarray) -> float:
         F = _accel.quasipoly_prim(values, self._amps, self._exps)
-        return float(self._qw @ F)
+        return float(self.qw @ F)
 
     def nonlinear_coeffs(self, values: np.ndarray) -> np.ndarray:
         """Analyzed coefficients of q f(u): the I'(u) part of the gradient."""

@@ -102,8 +102,17 @@ class ProductGrid:
         return [m.ravel() for m in mesh]
 
 
+def axis_amplitudes(signed) -> np.ndarray:
+    """beta_r per signed circle index r, whose basis factor is 2 Re(beta_r e^{i|r|x}):
+    cos(|r|x)/sqrt(pi) for r > 0, sin(|r|x)/sqrt(pi) for r < 0 and 1/sqrt(2pi) for r = 0."""
+    r = np.asarray(signed)
+    return np.where(r > 0, 0.5 * _INV_SQRT_PI,
+                    np.where(r < 0, -0.5j * _INV_SQRT_PI, 0.5 * _INV_SQRT_2PI))
+
+
 def _axis_table(cutoff: int, nodes: np.ndarray) -> np.ndarray:
-    """(2*cutoff+1, len(nodes)) circle factor values: rows are signed indices -cutoff..cutoff."""
+    """(2*cutoff+1, len(nodes)) circle factor values: rows are signed indices -cutoff..cutoff,
+    each 2 Re(axis_amplitudes(r) e^{i|r|x}) evaluated as a real cos or sin."""
     angles = np.arange(1, cutoff + 1)[:, None] * nodes
     const = np.full((1, len(nodes)), _INV_SQRT_2PI)
     return np.vstack([np.sin(angles[::-1]) * _INV_SQRT_PI, const, np.cos(angles) * _INV_SQRT_PI])
@@ -178,11 +187,6 @@ class WeightField:
     @staticmethod
     def constant(grid: ProductGrid, value: float = 1.0) -> "WeightField":
         return WeightField(grid, np.full(grid.n_points, float(value)))
-
-    @staticmethod
-    def from_function(grid: ProductGrid, fn) -> "WeightField":
-        coords = grid.meshgrid()
-        return WeightField(grid, fn(*coords))
 
     def is_trivial(self) -> bool:
         return bool(np.all(self.values == 0.0))

@@ -211,8 +211,7 @@ def _initial_height(problem):
     ray = np.zeros(problem.size)
     ray[0] = 1.0
     wvals = np.abs(ctx.synth(problem.assemble(ray)))
-    qw = ctx.weight.values * ctx.grid.quad_weight
-    terms = [(a * float(qw @ wvals**p), p - 2.0) for a, p in ctx.nonlinearity.terms]
+    terms = [(a * float(ctx.qw @ wvals**p), p - 2.0) for a, p in ctx.nonlinearity.terms]
     terms = [(c, e) for c, e in terms if c > 0]
     if not terms:
         return None

@@ -140,35 +140,46 @@ def test_gram_rejects_sphere_catalogs(sphere_kg_cat):
         kernel_gram(WeightField.constant(grid), sphere_kg_cat, grid)
 
 
-def test_dalembert_cos_cos(circle_wave_cat):
-    u = SpectralField.zeros(circle_wave_cat)
-    u.coeffs[circle_wave_cat.modes.index(ModeKey((1,), 1))] = np.pi  # cos(x)cos(t)
-    phi, psi = dalembert_split(u)
-    assert phi.const == 0.0 and psi.const == 0.0
-    assert phi.cos[0] == pytest.approx(0.5)
-    assert psi.cos[0] == pytest.approx(0.5)
-    assert np.max(np.abs(phi.sin)) == 0.0
+# signs of (k, l) -> (cos_n, sin_n) of phi and of psi for the coefficient pi on (nk, nl)
+_SPLITS = {
+    (1, 1): ((0.5, 0.0), (0.5, 0.0)),  # cos(nx) cos(nt)
+    (1, -1): ((0.0, 0.5), (0.0, -0.5)),  # cos(nx) sin(nt)
+    (-1, 1): ((0.0, 0.5), (0.0, 0.5)),  # sin(nx) cos(nt)
+    (-1, -1): ((-0.5, 0.0), (0.5, 0.0)),  # sin(nx) sin(nt)
+}
+_FACTOR = {1: "cos", -1: "sin"}
 
 
-def test_dalembert_sin_cos(circle_wave_cat):
+@pytest.mark.parametrize("k, l, want", [
+    pytest.param(sk * n, sl * n, want, id=f"{_FACTOR[sk]}-{_FACTOR[sl]}-{n}")
+    for n in (1, 3) for (sk, sl), want in _SPLITS.items()
+] + [pytest.param(0, 0, ((0.0, 0.0), (0.0, 0.0)), id="const")])
+def test_dalembert_single_mode(circle_wave_cat, k, l, want):
     u = SpectralField.zeros(circle_wave_cat)
-    u.coeffs[circle_wave_cat.modes.index(ModeKey((-1,), 1))] = np.pi  # sin(x)cos(t)
-    phi, psi = dalembert_split(u)
-    assert phi.sin[0] == pytest.approx(0.5)
-    assert psi.sin[0] == pytest.approx(0.5)
+    u.coeffs[circle_wave_cat.modes.index(ModeKey((k,), l))] = np.pi
+    for profile, part in zip(dalembert_split(u), want):
+        cos, sin = np.zeros(circle_wave_cat.k_max), np.zeros(circle_wave_cat.k_max)
+        if k:
+            cos[abs(k) - 1], sin[abs(k) - 1] = part
+        # the constant 1/(2pi) splits evenly: pi/(4pi) in each profile
+        assert profile.const == pytest.approx(0.0 if k else 0.25, abs=1e-15)
+        np.testing.assert_allclose(profile.cos, cos, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(profile.sin, sin, rtol=0, atol=1e-15)
 
 
 def test_dalembert_reconstruction_random(circle_wave_cat):
-    grid = ProductGrid.for_catalog(circle_wave_cat)
-    xs, ts = np.meshgrid(grid.x_nodes, grid.t_nodes, indexing="ij")
+    wide = build_catalog(DomainSpec.circle(), OperatorSpec.laplacian_power(1), 48, 48)
     rng = np.random.default_rng(31)
-    for _ in range(5):
-        coeffs = np.zeros(circle_wave_cat.size)
-        coeffs[circle_wave_cat.zero_idx] = rng.standard_normal(circle_wave_cat.kernel_dim())
-        u = SpectralField(circle_wave_cat, coeffs)
-        phi, psi = dalembert_split(u)
-        recon = phi(xs + ts) + psi(xs - ts)
-        assert np.max(np.abs(recon.ravel() - synthesize(u, grid))) < 1e-10
+    for cat, repeats in ((circle_wave_cat, 5), (wide, 2)):
+        grid = ProductGrid.for_catalog(cat)
+        xs, ts = np.meshgrid(grid.x_nodes, grid.t_nodes, indexing="ij")
+        for _ in range(repeats):
+            coeffs = np.zeros(cat.size)
+            coeffs[cat.zero_idx] = rng.standard_normal(cat.kernel_dim())
+            u = SpectralField(cat, coeffs)
+            phi, psi = dalembert_split(u)
+            recon = phi(xs + ts) + psi(xs - ts)
+            assert np.max(np.abs(recon.ravel() - synthesize(u, grid))) < 1e-12
 
 
 def test_dalembert_rejects_non_kernel_and_wrong_operator(circle_wave_cat, circle_beam_cat):

@@ -221,7 +221,8 @@ def test_context_rejects_mismatched_grid(circle_beam_cat):
 def test_quadrature_gap_matches_table_reference():
     cat = build_catalog(DomainSpec.circle(), OperatorSpec.laplacian_power(2), 3, 3)
     grid = ProductGrid.for_catalog(cat)
-    weight = WeightField.from_function(grid, lambda x, t: 1.0 + 0.5 * np.cos(x) * np.sin(2 * t))
+    x, t = grid.meshgrid()
+    weight = WeightField(grid, 1.0 + 0.5 * np.cos(x) * np.sin(2 * t))
     ctx = EnergyContext(cat, grid, weight, NonlinearitySpec.pure_power(3.5))
     u = random_field(cat, np.random.default_rng(11))
     fine = ProductGrid(1, 2 * grid.nx, 2 * grid.nt)

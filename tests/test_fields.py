@@ -20,7 +20,7 @@ from wavegs import (
     weight_rectangle,
 )
 from wavegs.catalog import SpectralCatalog
-from wavegs.fields import _smooth_indicator, arc, basis_rows
+from wavegs.fields import _axis_table, _smooth_indicator, arc, axis_amplitudes, basis_rows
 from conftest import random_field
 
 TWO_PI = 2 * np.pi
@@ -208,6 +208,15 @@ def test_transforms_match_mode_by_mode_table(dims, k_max, l_max):
     np.testing.assert_allclose(
         analyze(values, cat, grid).coeffs, rows @ values * grid.quad_weight, rtol=0, atol=1e-13
     )
+
+
+@pytest.mark.parametrize("cutoff", [1, 8, 48])
+def test_axis_table_is_twice_the_real_part_of_the_amplitudes(cutoff):
+    nodes = TWO_PI * np.arange(2 * cutoff + 2) / (2 * cutoff + 2)
+    signed = np.arange(-cutoff, cutoff + 1)
+    phases = np.exp(1j * np.abs(signed)[:, None] * nodes)
+    expected = 2 * (axis_amplitudes(signed)[:, None] * phases).real
+    np.testing.assert_allclose(_axis_table(cutoff, nodes), expected, rtol=0, atol=1e-15)
 
 
 def test_round_trip_beyond_old_table_cap():
