@@ -4,10 +4,11 @@ Sizes are those of the ``wavebench`` diagnostics batch (and, for the
 pointwise nonlinearity, a large solve grid; for the catalog, the circle
 classical wave at K = L = 48 and T^2 beams at 16 and 24; for the kernel Gram,
 also the README beam's weight on T^2 and T^3 at K = L = 8).  Each kernel is
-timed in this process as the best of a few calls; ``import wavegs`` is timed
-cold, in fresh interpreters (best and median).  The script prints a table and then one JSON
-line with the seconds per kernel, the import times and the machine facts, and
-writes that document to ``--out``.  Usage:
+timed in this process as the best of a few calls, and its tracemalloc peak is
+taken from one more call; ``import wavegs`` is timed cold, in fresh
+interpreters (best and median).  The script prints a table and then one JSON
+line with the seconds and peak MB per kernel, the import times and the
+machine facts, and writes that document to ``--out``.  Usage:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeats N] [--out BENCH_kernels.json]
 """
@@ -19,6 +20,7 @@ import platform
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,16 @@ def _best(fn, repeats):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _peak_mb(fn):
+    """Peak MB that tracemalloc sees during one call (numpy buffers included)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def cold_import_seconds(runs):
@@ -97,6 +109,8 @@ def cases():
         ("sphere_inner_power_S2_l1e4",
          lambda: _accel.sphere_series_inner(js, 2, 2, 3.0, 0.5, 10000, False)),
         ("gap_ratio_scan_l1e4", lambda: _accel.gap_ratio_scan(2, 2, 10000)),
+        ("gap_ratio_scan_l1e6", lambda: _accel.gap_ratio_scan(2, 2, 1_000_000)),
+        ("raster_rectangle_2048", lambda: wavegs.RasterSet.rectangle(X_SPAN, T_SPAN, 2048)),
         ("char_slice_counts_2048", lambda: _accel.char_slice_counts(mask)),
         ("kernel_gram_circle_48", lambda: wavegs.kernel_gram(weight, cat, grid)),
         ("kernel_gram_T2_8", lambda: wavegs.kernel_gram(*tori[2])),
@@ -111,12 +125,15 @@ def main():
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", default="BENCH_kernels.json")
     args = parser.parse_args()
-    timings = {name: _best(fn, args.repeats) for name, fn in cases()}
+    timings, peaks = {}, {}
+    for name, fn in cases():
+        timings[name] = _best(fn, args.repeats)
+        peaks[name] = _peak_mb(fn)
     cold = cold_import_seconds(5)
     width = max(len(k) for k in timings)
-    print(f"{'kernel':<{width}}  {'best [ms]':>10}")
+    print(f"{'kernel':<{width}}  {'best [ms]':>10}  {'peak [MB]':>10}")
     for name, sec in timings.items():
-        print(f"{name:<{width}}  {sec * 1e3:10.2f}")
+        print(f"{name:<{width}}  {sec * 1e3:10.2f}  {peaks[name]:10.2f}")
     print(f"{'import wavegs (cold)':<{width}}  {cold['best'] * 1e3:10.2f}"
           f"  (median {cold['median'] * 1e3:.2f} of {cold['runs']})")
     facts = {
@@ -126,8 +143,8 @@ def main():
         "machine": platform.machine(),
         "repeats": args.repeats,
     }
-    doc = json.dumps({"seconds": timings, "import_wavegs_s": cold, "machine": facts},
-                     sort_keys=True)
+    doc = json.dumps({"seconds": timings, "peak_mb": peaks, "import_wavegs_s": cold,
+                      "machine": facts}, sort_keys=True)
     print(doc)
     Path(args.out).write_text(doc + "\n")
 

@@ -1,19 +1,20 @@
 """Numeric kernels of the nonlinearity and the diagnostics, vectorized in numpy.
 
 Each kernel has one code path and uses the integer structure of its problem:
-exact integer gaps before any fractional power, a factored gap for the torus
-shell sums, flattened (l, j) pairs for the gap-ratio scan and wrapped-diagonal
-sums for the slice counts.  Callers look the kernels up on this module at call
-time (``_accel.torus_l_sums(...)``).
+exact integer gaps before any fractional power, a factored gap read forward
+from one power table for the torus shell sums, per-degree tables and suffixes
+of l for the sphere sums, two offsets per l for the gap-ratio scan (the ratio
+is monotone in the degree) and wrapped-diagonal sums of a row-blocked doubled
+raster for the slice counts.  Callers look the kernels up on this module at
+call time (``_accel.torus_l_sums(...)``).
 """
 
 import math
 
 import numpy as np
 
-# l values per block of the gap-ratio scan: bounds the flattened (l, j) pair
-# arrays to a few MB at l_max = 1e4
-_GAP_BLOCK = 1024
+# raster rows per doubled block of the slice counts: 1 MB of uint8 at R = 2048
+_ROW_BLOCK = 256
 
 
 def quasipoly_f(v, amps, exps):
@@ -42,7 +43,8 @@ def torus_l_sums(nu, m, s):
     where l_k = nu^(m/2).  nu^m must be a perfect square a^2 (m even, or
     nu = k^2), so each gap factors as |a - l| * (a + l) and every term is a
     product of two entries of one power table T[x] = x^(-s), T[0] = 0; the
-    zero entry drops the resonant term.
+    zero entry drops the resonant term.  The near sum runs l = 0..a down the
+    table, so it reads a reversed copy forward (a forward dot is the fast one).
     """
     roots = []
     for nv in np.asarray(nu).tolist():
@@ -54,10 +56,11 @@ def torus_l_sums(nu, m, s):
     top = max(roots, default=0)
     table = np.zeros(2 * top + max(64, top) + 1)
     table[1:] = np.arange(1, len(table), dtype=np.float64) ** (-s)
+    rev = table[::-1].copy()  # rev[n - 1 - x] = T[x]
     out = np.empty(len(roots), dtype=np.float64)
     for i, a in enumerate(roots):
         lmax = a + max(64, a)
-        near = table[a::-1] @ table[a : 2 * a + 1]  # l = 0..a
+        near = rev[len(table) - 1 - a :] @ table[a : 2 * a + 1]  # l = 0..a
         far = table[1 : lmax - a + 1] @ table[2 * a + 1 : a + lmax + 1]  # l = a+1..lmax
         out[i] = 2.0 * (near + far) - table[a] * table[a]
     return out
@@ -77,30 +80,26 @@ def sphere_series_inner(j_values, N, m, s, wexp, l_cut, klein_gordon):
     """Inner l-sums of the sphere embedding series, one value per offset j.
 
     Gaps |nu_{k_l+j} - l^2| are formed in exact integer arithmetic before the
-    fractional power is applied.
+    fractional power is applied; a resonant (zero) gap is read as infinite, so
+    its term is 0.  nu_k and (1 + k)^wexp are tables over
+    k = 0..k_l(l_cut) + max(j), and since k_l is nondecreasing in l, the l with
+    k_l + j >= 0 are a suffix of 0..l_cut.
     """
     half = (N - 1) // 2
     ls = np.arange(0, l_cut + 1, dtype=np.int64)
     kl = np.maximum(ls - half, 0) if klein_gordon else _mode_shift(ls, N, m)[1]
     w = np.full(len(ls), 2.0)
     w[0] = 1.0
+    ks = np.arange(kl[-1] + np.max(j_values, initial=0) + 1, dtype=np.int64)
+    nu = (ks + half) ** 2 if klein_gordon else (ks * (ks + N - 1)) ** m
+    growth = (1.0 + ks.astype(np.float64)) ** wexp
     out = np.empty(len(j_values), dtype=np.float64)
     for idx, j in enumerate(j_values):
-        k = kl + int(j)
-        valid = k >= 0
-        kk = k[valid]
-        lv = ls[valid]
-        if klein_gordon:
-            nu = (kk + half) ** 2
-        else:
-            nu = (kk * (kk + N - 1)) ** m
-        gaps = np.abs(nu - lv * lv)
-        nz = gaps > 0
-        out[idx] = np.sum(
-            w[valid][nz]
-            * gaps[nz].astype(np.float64) ** (-s)
-            * (1.0 + kk[nz].astype(np.float64)) ** wexp
-        )
+        first = np.searchsorted(kl, -j)  # the first l with k_l + j >= 0
+        k = kl[first:] + j
+        gaps = np.abs(nu[k] - ls[first:] ** 2).astype(np.float64)
+        gaps[gaps == 0] = np.inf
+        out[idx] = np.sum(w[first:] * gaps ** (-s) * growth[k])
     return out
 
 
@@ -116,50 +115,50 @@ def gap_ratio_scan(N, m, l_max):
     """Extremes of |nu_{k_l+j} - l^2| / (2 l^((2m-1)/m) |j*|) over the sampled range.
 
     The range is 2 <= l <= l_max and 1 <= |j| <= floor(l^(1/m)) (the exact
-    integer root).  j* is the real offset k_l + j - k_l*; the factor 2 is the
-    leading constant of the gap asymptotics (from
-    j*(j* + 2 k_l* + N - 1) ~ 2 j* l^(1/m)).  The (l, j) pairs are flattened
-    in blocks of l.
+    integer root), with k = k_l + j >= 0.  j* is the real offset k - k_l*; the
+    factor 2 is the leading constant of the gap asymptotics (from
+    j*(j* + 2 k_l* + N - 1) ~ 2 j* l^(1/m)).
+
+    Only two offsets per l are read.  With X = k(k + N - 1) and
+    Y = l^(2/m) = k*(k* + N - 1), nu_k - l^2 = X^m - Y^m and
+    X - Y = (k - k*)(k + k* + N - 1), so the ratio is
+    (sum_{i<m} X^i Y^(m-1-i)) (k + k* + N - 1) / (2 l^((2m-1)/m)), strictly
+    increasing in k >= 0.  Per l the minimum is at the smallest k in range,
+    max(k_l - jmax, 0) if k_l > 0 and else 1 (j = 0 is excluded), and the
+    maximum at k_l + jmax.  The extremes are those of the every-pair scan to
+    the bit (the tests keep that scan).
     """
-    expo = (2.0 * m - 1.0) / m
-    rmin = math.inf
-    rmax = 0.0
-    for start in range(2, l_max + 1, _GAP_BLOCK):
-        ls = np.arange(start, min(start + _GAP_BLOCK, l_max + 1), dtype=np.int64)
-        k_star, kl = _mode_shift(ls, N, m)
-        denom = 2.0 * ls.astype(np.float64) ** expo
-        jmax = _int_root(ls, m)
-        # pair p of row i takes j = -jmax..-1, 1..jmax in order
-        row = np.repeat(np.arange(len(ls)), 2 * jmax)
-        pos = np.arange(len(row)) - np.repeat(np.cumsum(2 * jmax) - 2 * jmax, 2 * jmax)
-        j = pos - jmax[row]
-        j += j >= 0
-        k = kl[row] + j
-        keep = k >= 0
-        row, k = row[keep], k[keep]  # never empty: j = 1 gives k >= 1
-        nu = (k * (k + N - 1)) ** m
-        gaps = np.abs(nu - ls[row] * ls[row]).astype(np.float64)
-        jstar = np.abs(k.astype(np.float64) - k_star[row])
-        ratios = gaps / (denom[row] * jstar)
-        rmin = min(rmin, float(ratios.min()))
-        rmax = max(rmax, float(ratios.max()))
-    return rmin, rmax
+    if l_max < 2:
+        return math.inf, 0.0
+    ls = np.arange(2, l_max + 1, dtype=np.int64)
+    k_star, kl = _mode_shift(ls, N, m)
+    jmax = _int_root(ls, m)
+    k = np.stack([np.where(kl > 0, np.maximum(kl - jmax, 0), 1), kl + jmax])
+    gaps = np.abs((k * (k + N - 1)) ** m - ls * ls).astype(np.float64)
+    denom = 2.0 * ls.astype(np.float64) ** ((2.0 * m - 1.0) / m)
+    ratios = gaps / (denom * np.abs(k - k_star))
+    return float(ratios[0].min()), float(ratios[1].max())
 
 
 def _wrapped_diagonal_sums(mask):
     """out[off] = sum_ix mask[ix, (ix - off) % r], exact in int64.
 
     Row ix of a stride view of [mask | mask] starts at column ix, so its
-    column sums are the wrapped-diagonal sums at offsets (r - c) % r.
+    column sums are the wrapped-diagonal sums at offsets (r - c) % r.  The
+    doubled rows are built and summed a block of rows at a time, in one buffer.
     """
     r = mask.shape[0]
-    doubled = np.concatenate([mask, mask], axis=1)
+    doubled = np.empty((min(r, _ROW_BLOCK), 2 * r), dtype=mask.dtype)
     step_row, step_col = doubled.strides
-    diag = np.lib.stride_tricks.as_strided(
-        doubled, shape=(r, r), strides=(step_row + step_col, step_col), writeable=False
-    )
-    sums = diag.sum(axis=0, dtype=np.int64)
-    return sums[(-np.arange(r)) % r]
+    sums = np.zeros(r, dtype=np.uint32)
+    for top in range(0, r, len(doubled)):
+        rows = mask[top : top + len(doubled)]
+        doubled[: len(rows), :r] = rows
+        doubled[: len(rows), r:] = rows
+        diag = np.lib.stride_tricks.as_strided(  # row i starts at column top + i
+            doubled[:, top:], (len(rows), r), (step_row + step_col, step_col), writeable=False)
+        sums += diag.sum(axis=0, dtype=np.uint32)
+    return sums[(-np.arange(r)) % r].astype(np.int64)
 
 
 def char_slice_counts(mask):

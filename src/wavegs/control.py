@@ -178,9 +178,9 @@ class RasterSet:
         """The cells whose centre lies in the rectangle that ``weight_rectangle``
         reads from the same spans at smoothing 0."""
         centers = TWO_PI * (np.arange(resolution) + 0.5) / resolution
-        inx = _smooth_indicator(centers, *arc("x", x_span), 0.0) > 0
-        int_ = _smooth_indicator(centers, *arc("t", t_span), 0.0) > 0
-        return RasterSet(np.outer(inx, int_))
+        inx = (_smooth_indicator(centers, *arc("x", x_span), 0.0) > 0).astype(np.uint8)
+        int_ = (_smooth_indicator(centers, *arc("t", t_span), 0.0) > 0).astype(np.uint8)
+        return RasterSet(np.outer(inx, int_))  # uint8 already: __post_init__ makes no copy
 
     @staticmethod
     def from_weight(q: WeightField, threshold: float = 0.0, resolution: int = 256) -> "RasterSet":

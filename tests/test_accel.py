@@ -2,7 +2,9 @@
 
 The references are direct Python loops in exact integer arithmetic (gaps,
 integer roots, index shifts), written from the kernels' definitions; the
-kernel Gram is checked against the dense basis-row product.
+two-offset gap-ratio scan is also held, to the bit, to a scan over every
+(l, j) pair, and the kernel Gram is checked against the dense basis-row
+product.
 """
 
 import math
@@ -85,10 +87,12 @@ def _sphere_inner_loop(j, N, m, s, wexp, l_cut, klein_gordon):
 
 
 def test_sphere_series_paths_agree():
-    js = np.arange(-6, 7, dtype=np.int64)
+    # from j = -400 every k_l + j at l_cut = 300 is negative and the sum is 0
+    js = np.concatenate([np.arange(-400, -394), np.arange(-6, 7)]).astype(np.int64)
     for N, m, kg in [(3, 2, False), (2, 4, False), (1, 3, False), (3, 1, True), (5, 1, True)]:
         got = _accel.sphere_series_inner(js, N, m, 3.0, 1.0, 300, kg)
         ref = [_sphere_inner_loop(int(j), N, m, 3.0, 1.0, 300, kg) for j in js]
+        assert ref[0] == 0.0
         np.testing.assert_allclose(got, ref, rtol=1e-12)
 
 
@@ -118,9 +122,47 @@ def _gap_ratio_loop(N, m, l_max):
     return min(ratios), max(ratios)
 
 
+def _gap_ratio_scan_exhaustive(N, m, l_max):
+    """Every (l, j) pair of the scan range, flattened in blocks of l."""
+    expo = (2.0 * m - 1.0) / m
+    rmin, rmax = math.inf, 0.0
+    for start in range(2, l_max + 1, 1024):
+        ls = np.arange(start, min(start + 1024, l_max + 1), dtype=np.int64)
+        k_star, kl = _accel._mode_shift(ls, N, m)
+        denom = 2.0 * ls.astype(np.float64) ** expo
+        jmax = _accel._int_root(ls, m)
+        # pair p of row i takes j = -jmax..-1, 1..jmax in order
+        row = np.repeat(np.arange(len(ls)), 2 * jmax)
+        pos = np.arange(len(row)) - np.repeat(np.cumsum(2 * jmax) - 2 * jmax, 2 * jmax)
+        j = pos - jmax[row]
+        j += j >= 0
+        k = kl[row] + j
+        keep = k >= 0
+        row, k = row[keep], k[keep]
+        gaps = np.abs((k * (k + N - 1)) ** m - ls[row] * ls[row]).astype(np.float64)
+        ratios = gaps / (denom[row] * np.abs(k.astype(np.float64) - k_star[row]))
+        rmin, rmax = min(rmin, float(ratios.min())), max(rmax, float(ratios.max()))
+    return rmin, rmax
+
+
+@pytest.mark.parametrize("N, m, l_max", [
+    (2, 2, 10000), (2, 2, 3000), (3, 2, 2000), (1, 2, 5000), (4, 4, 3000), (2, 4, 2000),
+    (3, 6, 1500), (1, 3, 1400),
+    (5, 2, 777),  # k_l = 0 at small l: the smallest k in range is 1
+    (1, 1, 500),
+])
+def test_gap_ratio_two_offsets_match_every_pair(N, m, l_max):
+    # the ratio is monotone in k, so the extremes over every pair sit at the two end offsets
+    assert _accel.gap_ratio_scan(N, m, l_max) == _gap_ratio_scan_exhaustive(N, m, l_max)
+
+
+@pytest.mark.parametrize("l_max", [0, 1])
+def test_gap_ratio_empty_range(l_max):
+    assert _accel.gap_ratio_scan(2, 2, l_max) == (math.inf, 0.0)
+
+
 def test_gap_ratio_paths_agree():
-    # l_max = 1400 passes the cubes 8, ..., 1331, where the float cube root falls
-    # short; l_max > 1025 spans two blocks of l
+    # l_max = 1400 passes the cubes 8, ..., 1331, where the float cube root falls short
     for N, m, l_max in [(2, 2, 3000), (3, 2, 1500), (1, 2, 1500), (2, 4, 3000), (1, 3, 1400)]:
         got = _accel.gap_ratio_scan(N, m, l_max)
         assert got == pytest.approx(_gap_ratio_loop(N, m, l_max), rel=1e-13)
@@ -133,7 +175,8 @@ def test_gap_ratio_paths_agree():
 
 
 def test_slice_counts_paths_agree(rng):
-    for r in (64, 65, 97, 128):
+    # 257 and 300 end on a partial block of rows
+    for r in (64, 65, 97, 128, 257, 300):
         mask = (rng.uniform(size=(r, r)) < 0.3).astype(np.uint8)
         a_ref = np.zeros(r, dtype=np.int64)
         b_ref = np.zeros(r, dtype=np.int64)
@@ -145,6 +188,19 @@ def test_slice_counts_paths_agree(rng):
         assert a.dtype == np.int64 and b.dtype == np.int64
         np.testing.assert_array_equal(a, a_ref)
         np.testing.assert_array_equal(b, b_ref)
+
+
+def test_slice_counts_peak_memory_at_the_diagnostics_size():
+    # the 2048 raster of the diagnostics batch (4.2 MB): rows are doubled a block at a
+    # time, never the whole [mask | mask]
+    mask = np.ones((2048, 2048), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        _accel.char_slice_counts(mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 @pytest.mark.parametrize(

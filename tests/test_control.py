@@ -22,7 +22,7 @@ from wavegs import (
     weight_rectangle,
     xi_eta_infimum,
 )
-from wavegs import control
+from wavegs import control, fields
 
 TWO_PI = 2 * np.pi
 
@@ -274,6 +274,20 @@ def test_weight_and_raster_read_a_rectangle_alike(x_span, t_span, resolution):
     q = weight_rectangle(grid, x_span, t_span, smoothing=0.0).values.reshape(grid.nx, grid.nt)
     mask = RasterSet.rectangle(x_span, t_span, resolution).mask
     np.testing.assert_array_equal(q[1::2, 1::2] > 0, mask == 1)
+
+
+@pytest.mark.parametrize("x_span, t_span", [((0.0, 4.71), (0.0, 6.2832)),  # README spans
+                                           ((5.0, 8.0), (-1.0, 2.5))])  # both sides wrap
+@pytest.mark.parametrize("resolution", [64, 2048])
+def test_raster_rectangle_mask_is_pinned(x_span, t_span, resolution):
+    # the bool outer product of the two side indicators, cast to uint8 afterwards
+    centers = TWO_PI * (np.arange(resolution) + 0.5) / resolution
+    inx = fields._smooth_indicator(centers, *fields.arc("x", x_span), 0.0) > 0
+    int_ = fields._smooth_indicator(centers, *fields.arc("t", t_span), 0.0) > 0
+    want = np.outer(inx, int_).astype(np.uint8)
+    mask = RasterSet.rectangle(x_span, t_span, resolution).mask
+    assert mask.dtype == np.uint8 and mask.flags.c_contiguous
+    assert mask.tobytes() == want.tobytes()
 
 
 def test_raster_from_weight():
