@@ -207,6 +207,7 @@ class SpectralCatalog:
         self.operator = operator
         self.k_max = int(k_max)
         self.l_max = int(l_max)
+        self.cutoffs = (self.k_max,) * domain.dim + (self.l_max,)  # per torus axis (x_1.., t)
         self.space = np.asarray(space, dtype=np.int64)
         self.l = np.asarray(l, dtype=np.int64)
         self.lam_num = np.asarray(lam_num, dtype=object)
@@ -241,13 +242,17 @@ class SpectralCatalog:
         return hashlib.sha1(json.dumps(self.to_json(), sort_keys=True).encode()).hexdigest()
 
     @cached_property
+    def coords(self) -> np.ndarray:
+        """Each mode's signed index per axis, ``space`` then ``l``, built on first use."""
+        return np.column_stack([self.space, self.l])
+
+    @cached_property
     def tensor_index(self) -> np.ndarray:
         """Flat position of each torus mode in the box (2K+1)^dim x (2L+1), axes (k_1.., l)."""
         if self.domain.kind != TORUS:
             raise ValueError("only torus catalogs fill a coefficient box")
-        shift = np.array((self.k_max,) * self.domain.dim + (self.l_max,))
-        coords = np.column_stack([self.space, self.l])
-        index = np.ravel_multi_index((coords + shift).T, tuple(2 * shift + 1))
+        shift = np.array(self.cutoffs)
+        index = np.ravel_multi_index((self.coords + shift).T, tuple(2 * shift + 1))
         if len(index) != np.prod(2 * shift + 1) or len(np.unique(index)) != len(index):
             raise ValueError("catalog modes do not fill the coefficient box exactly once")
         index.flags.writeable = False

@@ -218,14 +218,13 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
                                "ground-state existence is not covered")
     # the classical wave on T^N, N >= 2: the mode family k = (l, 1, 0, ...) has gap 1
     bounded_gap = domain.kind == "torus" and domain.dim >= 2 and operator.power_degree == 1
-    if task == "solve":
-        if bounded_gap:
-            config.refusal = (
-                "compact embedding fails for the classical wave on higher tori "
-                "(bounded-gap mode family); solve refused, diagnostics still allowed"
-            )
-        if domain.kind == "sphere":
-            config.refusal = "sphere solves are out of scope (catalog and series diagnostics only)"
+    if task == "solve" and bounded_gap:
+        config.refusal = (
+            "compact embedding fails for the classical wave on higher tori "
+            "(bounded-gap mode family); solve refused, diagnostics still allowed"
+        )
+    if task in ("solve", "gram") and domain.kind == "sphere":
+        config.refusal = f"the {task} task needs a grid, and spheres carry none (series only)"
     if task == "witness" and not bounded_gap:
         config.refusal = ("the bounded-gap witness family exists only for the classical wave "
                           "on T^N, N >= 2")
@@ -319,9 +318,9 @@ def _run_dalembert(config: RunConfig) -> Outcome:
     coeffs[catalog.zero_idx] = rng.standard_normal(catalog.kernel_dim())
     u0 = SpectralField(catalog, coeffs)
     phi, psi = dalembert_split(u0)
-    xs, ts = np.meshgrid(grid.x_nodes, grid.t_nodes, indexing="ij")
+    xs, ts = grid.meshgrid()
     recon = phi(xs + ts) + psi(xs - ts)
-    err = float(np.max(np.abs(recon.ravel() - synthesize(u0, grid))))
+    err = float(np.max(np.abs(recon - synthesize(u0, grid))))
     payload["split_reconstruction_error"] = err
     s = np.linspace(0.0, 2 * np.pi, 257)[:-1]
     return EXIT_OK, payload, {

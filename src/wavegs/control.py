@@ -77,18 +77,17 @@ def kernel_gram(q: WeightField, catalog: SpectralCatalog,
     # On each axis a basis factor is b+ e^{i|r|x} + b- e^{-i|r|x} (r the signed index), so
     # phi_a phi_b sums exponentials e^{if.x}, f = s|r_a| + s'|r_b| per axis, and the rectangle
     # rule of q e^{if.x} is the DFT of q at -f mod n, aliasing included: window[f] for |f| <= 2c.
-    sizes = [grid.nx] * grid.dims + [grid.nt]
-    freqs = [np.arange(-2 * c, 2 * c + 1) for c in [catalog.k_max] * grid.dims + [catalog.l_max]]
-    neg, pos = [-f % n for f, n in zip(freqs, sizes)], [f % n for f, n in zip(freqs, sizes)]
-    rft, low = np.fft.rfftn(q.values.reshape(sizes)), neg[-1] <= grid.nt // 2
+    freqs = [np.arange(-2 * c, 2 * c + 1) for c in catalog.cutoffs]
+    neg, pos = [-f % n for f, n in zip(freqs, grid.shape)], [f % n for f, n in zip(freqs, grid.shape)]
+    rft, low = np.fft.rfftn(q.values.reshape(grid.shape)), neg[-1] <= grid.shape[-1] // 2
     window = np.empty([len(f) for f in freqs], dtype=complex)  # rfftn keeps half; Q[-g] = conj Q[g]
     window[..., low] = rft[np.ix_(*neg[:-1], neg[-1][low])]
     window[..., ~low] = rft[np.ix_(*pos[:-1], pos[-1][~low])].conj()
-    modes = np.column_stack([catalog.space[catalog.zero_idx], catalog.l[catalog.zero_idx]])
+    modes = catalog.coords[catalog.zero_idx]
     beta = axis_amplitudes(modes)  # b+ = beta, b- = conj(beta)
     steps = np.abs(modes) * (np.array(window.strides) // window.itemsize)
     sides = [(np.prod(np.where(s, beta, beta.conj()), axis=1), steps @ np.where(s, 1, -1))
-             for s in itertools.product((True, False), repeat=grid.dims + 1)]
+             for s in itertools.product((True, False), repeat=len(grid.shape))]
     flat, gram = window.ravel(), np.zeros((dim, dim))
     for ca, oa in sides[:len(sides) // 2]:  # s = + on axis 0; the other half is the conjugate
         for cb, ob in sides:
@@ -190,14 +189,14 @@ class RasterSet:
         grid = q.grid
         if grid.dims != 1:
             raise ValueError("raster sets live on the square cylinder")
-        vals = q.values.reshape(grid.nx, grid.nt)
+        vals = q.values.reshape(grid.shape)
         cells = np.arange(resolution)
 
         def nearest(n):
             # ceil(((2i + 1) n - R) / 2R) in exact integers
             return -((resolution - (2 * cells + 1) * n) // (2 * resolution)) % n
 
-        return RasterSet((vals[np.ix_(nearest(grid.nx), nearest(grid.nt))] > threshold)
+        return RasterSet((vals[np.ix_(*map(nearest, grid.shape))] > threshold)
                          .astype(np.uint8))
 
 

@@ -67,8 +67,6 @@ class EnergyContext:
         weight: WeightField,
         nonlinearity: NonlinearitySpec,
     ):
-        if not grid.compliant_with(catalog):
-            raise ValueError("grid is not compliant with the catalog cutoffs")
         if weight.grid != grid:
             raise ValueError("weight lives on a different grid")
         self.catalog = catalog
@@ -126,9 +124,8 @@ def quadrature_refinement_gap(u: SpectralField, ctx: EnergyContext) -> float:
     """
     fine = ProductGrid(ctx.grid.dims, 2 * ctx.grid.nx, 2 * ctx.grid.nt)
     vals = synthesize(u, fine)
-    coarse_vals = ctx.weight.values.reshape((ctx.grid.nx,) * ctx.grid.dims + (ctx.grid.nt,))
-    reps = np.repeat(coarse_vals, 2, axis=-1)
-    for ax in range(ctx.grid.dims):
+    reps = ctx.weight.values.reshape(ctx.grid.shape)
+    for ax in range(reps.ndim):
         reps = np.repeat(reps, 2, axis=ax)
     F = _accel.quasipoly_prim(vals, ctx.nonlinearity.amplitudes, ctx.nonlinearity.exponents)
     fine_I = float(np.sum(reps.ravel() * F)) * fine.quad_weight

@@ -72,16 +72,26 @@ class ProductGrid:
         )
 
     @property
+    def shape(self) -> tuple:
+        """Node count per axis (x_1, ..., x_dims, t): the C order of every value array."""
+        return (self.nx,) * self.dims + (self.nt,)
+
+    @property
+    def axes(self) -> list:
+        """Uniform nodes per axis, in ``shape`` order."""
+        return [TWO_PI * np.arange(n) / n for n in self.shape]
+
+    @property
     def x_nodes(self) -> np.ndarray:
-        return TWO_PI * np.arange(self.nx) / self.nx
+        return self.axes[0]
 
     @property
     def t_nodes(self) -> np.ndarray:
-        return TWO_PI * np.arange(self.nt) / self.nt
+        return self.axes[-1]
 
     @property
     def n_points(self) -> int:
-        return self.nx**self.dims * self.nt
+        return math.prod(self.shape)
 
     @property
     def quad_weight(self) -> float:
@@ -91,15 +101,12 @@ class ProductGrid:
         return (
             catalog.domain.kind == TORUS
             and catalog.domain.dim == self.dims
-            and self.nx >= 2 * catalog.k_max + 2
-            and self.nt >= 2 * catalog.l_max + 2
+            and all(n >= 2 * c + 2 for n, c in zip(self.shape, catalog.cutoffs))
         )
 
     def meshgrid(self):
         """Flattened coordinate arrays (x_1, ..., x_dims, t), C-order."""
-        axes = [self.x_nodes] * self.dims + [self.t_nodes]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return [m.ravel() for m in mesh]
+        return [m.ravel() for m in np.meshgrid(*self.axes, indexing="ij")]
 
 
 def axis_amplitudes(signed) -> np.ndarray:
@@ -118,10 +125,10 @@ def _axis_table(cutoff: int, nodes: np.ndarray) -> np.ndarray:
     return np.vstack([np.sin(angles[::-1]) * _INV_SQRT_PI, const, np.cos(angles) * _INV_SQRT_PI])
 
 
-def _axis_tables(catalog: SpectralCatalog, grid: ProductGrid):
+def _axis_tables(catalog: SpectralCatalog, grid: ProductGrid) -> list:
     if not grid.compliant_with(catalog):
         raise ValueError("grid too coarse (or wrong shape) for catalog")
-    return _axis_table(catalog.k_max, grid.x_nodes), _axis_table(catalog.l_max, grid.t_nodes)
+    return [_axis_table(c, nodes) for c, nodes in zip(catalog.cutoffs, grid.axes)]
 
 
 def basis_rows(catalog: SpectralCatalog, grid: ProductGrid, mode_indices) -> np.ndarray:
@@ -129,11 +136,11 @@ def basis_rows(catalog: SpectralCatalog, grid: ProductGrid, mode_indices) -> np.
 
     Each row is the outer product of the mode's circle factors, one per axis.
     """
-    x_table, t_table = _axis_tables(catalog, grid)
+    tables = _axis_tables(catalog, grid)
     idx = np.asarray(mode_indices, dtype=int)
-    rows = np.column_stack([catalog.space[idx] + catalog.k_max, catalog.l[idx] + catalog.l_max])
+    rows = catalog.coords[idx] + catalog.cutoffs
     out = np.ones((len(idx), 1))
-    for table, row in zip([x_table] * grid.dims + [t_table], rows.T):
+    for table, row in zip(tables, rows.T):
         out = (out[:, :, None] * table[row][:, None, :]).reshape(len(idx), -1)
     return out
 
@@ -145,10 +152,9 @@ class TensorTransform:
     """
 
     def __init__(self, catalog: SpectralCatalog, grid: ProductGrid):
-        x_table, t_table = _axis_tables(catalog, grid)
+        self._to_grid = _axis_tables(catalog, grid)
         self.index = catalog.tensor_index
         self.quad_weight = grid.quad_weight
-        self._to_grid = [x_table] * grid.dims + [t_table]
         self._to_box = [table.T for table in self._to_grid]
 
     @staticmethod
@@ -234,7 +240,7 @@ def weight_rectangle(
     bump = np.outer(_smooth_indicator(grid.x_nodes, *arc("x", x_span), smoothing),
                     _smooth_indicator(grid.t_nodes, *arc("t", t_span), smoothing))
     plane = np.expand_dims(outside + (inside - outside) * bump, tuple(range(1, grid.dims)))
-    return WeightField(grid, np.broadcast_to(plane, (grid.nx,) * grid.dims + (grid.nt,)).copy())
+    return WeightField(grid, np.broadcast_to(plane, grid.shape).copy())
 
 
 # ---------------------------------------------------------------------------

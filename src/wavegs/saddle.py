@@ -158,7 +158,7 @@ def _check_plus_unit(w: SpectralField):
 class _InnerProblem:
     """G(x) with its Riesz-ascent gradient; x = (t, y, z^-), y in the kernel basis."""
 
-    def __init__(self, w, ctx, kernel_basis):
+    def __init__(self, w, ctx):
         cat = ctx.catalog
         self.ctx = ctx
         self.cat = cat
@@ -166,7 +166,7 @@ class _InnerProblem:
         self.zero = cat.zero_idx
         self.minus = cat.minus_idx
         self.wp = w.coeffs[self.plus]
-        self.V = ctx.kernel_report.basis if kernel_basis is None else kernel_basis
+        self.V = ctx.kernel_report.basis
         self.ys = slice(1, 1 + self.V.shape[1])
         self.ms = slice(self.ys.stop, None)
         # Riesz metric of the state: 1 on t and y, |lambda| on z^-
@@ -246,26 +246,25 @@ def inner_maximize(
 ) -> SaddleResult:
     """Maximize Phi over the half-space of w; see module docstring.
 
-    ``kernel_basis`` restricts the kernel block to the columns of an
-    orthonormal matrix; None, as in every solve, takes
-    ``ctx.kernel_report.basis``, the q-Gram eigenvectors above the floor.
-    ``warm`` is ``(state, ceiling)``: a previous ``_state`` and a ceiling (``inf`` for
-    none).  A warm state whose value is below 0 is off the maximizer's basin
-    (Psi > 0 and s_w is bounded away from 0 on the Nehari-Pankov set), so the
-    height is re-seeded as for a cold start.  With a ceiling the ascent returns
-    as soon as its value exceeds it, after the start evaluation or after an
-    accepted step (grad_norm inf, stop ``ceiling``).  The ascent is monotone
-    and every other exit returns the current value, so the uncapped run would
-    also end above the ceiling or diverge; a run that stays at or below the
-    ceiling is the uncapped run, bit for bit.  Every entry of the state x =
-    (t, y, z^-), the height too, takes the same Riesz step x + eta * d, so the
-    rule does not depend on the scale of t; a trial at t <= 0 is rejected and
-    its step halved like a trial without a gain.  ``cfg`` is not read (the
-    inner level has no caller-set value); it keeps the
-    ``(w, ctx, cfg, kernel_basis, warm)`` call shape that wrappers forward.
+    The kernel block is ``ctx.kernel_report.basis``, the q-Gram eigenvectors
+    above the floor.  ``warm`` is ``(state, ceiling)``: a previous ``_state``
+    and a ceiling (``inf`` for none).  A warm state whose value is below 0 is
+    off the maximizer's basin (Psi > 0 and s_w is bounded away from 0 on the
+    Nehari-Pankov set), so the height is re-seeded as for a cold start.  With a
+    ceiling the ascent returns as soon as its value exceeds it, after the start
+    evaluation or after an accepted step (grad_norm inf, stop ``ceiling``).
+    The ascent is monotone and every other exit returns the current value, so
+    the uncapped run would also end above the ceiling or diverge; a run that
+    stays at or below the ceiling is the uncapped run, bit for bit.  Every
+    entry of the state x = (t, y, z^-), the height too, takes the same Riesz
+    step x + eta * d, so the rule does not depend on the scale of t; a trial at
+    t <= 0 is rejected and its step halved like a trial without a gain.
+    ``cfg`` and ``kernel_basis`` are not read (the inner level has no
+    caller-set value); they keep the ``(w, ctx, cfg, kernel_basis, warm)`` call
+    shape that wrappers forward.
     """
     _check_plus_unit(w)
-    problem = _InnerProblem(w, ctx, kernel_basis)
+    problem = _InnerProblem(w, ctx)
 
     def result(x, value, iters, gnorm, stop, grad=None):
         m_hat = SpectralField(ctx.catalog, problem.assemble(x))

@@ -320,6 +320,19 @@ def test_witness_is_refused_off_the_higher_tori(tmp_path, capsys):
     assert [path.name for path in out.iterdir()] == ["result.json"]
 
 
+@pytest.mark.parametrize("task", ["solve", "gram"])
+def test_grid_tasks_are_refused_on_spheres(tmp_path, capsys, task):
+    # a sphere gram once failed in its runner, as a config error with no output directory
+    out = tmp_path / "s"
+    doc = {"task": task, "domain": {"kind": "sphere", "dim": 2}, "operator": {"power": 2},
+           "out": str(out)}
+    assert main([task, "--config", str(write_config(tmp_path, doc))]) == EXIT_REFUSED
+    error = json.loads((out / "result.json").read_text())["result"]["error"]
+    assert error == f"the {task} task needs a grid, and spheres carry none (series only)"
+    assert capsys.readouterr().err == f"refused: {error}\n"
+    assert [path.name for path in out.iterdir()] == ["result.json"]
+
+
 def test_dalembert_task(tmp_path):
     out = tmp_path / "d"
     doc = {

@@ -218,6 +218,15 @@ def test_context_rejects_mismatched_grid(circle_beam_cat):
                       NonlinearitySpec.pure_power(4))
 
 
+@pytest.mark.parametrize("dims, nx, nt", [(1, 9, 10), (1, 10, 9), (2, 10, 10)])
+def test_context_rejects_a_grid_too_coarse_or_of_another_dimension(circle_beam_cat, dims, nx, nt):
+    # K = L = 4 needs nx, nt >= 10 on the circle; the transform makes the one check
+    grid = ProductGrid(dims, nx, nt)
+    with pytest.raises(ValueError, match="grid too coarse"):
+        EnergyContext(circle_beam_cat, grid, WeightField.constant(grid),
+                      NonlinearitySpec.pure_power(4))
+
+
 def test_quadrature_gap_matches_table_reference():
     cat = build_catalog(DomainSpec.circle(), OperatorSpec.laplacian_power(2), 3, 3)
     grid = ProductGrid.for_catalog(cat)

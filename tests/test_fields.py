@@ -89,6 +89,24 @@ def test_synthesize_cos_cos_pointwise(circle_beam_cat):
     np.testing.assert_allclose(vals, oracle, atol=1e-13)
 
 
+def test_axis_order_on_a_non_square_t2_against_closed_forms():
+    # K != L and nx != nt, so a swapped or misplaced axis changes both values
+    cat = build_catalog(DomainSpec.torus(2), OperatorSpec.laplacian_power(2), 2, 3)
+    grid = ProductGrid.for_catalog(cat)
+    assert grid.shape == (12, 12, 16)
+    x1, x2, t = grid.meshgrid()
+    u = SpectralField.zeros(cat)
+    u.coeffs[cat.modes.index(ModeKey((1, -2), 3))] = 1.0
+    oracle = np.cos(x1) * np.sin(2 * x2) * np.cos(3 * t) / np.pi**1.5
+    np.testing.assert_allclose(synthesize(u, grid), oracle, rtol=0, atol=1e-14)
+
+    q = weight_rectangle(grid, (0.5, 2.5), (1.0, 4.0), inside=2.0, outside=0.5, smoothing=0.0)
+    box = q.values.reshape(grid.shape)
+    bump = ((0.5 <= x1) & (x1 <= 2.5) & (1.0 <= t) & (t <= 4.0)).reshape(grid.shape)
+    np.testing.assert_array_equal(box, np.where(bump, 2.0, 0.5))
+    assert np.all(box == box[:, :1, :])  # constant along x_2
+
+
 def test_round_trip_torus(torus2_cat):
     grid = ProductGrid.for_catalog(torus2_cat)
     rng = np.random.default_rng(2)

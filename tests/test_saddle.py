@@ -532,7 +532,7 @@ def test_initial_height_is_the_nehari_scaling_of_w(terms, parent_height):
     weight = weight_rectangle(grid, (0.0, 4.71), (0.0, 6.2832), 1.0, 0.0, 0.1)
     ctx = EnergyContext(cat, grid, weight, NonlinearitySpec(terms))
     w = lowest_plus_direction(cat)
-    t = saddle_mod._initial_height(saddle_mod._InnerProblem(w, ctx, None))
+    t = saddle_mod._initial_height(saddle_mod._InnerProblem(w, ctx))
     wvals = np.abs(ctx.synth(w.coeffs))
     h = sum(a * float(np.sum(weight.values * wvals**p)) * grid.quad_weight * t ** (p - 2)
             for a, p in terms)
