@@ -3,7 +3,10 @@
 Sizes are those of the ``wavebench`` diagnostics batch (and, for the
 pointwise nonlinearity, a large solve grid; for the catalog, the circle
 classical wave at K = L = 48 and T^2 beams at 16 and 24; for the kernel Gram,
-also the README beam's weight on T^2 and T^3 at K = L = 8).  Each kernel is
+also the README beam's weight on T^2 and T^3 at K = L = 8).  The per-evaluation
+cost of the inner ascent is timed as 1,000 value-plus-gradient evaluations of
+one ``saddle._InnerProblem`` at its maximizer, at the circle-beam (K = L = 8,
+power 2) and wave-kernel (K = L = 16, power 1) sizes.  Each kernel is
 timed in this process as the best of a few calls, and its tracemalloc peak is
 taken from one more call; ``import wavegs`` is timed cold, in fresh
 interpreters (best and median).  The script prints a table and then one JSON
@@ -26,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 import wavegs
-from wavegs import _accel
+from wavegs import _accel, saddle
 
 # the diagnostics batch's rectangle weight and raster set
 X_SPAN, T_SPAN = (0.0, 4.71), (0.0, 6.2832)
@@ -69,6 +72,25 @@ def _torus_nu(n, cutoff):
     return np.unique(sum(g.ravel() ** 2 for g in grids)).astype(np.int64)
 
 
+def _inner_evaluations(power, cutoff, count=1000):
+    """``count`` value-plus-gradient evaluations of the README weight's inner problem
+    (p = 4) on the circle, at the maximizer of the lowest plus direction."""
+    cat = wavegs.build_catalog(wavegs.DomainSpec.circle(),
+                               wavegs.OperatorSpec.laplacian_power(power), cutoff, cutoff)
+    grid = wavegs.ProductGrid.for_catalog(cat)
+    weight = wavegs.weight_rectangle(grid, X_SPAN, T_SPAN, 1.0, 0.0, 0.1)
+    ctx = wavegs.EnergyContext(cat, grid, weight, wavegs.NonlinearitySpec.pure_power(4.0))
+    w = wavegs.lowest_plus_direction(cat)
+    x = wavegs.inner_maximize(w, ctx, wavegs.SolverConfig())._state
+    problem = saddle._InnerProblem(w, ctx)
+
+    def run():
+        for _ in range(count):
+            problem.gradient(x, problem.value(x)[1])
+
+    return run
+
+
 def cases():
     """(name, zero-argument call) at the diagnostics sizes."""
     rng = np.random.default_rng(0)
@@ -101,6 +123,9 @@ def cases():
         ("build_catalog_T2_24", lambda: wavegs.build_catalog(torus2, beam, 24, 24)),
         ("quasipoly_f_2e6", lambda: _accel.quasipoly_f(v, amps, exps)),
         ("quasipoly_prim_2e6", lambda: _accel.quasipoly_prim(v, amps, exps)),
+        ("quasipoly_2e6", lambda: _accel.quasipoly(v, amps, exps)),
+        ("inner_value_gradient_beam_8_x1000", _inner_evaluations(2, 8)),
+        ("inner_value_gradient_wave_16_x1000", _inner_evaluations(1, 16)),
         (f"torus_l_sums_T2_96_{len(nu_a)}nu", lambda: _accel.torus_l_sums(nu_a, 2, 3.0)),
         (f"torus_l_sums_T3_24_{len(nu_b)}nu", lambda: _accel.torus_l_sums(nu_b, 2, 2.0)),
         # s = p / (p - 2); wexp = 2 p sigma_p / (p - 2) with p = 3: 1.0 on S^3, 0.5 on S^2

@@ -3,10 +3,11 @@
 Each kernel has one code path and uses the integer structure of its problem:
 exact integer gaps before any fractional power, a factored gap read forward
 from one power table for the torus shell sums, per-degree tables and suffixes
-of l for the sphere sums, two offsets per l for the gap-ratio scan (the ratio
-is monotone in the degree) and wrapped-diagonal sums of a row-blocked doubled
-raster for the slice counts.  Callers look the kernels up on this module at
-call time (``_accel.torus_l_sums(...)``).
+of l for the sphere sums, two offsets per l over blocks of l for the gap-ratio
+scan (the ratio is monotone in the degree) and wrapped-diagonal sums of a
+row-blocked doubled raster for the slice counts.  The nonlinearity takes one
+power per term and shares it between F and f.  Callers look the kernels up on
+this module at call time (``_accel.torus_l_sums(...)``).
 """
 
 import math
@@ -15,24 +16,37 @@ import numpy as np
 
 # raster rows per doubled block of the slice counts: 1 MB of uint8 at R = 2048
 _ROW_BLOCK = 256
+# values of l per block of the gap-ratio scan: about 7 MB of temporaries
+_L_BLOCK = 1 << 16
+
+
+def quasipoly(v, amps, exps):
+    """(F(s), f(s)) elementwise: F = sum_i (a_i / p_i) |s|^p_i and its derivative
+    f = sum_i a_i |s|^(p_i - 2) s, both from one power |s|^(p_i - 2) per term."""
+    av = np.abs(v)
+    F = f = None
+    for a, p in zip(amps, exps):
+        rs = np.power(av, p - 2.0)
+        rs *= v  # |s|^(p - 2) s
+        Fi = rs * v
+        Fi *= a / p
+        rs *= a
+        if f is None:
+            F, f = Fi, rs
+        else:
+            F += Fi
+            f += rs
+    return F, f
 
 
 def quasipoly_f(v, amps, exps):
-    """f(s) = sum_i a_i |s|^(p_i - 2) s, evaluated elementwise."""
-    out = np.zeros_like(v)
-    av = np.abs(v)
-    for a, p in zip(amps, exps):
-        out += a * av ** (p - 2.0) * v
-    return out
+    """f(s) = sum_i a_i |s|^(p_i - 2) s, evaluated elementwise (``quasipoly``'s f)."""
+    return quasipoly(v, amps, exps)[1]
 
 
 def quasipoly_prim(v, amps, exps):
-    """Primitive F(s) = sum_i (a_i / p_i) |s|^p_i, elementwise."""
-    out = np.zeros_like(v)
-    av = np.abs(v)
-    for a, p in zip(amps, exps):
-        out += (a / p) * av ** p
-    return out
+    """Primitive F(s) = sum_i (a_i / p_i) |s|^p_i, elementwise (``quasipoly``'s F)."""
+    return quasipoly(v, amps, exps)[0]
 
 
 def torus_l_sums(nu, m, s):
@@ -126,18 +140,20 @@ def gap_ratio_scan(N, m, l_max):
     increasing in k >= 0.  Per l the minimum is at the smallest k in range,
     max(k_l - jmax, 0) if k_l > 0 and else 1 (j = 0 is excluded), and the
     maximum at k_l + jmax.  The extremes are those of the every-pair scan to
-    the bit (the tests keep that scan).
+    the bit (the tests keep that scan).  The scan runs over blocks of
+    ``_L_BLOCK`` values of l, so its memory does not grow with l_max.
     """
-    if l_max < 2:
-        return math.inf, 0.0
-    ls = np.arange(2, l_max + 1, dtype=np.int64)
-    k_star, kl = _mode_shift(ls, N, m)
-    jmax = _int_root(ls, m)
-    k = np.stack([np.where(kl > 0, np.maximum(kl - jmax, 0), 1), kl + jmax])
-    gaps = np.abs((k * (k + N - 1)) ** m - ls * ls).astype(np.float64)
-    denom = 2.0 * ls.astype(np.float64) ** ((2.0 * m - 1.0) / m)
-    ratios = gaps / (denom * np.abs(k - k_star))
-    return float(ratios[0].min()), float(ratios[1].max())
+    lo, hi = math.inf, 0.0
+    for first in range(2, l_max + 1, _L_BLOCK):
+        ls = np.arange(first, min(first + _L_BLOCK, l_max + 1), dtype=np.int64)
+        k_star, kl = _mode_shift(ls, N, m)
+        jmax = _int_root(ls, m)
+        k = np.stack([np.where(kl > 0, np.maximum(kl - jmax, 0), 1), kl + jmax])
+        gaps = np.abs((k * (k + N - 1)) ** m - ls * ls).astype(np.float64)
+        denom = 2.0 * ls.astype(np.float64) ** ((2.0 * m - 1.0) / m)
+        ratios = gaps / (denom * np.abs(k - k_star))
+        lo, hi = min(lo, float(ratios[0].min())), max(hi, float(ratios[1].max()))
+    return lo, hi
 
 
 def _wrapped_diagonal_sums(mask):

@@ -3,7 +3,11 @@
 Phi(u) = 1/2 ||u+||_+^2 - 1/2 ||u-||_-^2 - I(u),  I(u) = integral of q F(u),
 with a quasipolynomial nonlinearity f(s) = sum_i a_i |s|^(p_i - 2) s.  The
 coefficient-space gradient is lambda * a - g with g the analyzed nonlinear
-term, which covers plus, kernel and minus modes in one formula.
+term, which covers plus, kernel and minus modes in one formula.  One pass of
+the pointwise kernel (``EnergyContext.pointwise``) gives both I(u) and q f(u)
+from the grid values of u, one power per term; the potential, the analyzed
+nonlinear term and the solver's inner ascent all read that pass, so they agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -75,8 +79,7 @@ class EnergyContext:
         self.nonlinearity = nonlinearity
         self._transform = TensorTransform(catalog, grid)
         self.qw = weight.values * grid.quad_weight  # q times the rectangle-rule weight
-        self._amps = nonlinearity.amplitudes
-        self._exps = nonlinearity.exponents
+        self._amps, self._exps = zip(*nonlinearity.terms)
 
     @cached_property
     def kernel_report(self):
@@ -87,14 +90,22 @@ class EnergyContext:
     def synth(self, coeffs: np.ndarray) -> np.ndarray:
         return self._transform.synth(coeffs)
 
+    def analyze_values(self, values: np.ndarray) -> np.ndarray:
+        """Catalog coefficients of grid values (rectangle-rule inner products)."""
+        return self._transform.analyze(values)
+
+    def pointwise(self, values: np.ndarray) -> tuple:
+        """(I(u), q f(u)) from the grid values of u, one ``_accel.quasipoly`` pass."""
+        F, f = _accel.quasipoly(values, self._amps, self._exps)
+        f *= self.weight.values
+        return float(self.qw @ F), f
+
     def potential_from_values(self, values: np.ndarray) -> float:
-        F = _accel.quasipoly_prim(values, self._amps, self._exps)
-        return float(self.qw @ F)
+        return self.pointwise(values)[0]
 
     def nonlinear_coeffs(self, values: np.ndarray) -> np.ndarray:
         """Analyzed coefficients of q f(u): the I'(u) part of the gradient."""
-        f = _accel.quasipoly_f(values, self._amps, self._exps)
-        return self._transform.analyze(self.weight.values * f)
+        return self.analyze_values(self.pointwise(values)[1])
 
 
 def I_eval(u: SpectralField, ctx: EnergyContext) -> float:
@@ -127,6 +138,6 @@ def quadrature_refinement_gap(u: SpectralField, ctx: EnergyContext) -> float:
     reps = ctx.weight.values.reshape(ctx.grid.shape)
     for ax in range(reps.ndim):
         reps = np.repeat(reps, 2, axis=ax)
-    F = _accel.quasipoly_prim(vals, ctx.nonlinearity.amplitudes, ctx.nonlinearity.exponents)
+    F, _ = _accel.quasipoly(vals, ctx.nonlinearity.amplitudes, ctx.nonlinearity.exponents)
     fine_I = float(np.sum(reps.ravel() * F)) * fine.quad_weight
     return abs(fine_I - I_eval(u, ctx))

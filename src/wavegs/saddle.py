@@ -20,7 +20,9 @@ it.  The ascent never lowers its value and every exit returns the current
 value (or a divergence, which is rejected too), so a run that passes the
 ceiling would have ended above it: the trial is rejected exactly as after the
 full ascent.  Accepted trials never reach the ceiling and run unchanged, so
-the solve trajectory does not depend on the ceiling.
+the solve trajectory does not depend on the ceiling.  Each trial state of the
+inner ascent is evaluated once (``_InnerProblem``), and Phi'(m_hat) in catalog
+order is built once, when the ascent returns.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ TOL_INNER = 1e-8
 MAX_INNER = 4000
 MAX_OUTER = 400
 DIVERGENCE_NORM = 1e6  # an inner state or cold height beyond this diverges
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -72,9 +75,10 @@ class SaddleResult:
     halved until no shorter step can show a gain above that noise),
     ``no_ascent`` (60 halvings gave no Armijo gain), ``ceiling`` (the value
     passed the caller's ceiling), ``max_inner`` or ``diverged``.  ``grad``
-    holds the coefficients of Phi'(m_hat), evaluated by the ascent at its last
-    state; it is None after ``ceiling`` and ``diverged``.  ``_state`` is the
-    state vector (t, y, z^-) that a warm start takes back.
+    holds the coefficients of Phi'(m_hat), built on return from the analyzed
+    q f(u) of the ascent's last state; it is None after ``ceiling`` and
+    ``diverged``.  ``_state`` is the state vector (t, y, z^-) that a warm
+    start takes back.
     """
 
     m_hat: SpectralField
@@ -156,7 +160,13 @@ def _check_plus_unit(w: SpectralField):
 
 
 class _InnerProblem:
-    """G(x) with its Riesz-ascent gradient; x = (t, y, z^-), y in the kernel basis."""
+    """G(x) with its Riesz-ascent gradient; x = (t, y, z^-), y in the kernel basis.
+
+    Each state is synthesized once: ``value`` returns q f(u) beside G, and
+    ``gradient`` analyzes that array and forms the state gradient
+    (t c_w - n_+ . w, -V^T n_0, lambda_- z^- - n_-) from the blocks of the
+    analyzed n, with c_w = sum lambda_+ w^2.
+    """
 
     def __init__(self, w, ctx):
         cat = ctx.catalog
@@ -166,11 +176,14 @@ class _InnerProblem:
         self.zero = cat.zero_idx
         self.minus = cat.minus_idx
         self.wp = w.coeffs[self.plus]
+        self.c_w = float(cat.eig[self.plus] @ (self.wp * self.wp))
         self.V = ctx.kernel_report.basis
+        self.VT = np.ascontiguousarray(self.V.T)
+        self.lam_minus = cat.eig[self.minus]
         self.ys = slice(1, 1 + self.V.shape[1])
         self.ms = slice(self.ys.stop, None)
         # Riesz metric of the state: 1 on t and y, |lambda| on z^-
-        self.metric = np.concatenate((np.ones(self.ys.stop), np.abs(cat.eig[self.minus])))
+        self.metric = np.concatenate((np.ones(self.ys.stop), -self.lam_minus))
         self.size = len(self.metric)
 
     def assemble(self, x):
@@ -181,20 +194,20 @@ class _InnerProblem:
         return u
 
     def value(self, x):
-        """(G, coefficients, grid values); the values feed ``gradient`` at this state."""
-        u = self.assemble(x)
-        vals = self.ctx.synth(u)
+        """(G, q f(u)) at the state x; q f(u) feeds ``gradient`` at this state."""
+        potential, qf = self.ctx.pointwise(self.ctx.synth(self.assemble(x)))
         t, zm = float(x[0]), x[self.ms]
-        quad = 0.5 * t * t - 0.5 * float(np.sum(self.metric[self.ms] * zm * zm))
-        return quad - self.ctx.potential_from_values(vals), u, vals
+        return 0.5 * t * t + 0.5 * float(self.lam_minus @ (zm * zm)) - potential, qf
 
-    def gradient(self, u, vals):
-        """(Phi'(u) coefficients, Riesz ascent direction d, ||d||) at the state of ``u``."""
-        full = self.cat.eig * u - self.ctx.nonlinear_coeffs(vals)
-        g = np.concatenate(([full[self.plus] @ self.wp], self.V.T @ full[self.zero],
-                            full[self.minus]))
+    def gradient(self, x, qf):
+        """(n, Riesz ascent direction d, ||d||) at the state x, n the analyzed ``qf``."""
+        n = self.ctx.analyze_values(qf)
+        g = np.empty(self.size)
+        g[0] = x[0] * self.c_w - n[self.plus] @ self.wp
+        g[self.ys] = -(self.VT @ n[self.zero])
+        g[self.ms] = self.lam_minus * x[self.ms] - n[self.minus]
         d = g / self.metric
-        return full, d, math.sqrt(float(g @ d))
+        return n, d, math.sqrt(float(g @ d))
 
 
 def _initial_height(problem):
@@ -266,9 +279,12 @@ def inner_maximize(
     _check_plus_unit(w)
     problem = _InnerProblem(w, ctx)
 
-    def result(x, value, iters, gnorm, stop, grad=None):
-        m_hat = SpectralField(ctx.catalog, problem.assemble(x))
-        return SaddleResult(m_hat, float(x[0]), value, iters, gnorm, stop, grad, _state=x)
+    def result(x, value, iters, gnorm, stop, n=None):
+        # Phi'(m_hat) = lambda * m_hat - n, formed once per ascent from its last n
+        u = problem.assemble(x)
+        grad = None if n is None else ctx.catalog.eig * u - n
+        return SaddleResult(SpectralField(ctx.catalog, u), float(x[0]), value, iters, gnorm,
+                            stop, grad, _state=x)
 
     ceiling = math.inf
     if warm is not None:
@@ -277,24 +293,24 @@ def inner_maximize(
         if x.shape != (problem.size,):
             raise ValueError("warm state has the wrong size")
         x[0] = max(x[0], 1e-8)
-        value, u, vals = problem.value(x)
+        value, qf = problem.value(x)
     if warm is None or value < 0:
         x = np.zeros(problem.size)
         if (t := _initial_height(problem)) is None:
             return result(x, math.nan, 0, math.inf, "diverged")
         x[0] = t
-        value, u, vals = problem.value(x)
+        value, qf = problem.value(x)
 
     if value > ceiling:
         return result(x, value, 0, math.inf, "ceiling")
-    full, d, gnorm = problem.gradient(u, vals)
+    n, d, gnorm = problem.gradient(x, qf)
     eta = 1.0
     prev = None  # (x, d) of the previous iteration
     stagnant = 0
 
     for it in range(1, MAX_INNER + 1):
         if gnorm <= TOL_INNER:
-            return result(x, value, it - 1, gnorm, "converged", full)
+            return result(x, value, it - 1, gnorm, "converged", n)
         # G <= t^2/2, so a runaway value also shows here first
         if math.sqrt(float(x @ x)) > DIVERGENCE_NORM:
             return result(x, value, it - 1, gnorm, "diverged")
@@ -303,32 +319,32 @@ def inner_maximize(
             eta = _bb_step(x - prev[0], prev[1] - d, eta)
         prev = (x, d)
 
-        floor = 16.0 * np.finfo(float).eps * max(1.0, abs(value))
+        floor = 16.0 * _EPS * max(1.0, abs(value))
         for _ in range(60):
             x_try = x + eta * d
             if x_try[0] > 0 and math.isfinite(x_try[0]):
-                v_try, u_try, vals_try = problem.value(x_try)
+                v_try, qf_try = problem.value(x_try)
                 if v_try >= value + 1e-4 * eta * gnorm * gnorm:
                     break
             eta *= 0.5
             # G rises by about eta * gnorm^2 along the step, so below 16 ulp of G
             # no shorter step can show a gain above roundoff
             if eta * gnorm * gnorm < floor:
-                return result(x, value, it, gnorm, "roundoff_floor", full)
+                return result(x, value, it, gnorm, "roundoff_floor", n)
         else:
-            return result(x, value, it, gnorm, "no_ascent", full)
+            return result(x, value, it, gnorm, "no_ascent", n)
         gain = v_try - value
-        x, value, u, vals = x_try, v_try, u_try, vals_try
+        x, value, qf = x_try, v_try, qf_try
         if value > ceiling:
             return result(x, value, it, math.inf, "ceiling")
-        full, d, gnorm = problem.gradient(u, vals)
+        n, d, gnorm = problem.gradient(x, qf)
         stagnant = stagnant + 1 if gain <= floor else 0
         if stagnant >= 3:
             # ascent hit the roundoff floor of G; gnorm belongs to the returned state
-            return result(x, value, it, gnorm, "roundoff_floor", full)
+            return result(x, value, it, gnorm, "roundoff_floor", n)
 
     stop = "converged" if gnorm <= TOL_INNER else "max_inner"
-    return result(x, value, MAX_INNER, gnorm, stop, full)
+    return result(x, value, MAX_INNER, gnorm, stop, n)
 
 
 def psi_gradient(w: SpectralField, saddle: SaddleResult, ctx: EnergyContext) -> SpectralField:
@@ -376,7 +392,7 @@ def _run_start(start_id, w, ctx, cfg, records):
         prev = (w, grad)
         counts = {"backtracks": 0, "rejected_inner_iters": 0}
         # require a decrease that beats both Armijo and the roundoff floor of Psi
-        noise = 32.0 * np.finfo(float).eps * max(1.0, abs(saddle.psi))
+        noise = 32.0 * _EPS * max(1.0, abs(saddle.psi))
         # Psi falls by about eta * gn^2 along the step, so below the noise drop
         # no shorter trial can be accepted (NaN also stops here)
         while eta * gn * gn >= noise:

@@ -32,13 +32,21 @@ def rng():
 
 
 def test_quasipoly_paths_agree(rng):
-    v = rng.standard_normal(4096)
-    amps = np.array([1.0, 0.4])
-    exps = np.array([3.0, 4.5])
-    f_ref = [sum(a * abs(x) ** (p - 2.0) * x for a, p in zip(amps, exps)) for x in v]
-    F_ref = [sum(a / p * abs(x) ** p for a, p in zip(amps, exps)) for x in v]
-    np.testing.assert_allclose(_accel.quasipoly_f(v, amps, exps), f_ref, rtol=1e-13, atol=1e-13)
-    np.testing.assert_allclose(_accel.quasipoly_prim(v, amps, exps), F_ref, rtol=1e-13, atol=1e-13)
+    # the shared kernel and its two halves, on exact zeros and both signs
+    v = np.concatenate((rng.standard_normal(4096), [0.0, -0.0, -2.5, 2.5, -1.0, 1.0]))
+    for terms in [((1.0, 3.0),), ((1.0, 3.5),), ((1.0, 4.0),), ((1.0, 5.0),), ((1.0, 6.0),),
+                  ((1.0, 3.0), (0.5, 5.0)), ((1.0, 3.0), (0.4, 4.5))]:
+        amps = np.array([a for a, _ in terms])
+        exps = np.array([p for _, p in terms])
+        f_ref = [sum(a * abs(x) ** (p - 2.0) * x for a, p in terms) for x in v]
+        F_ref = [sum(a / p * abs(x) ** p for a, p in terms) for x in v]
+        F, f = _accel.quasipoly(v, amps, exps)
+        for got, ref in [(F, F_ref), (f, f_ref), (_accel.quasipoly_prim(v, amps, exps), F_ref),
+                         (_accel.quasipoly_f(v, amps, exps), f_ref)]:
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
+        assert np.all(F[v == 0] == 0) and np.all(f[v == 0] == 0)
+        pairs = f[-6:].reshape(3, 2)  # f is odd: (0, -0), (-2.5, 2.5), (-1, 1)
+        np.testing.assert_array_equal(pairs[:, 0], -pairs[:, 1])
 
 
 def _torus_l_sum_loop(nu, m, s):
@@ -151,14 +159,34 @@ def _gap_ratio_scan_exhaustive(N, m, l_max):
     (5, 2, 777),  # k_l = 0 at small l: the smallest k in range is 1
     (1, 1, 500),
 ])
-def test_gap_ratio_two_offsets_match_every_pair(N, m, l_max):
+def test_gap_ratio_two_offsets_match_every_pair(N, m, l_max, monkeypatch):
     # the ratio is monotone in k, so the extremes over every pair sit at the two end offsets
-    assert _accel.gap_ratio_scan(N, m, l_max) == _gap_ratio_scan_exhaustive(N, m, l_max)
+    expect = _gap_ratio_scan_exhaustive(N, m, l_max)
+    assert _accel.gap_ratio_scan(N, m, l_max) == expect
+    monkeypatch.setattr(_accel, "_L_BLOCK", 97)  # many blocks, one of them partial
+    assert _accel.gap_ratio_scan(N, m, l_max) == expect
 
 
 @pytest.mark.parametrize("l_max", [0, 1])
 def test_gap_ratio_empty_range(l_max):
     assert _accel.gap_ratio_scan(2, 2, l_max) == (math.inf, 0.0)
+
+
+@pytest.mark.parametrize("l_max, extremes", [
+    (10_000, (0.5025062499609381, 9.842329219213246)),  # one block of l
+    (1_000_000, (0.500250062499996, 9.842329219213246)),
+])
+def test_gap_ratio_scan_runs_in_blocks_of_l(l_max, extremes):
+    # extremes recorded from the scan over the whole l range at once, which
+    # peaked at 104 MB at l_max = 1e6; per-block extremes combine exactly
+    tracemalloc.start()
+    try:
+        got = _accel.gap_ratio_scan(2, 2, l_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == extremes
+    assert peak < 16e6
 
 
 def test_gap_ratio_paths_agree():

@@ -264,17 +264,27 @@ def test_constant_weight_starts_stop_converged_with_a_certified_residual(
 README_BEAM_ENERGY = 6.947093992690483
 
 
-@pytest.fixture(scope="module")
-def readme_beam_ctx():
-    """The README solve problem: circle beam, K = L = 8, rectangle weight, p = 4."""
+def _readme_beam(terms):
+    """The README solve problem: circle beam, K = L = 8, rectangle weight, given terms."""
     cat = build_catalog(DomainSpec.circle(), OperatorSpec.laplacian_power(2), 8, 8)
     grid = ProductGrid.for_catalog(cat)
     weight = weight_rectangle(grid, (0.0, 4.71), (0.0, 6.2832), 1.0, 0.0, 0.1)
-    return EnergyContext(cat, grid, weight, NonlinearitySpec.pure_power(4.0))
+    return EnergyContext(cat, grid, weight, NonlinearitySpec(terms))
 
 
-def test_inner_ascent_carries_the_gradient_of_its_last_state(readme_beam_ctx, monkeypatch):
-    ctx = readme_beam_ctx
+@pytest.fixture(scope="module")
+def readme_beam_ctx():
+    """The README solve problem at p = 4."""
+    return _readme_beam(((1.0, 4.0),))
+
+
+# the two-term energy was recorded before value and gradient shared one power per term
+@pytest.mark.parametrize("terms, energy", [
+    pytest.param(((1.0, 4.0),), README_BEAM_ENERGY, id="p4"),
+    pytest.param(((1.0, 3.0), (0.5, 5.0)), 3.5005188160077934, id="two_terms"),
+])
+def test_inner_ascent_carries_the_gradient_of_its_last_state(terms, energy, monkeypatch):
+    ctx = _readme_beam(terms)
     orig_inner, orig_grad = saddle_mod.inner_maximize, saddle_mod._InnerProblem.gradient
     orig_synth, orig_psi_gradient = EnergyContext.synth, saddle_mod.psi_gradient
     counts = {"synth": 0, "gradient": 0, "psi_gradient_synth": 0}
@@ -284,9 +294,9 @@ def test_inner_ascent_carries_the_gradient_of_its_last_state(readme_beam_ctx, mo
         counts["synth"] += 1
         return orig_synth(self, coeffs)
 
-    def gradient(self, u, vals):
+    def gradient(self, x, qf):
         counts["gradient"] += 1
-        return orig_grad(self, u, vals)
+        return orig_grad(self, x, qf)
 
     def checked(w, ctx, cfg, kernel_basis=None, warm=None):
         counts["gradient"] = 0
@@ -320,6 +330,7 @@ def test_inner_ascent_carries_the_gradient_of_its_last_state(readme_beam_ctx, mo
     monkeypatch.setattr(saddle_mod, "psi_gradient", psi_gradient)
     res = ground_state(ctx, SolverConfig(n_starts=4, seed=0))
     assert res.converged
+    assert res.energy == pytest.approx(energy, rel=1e-12)
     assert exits["converged"] > 0 and exits["halving"] > 0 and exits["stagnation"] > 0
     assert counts["psi_gradient_synth"] == 0
     # 1,481 when psi_gradient and the ranking re-transformed, 1,373 before the
