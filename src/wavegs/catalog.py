@@ -259,13 +259,15 @@ class SpectralCatalog:
         return index
 
     def to_json(self):
+        # from the arrays, so a digest fills no cache; eigenvalues in lowest terms, as Fraction
+        g = np.gcd(self.lam_num, self.lam_den)
         return {
             "domain": self.domain.to_json(),
             "operator": self.operator.to_json(),
             "k_max": self.k_max,
             "l_max": self.l_max,
-            "modes": [{"space": list(m.space), "l": m.l} for m in self.modes],
-            "eigenvalues": [[lam.numerator, lam.denominator] for lam in self.eigenvalues],
+            "modes": [{"space": s, "l": l} for s, l in zip(self.space.tolist(), self.l.tolist())],
+            "eigenvalues": np.column_stack([self.lam_num // g, self.lam_den // g]).tolist(),
             "classes": [_CLASS_NAMES[int(c)] for c in self.classes],
         }
 

@@ -5,9 +5,9 @@ with a quasipolynomial nonlinearity f(s) = sum_i a_i |s|^(p_i - 2) s.  The
 coefficient-space gradient is lambda * a - g with g the analyzed nonlinear
 term, which covers plus, kernel and minus modes in one formula.  One pass of
 the pointwise kernel (``EnergyContext.pointwise``) gives both I(u) and q f(u)
-from the grid values of u, one power per term; the potential, the analyzed
-nonlinear term and the solver's inner ascent all read that pass, so they agree
-bit for bit.
+from the grid values of u, one power per term; the potential and the solver's
+inner ascent, which analyzes q f(u) (``analyze_values``) for its gradient, read
+that pass, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -102,10 +102,6 @@ class EnergyContext:
 
     def potential_from_values(self, values: np.ndarray) -> float:
         return self.pointwise(values)[0]
-
-    def nonlinear_coeffs(self, values: np.ndarray) -> np.ndarray:
-        """Analyzed coefficients of q f(u): the I'(u) part of the gradient."""
-        return self.analyze_values(self.pointwise(values)[1])
 
 
 def I_eval(u: SpectralField, ctx: EnergyContext) -> float:

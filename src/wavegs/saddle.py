@@ -11,8 +11,8 @@ is within tol_outer: the same number certifies the returned ground state.
 
 Both levels start at step 1 and, after each accepted step, take the
 Barzilai-Borwein step of their last two iterates (``_bb_step``; the outer level
-measures it in the plus metric), safeguarded by backtracking so the inner
-ascent is monotone and the outer descent never increases Psi.
+measures it in the plus metric), halved by one helper (``_backtrack``) until the
+trial is accepted or no step can beat the level's roundoff floor.
 
 An outer trial is accepted only if Psi(trial) <= Psi(w) - drop, so its inner
 ascent gets the ceiling Psi(w) - drop and stops as soon as its value exceeds
@@ -71,14 +71,12 @@ class SaddleResult:
     """One inner ascent; ``stop`` says why it ended.
 
     ``stop`` is ``converged`` (gradient norm <= TOL_INNER), ``roundoff_floor``
-    (three accepted steps in a row gained <= 16 ulp of G, or the step was
-    halved until no shorter step can show a gain above that noise),
-    ``no_ascent`` (60 halvings gave no Armijo gain), ``ceiling`` (the value
-    passed the caller's ceiling), ``max_inner`` or ``diverged``.  ``grad``
-    holds the coefficients of Phi'(m_hat), built on return from the analyzed
-    q f(u) of the ascent's last state; it is None after ``ceiling`` and
-    ``diverged``.  ``_state`` is the state vector (t, y, z^-) that a warm
-    start takes back.
+    (no halved step gains above 16 ulp of G), ``ceiling`` (the value passed the
+    caller's ceiling), ``max_inner`` or ``diverged`` (state norm above
+    DIVERGENCE_NORM, or a gradient norm that is not finite).  ``grad`` holds
+    the coefficients of Phi'(m_hat), built on return from the analyzed q f(u)
+    of the ascent's last state; it is None after ``ceiling`` and ``diverged``.
+    ``_state`` is the state vector (t, y, z^-) that a warm start takes back.
     """
 
     m_hat: SpectralField
@@ -250,6 +248,17 @@ def _bb_step(ds, dd, eta, metric=1.0):
     return min(max(float(mds @ ds) / denom, 1e-12), 1e6) if denom > 1e-300 else eta
 
 
+def _backtrack(eta, slope, floor, trial):
+    """(eta, accepted) for the first of eta, eta/2, ... whose ``trial`` is not None.
+    The given step is always tried (Armijo's test is relative, so it can pass below
+    ``floor``); then ``(eta, None)`` once eta * slope is below ``floor`` or NaN."""
+    while (accepted := trial(eta)) is None:
+        eta *= 0.5
+        if not eta * slope >= floor:
+            return eta, None
+    return eta, accepted
+
+
 def inner_maximize(
     w: SpectralField,
     ctx: EnergyContext,
@@ -306,45 +315,36 @@ def inner_maximize(
     n, d, gnorm = problem.gradient(x, qf)
     eta = 1.0
     prev = None  # (x, d) of the previous iteration
-    stagnant = 0
 
-    for it in range(1, MAX_INNER + 1):
+    def ascent(eta):  # the step from the current x, accepted at t > 0 with an Armijo gain
+        x_try = x + eta * d
+        if not 0 < x_try[0] < math.inf:
+            return None
+        v_try, qf_try = problem.value(x_try)
+        return (x_try, v_try, qf_try) if v_try >= value + 1e-4 * eta * gnorm * gnorm else None
+
+    for it in range(MAX_INNER + 1):
         if gnorm <= TOL_INNER:
-            return result(x, value, it - 1, gnorm, "converged", n)
-        # G <= t^2/2, so a runaway value also shows here first
-        if math.sqrt(float(x @ x)) > DIVERGENCE_NORM:
-            return result(x, value, it - 1, gnorm, "diverged")
+            return result(x, value, it, gnorm, "converged", n)
+        # G <= t^2/2, so a runaway value shows here first; no step follows a NaN/inf gradient
+        if math.sqrt(float(x @ x)) > DIVERGENCE_NORM or not math.isfinite(gnorm):
+            return result(x, value, it, gnorm, "diverged")
+        if it == MAX_INNER:
+            return result(x, value, it, gnorm, "max_inner", n)
 
         if prev is not None:
             eta = _bb_step(x - prev[0], prev[1] - d, eta)
         prev = (x, d)
 
-        floor = 16.0 * _EPS * max(1.0, abs(value))
-        for _ in range(60):
-            x_try = x + eta * d
-            if x_try[0] > 0 and math.isfinite(x_try[0]):
-                v_try, qf_try = problem.value(x_try)
-                if v_try >= value + 1e-4 * eta * gnorm * gnorm:
-                    break
-            eta *= 0.5
-            # G rises by about eta * gnorm^2 along the step, so below 16 ulp of G
-            # no shorter step can show a gain above roundoff
-            if eta * gnorm * gnorm < floor:
-                return result(x, value, it, gnorm, "roundoff_floor", n)
-        else:
-            return result(x, value, it, gnorm, "no_ascent", n)
-        gain = v_try - value
-        x, value, qf = x_try, v_try, qf_try
+        # G rises by about eta * gnorm^2 along the step, so below 16 ulp of G
+        # no shorter step can show a gain above roundoff
+        eta, accepted = _backtrack(eta, gnorm * gnorm, 16.0 * _EPS * max(1.0, abs(value)), ascent)
+        if accepted is None:
+            return result(x, value, it + 1, gnorm, "roundoff_floor", n)
+        x, value, qf = accepted
         if value > ceiling:
-            return result(x, value, it, math.inf, "ceiling")
+            return result(x, value, it + 1, math.inf, "ceiling")
         n, d, gnorm = problem.gradient(x, qf)
-        stagnant = stagnant + 1 if gain <= floor else 0
-        if stagnant >= 3:
-            # ascent hit the roundoff floor of G; gnorm belongs to the returned state
-            return result(x, value, it, gnorm, "roundoff_floor", n)
-
-    stop = "converged" if gnorm <= TOL_INNER else "max_inner"
-    return result(x, value, MAX_INNER, gnorm, stop, n)
 
 
 def psi_gradient(w: SpectralField, saddle: SaddleResult, ctx: EnergyContext) -> SpectralField:
@@ -393,9 +393,8 @@ def _run_start(start_id, w, ctx, cfg, records):
         counts = {"backtracks": 0, "rejected_inner_iters": 0}
         # require a decrease that beats both Armijo and the roundoff floor of Psi
         noise = 32.0 * _EPS * max(1.0, abs(saddle.psi))
-        # Psi falls by about eta * gn^2 along the step, so below the noise drop
-        # no shorter trial can be accepted (NaN also stops here)
-        while eta * gn * gn >= noise:
+
+        def descent(eta):  # the normalized step from w, accepted by its capped warm ascent
             trial = _normalized_plus(cat, (w.coeffs - eta * grad.coeffs)[cat.plus_idx])
             ceiling = saddle.psi - max(1e-4 * eta * gn * gn, noise)
             # the ceiling rides in ``warm``, so wrappers of the five-argument
@@ -405,15 +404,18 @@ def _run_start(start_id, w, ctx, cfg, records):
             # the roundoff floor of G; an unfinished ascent can sit far below
             # the maximum (toward t -> 0) and fake a decrease
             if s_trial.stop in ("converged", "roundoff_floor") and s_trial.psi <= ceiling:
-                w, saddle = trial, s_trial
-                break
+                return trial, s_trial
             counts["backtracks"] += 1
             counts["rejected_inner_iters"] += s_trial.iterations
-            eta *= 0.5
-        else:
+            return None
+        # Psi falls by about eta * gn^2 along the step, so below the noise drop
+        # no shorter trial can be accepted
+        eta, accepted = _backtrack(eta, gn * gn, noise, descent)
+        if accepted is None:
             stop = "stalled_at_floor"
             records.append({**record, "outer": outer + 1, "event": "stalled", **counts})
             break
+        w, saddle = accepted
     records[-1]["stop"] = stop
     return {"saddle": saddle, "stop": stop, "residual": residual}
 

@@ -50,5 +50,5 @@ def random_field(catalog, rng, scale=1.0):
 
 def phi_gradient(u: SpectralField, ctx: EnergyContext) -> SpectralField:
     """Coefficient gradient of Phi: lambda * a - analyze(q f(u))."""
-    g = ctx.nonlinear_coeffs(ctx.synth(u.coeffs))
+    g = ctx.analyze_values(ctx.pointwise(ctx.synth(u.coeffs))[1])
     return SpectralField(u.catalog, u.catalog.eig * u.coeffs - g)

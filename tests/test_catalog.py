@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -186,6 +188,21 @@ def test_deterministic_mode_ordering():
 @pytest.mark.parametrize("dom,op,k,l,digest", PINNED_DIGESTS)
 def test_catalog_digest_is_pinned(dom, op, k, l, digest):
     assert build_catalog(dom, op, k, l).digest == digest
+
+
+@pytest.mark.parametrize("dom", [DomainSpec.circle(), DomainSpec.torus(2), DomainSpec.sphere(2)])
+def test_digest_fills_neither_the_mode_nor_the_eigenvalue_cache(dom):
+    cat = build_catalog(dom, QUADRATIC, 3, 3)
+    digest = cat.digest
+    assert "modes" not in cat.__dict__ and "eigenvalues" not in cat.__dict__
+    doc = cat.to_json()
+    through_caches = {
+        **doc,
+        "modes": [{"space": list(m.space), "l": m.l} for m in cat.modes],
+        "eigenvalues": [[lam.numerator, lam.denominator] for lam in cat.eigenvalues],
+    }
+    assert doc == through_caches
+    assert hashlib.sha1(json.dumps(through_caches, sort_keys=True).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("dom,op,k", [

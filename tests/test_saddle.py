@@ -288,7 +288,7 @@ def test_inner_ascent_carries_the_gradient_of_its_last_state(terms, energy, monk
     orig_inner, orig_grad = saddle_mod.inner_maximize, saddle_mod._InnerProblem.gradient
     orig_synth, orig_psi_gradient = EnergyContext.synth, saddle_mod.psi_gradient
     counts = {"synth": 0, "gradient": 0, "psi_gradient_synth": 0}
-    exits = {"converged": 0, "halving": 0, "stagnation": 0}
+    exits = {"converged": 0, "halving": 0}
 
     def synth(self, coeffs):
         counts["synth"] += 1
@@ -306,16 +306,13 @@ def test_inner_ascent_carries_the_gradient_of_its_last_state(terms, energy, monk
                 m.setattr(EnergyContext, "synth", orig_synth)
                 expect = phi_gradient(res.m_hat, ctx).coeffs
             assert np.array_equal(res.grad, expect)
-            # one gradient at the start and one per accepted step: the halving
-            # exit returns the state it could not leave, the stagnation exit the
-            # state its last accepted step reached
+            # one gradient at the start and one per accepted step: every
+            # roundoff_floor exit returns the state it could not leave
             if res.stop == "converged":
                 exits["converged"] += 1
-            elif counts["gradient"] == res.iterations:
-                exits["halving"] += 1
             else:
-                assert counts["gradient"] == res.iterations + 1
-                exits["stagnation"] += 1
+                assert counts["gradient"] == res.iterations
+                exits["halving"] += 1
         return res
 
     def psi_gradient(w, saddle, ctx):
@@ -331,7 +328,7 @@ def test_inner_ascent_carries_the_gradient_of_its_last_state(terms, energy, monk
     res = ground_state(ctx, SolverConfig(n_starts=4, seed=0))
     assert res.converged
     assert res.energy == pytest.approx(energy, rel=1e-12)
-    assert exits["converged"] > 0 and exits["halving"] > 0 and exits["stagnation"] > 0
+    assert exits["converged"] > 0 and exits["halving"] > 0
     assert counts["psi_gradient_synth"] == 0
     # 1,481 when psi_gradient and the ranking re-transformed, 1,373 before the
     # outer descent stopped on the residual and took Barzilai-Borwein steps
@@ -610,3 +607,56 @@ def test_heavy_weight_solve_scales_and_stays_cheap(beam_ctx, monkeypatch):
     res = ground_state(ctx, SolverConfig(n_starts=1, seed=0))
     assert len(calls) <= 1000
     assert res.energy * 1e4 == pytest.approx(6.561345971748, rel=1e-7)
+
+
+def test_backtrack_tries_the_step_then_halves_down_to_the_floor():
+    tried = []
+
+    def accepting_up_to(limit):
+        def trial(eta):
+            tried.append(eta)
+            return "accepted" if eta <= limit else None
+        return trial
+
+    # the given step is tried even when its predicted change is below the floor
+    assert saddle_mod._backtrack(1.0, 1e-20, 1e-10, accepting_up_to(2.0)) == (1.0, "accepted")
+    assert tried == [1.0]
+    tried.clear()
+    assert saddle_mod._backtrack(1.0, 1.0, 1e-10, accepting_up_to(0.3)) == (0.25, "accepted")
+    assert tried == [1.0, 0.5, 0.25]
+    tried.clear()
+    # 0.125 * slope is below the floor, so 0.125 is never tried
+    assert saddle_mod._backtrack(1.0, 1.0, 0.2, accepting_up_to(0.0)) == (0.125, None)
+    assert tried == [1.0, 0.5, 0.25]
+    tried.clear()
+    eta, accepted = saddle_mod._backtrack(1.0, math.nan, 1e-10, accepting_up_to(0.0))
+    assert accepted is None and tried == [1.0]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("at", [1, 3])
+def test_inner_ascent_ends_diverged_on_a_non_finite_gradient(beam_ctx, monkeypatch, bad, at):
+    # the at-th gradient (the start's is the first) turns non-finite: the ascent
+    # ends there and forms no trial from it
+    orig_grad, orig_synth = saddle_mod._InnerProblem.gradient, EnergyContext.synth
+    counts = {"gradient": 0, "synth": 0, "synth_at_bad": None}
+
+    def gradient(self, x, qf):
+        counts["gradient"] += 1
+        n, d, gnorm = orig_grad(self, x, qf)
+        if counts["gradient"] < at:
+            return n, d, gnorm
+        counts["synth_at_bad"] = counts["synth"]
+        return n, np.full_like(d, bad), bad
+
+    def synth(self, coeffs):
+        counts["synth"] += 1
+        return orig_synth(self, coeffs)
+
+    monkeypatch.setattr(saddle_mod._InnerProblem, "gradient", gradient)
+    monkeypatch.setattr(EnergyContext, "synth", synth)
+    w = random_plus_direction(beam_ctx.catalog, np.random.default_rng(0))  # 35 steps unpatched
+    res = inner_maximize(w, beam_ctx, SolverConfig())
+    assert res.stop == "diverged" and res.grad is None
+    assert res.iterations == at - 1 and counts["gradient"] == at
+    assert counts["synth"] == counts["synth_at_bad"]
