@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, lcm
+from math import comb, lcm, prod
 
 import numpy as np
 
@@ -252,8 +252,10 @@ class SpectralCatalog:
         if self.domain.kind != TORUS:
             raise ValueError("only torus catalogs fill a coefficient box")
         shift = np.array(self.cutoffs)
-        index = np.ravel_multi_index((self.coords + shift).T, tuple(2 * shift + 1))
-        if len(index) != np.prod(2 * shift + 1) or len(np.unique(index)) != len(index):
+        box = tuple(2 * shift + 1)
+        index = np.ravel_multi_index((self.coords + shift).T, box)
+        # every box cell exactly once (np.unique would import numpy.ma)
+        if np.any(np.bincount(index, minlength=prod(box)) != 1):
             raise ValueError("catalog modes do not fill the coefficient box exactly once")
         index.flags.writeable = False
         return index

@@ -3,31 +3,51 @@
 Inner level: for a unit plus-direction w, monotone ascent of
 G(t, z) = t^2/2 - ||z^-||_-^2/2 - I(t w + z) over the half-space
 R+ w (+) E0 (+) E-, giving the maximizer m(w), its height s_w and the reduced
-value Psi(w).  Outer level: projected gradient descent of Psi on the unit
-sphere of the truncated plus space, multi-start.  The reduced gradient is the
+value Psi(w).  Outer level: descent of Psi on the unit sphere of the truncated
+plus space by limited-memory BFGS, multi-start.  The reduced gradient is the
 Riesz representative of h -> s_w Phi'(m(w))[h] in the plus inner product.  A
 descent stops once the residual of its saddle, the dual norm of Phi'(m(w)),
 is within tol_outer: the same number certifies the returned ground state.
 
-Both levels start at step 1 and, after each accepted step, take the
-Barzilai-Borwein step of their last two iterates (``_bb_step``; the outer level
-measures it in the plus metric), halved by one helper (``_backtrack``) until the
-trial is accepted or no step can beat the level's roundoff floor.
+The inner ascent starts at step 1 and, after each accepted step, takes the
+Barzilai-Borwein step of its last two iterates (``_bb_step``).  The outer step
+is the L-BFGS direction (Absil, Mahony & Sepulchre 2008, section 8): the
+two-loop recursion in the plus metric over the last ``LBFGS_MEMORY`` pairs of
+(change of w, change of the gradient), a pair kept only if its curvature is
+positive beyond roundoff, projected tangent to w (``_LBFGS``); steepest
+descent if that is no descent direction.  One helper (``_backtrack``) halves
+either level's step until the trial is accepted or no step can beat the
+level's roundoff floor.
 
-An outer trial is accepted only if Psi(trial) <= Psi(w) - drop, so its inner
-ascent gets the ceiling Psi(w) - drop and stops as soon as its value exceeds
-it.  The ascent never lowers its value and every exit returns the current
-value (or a divergence, which is rejected too), so a run that passes the
-ceiling would have ended above it: the trial is rejected exactly as after the
-full ascent.  Accepted trials never reach the ceiling and run unchanged, so
-the solve trajectory does not depend on the ceiling.  Each trial state of the
-inner ascent is evaluated once (``_InnerProblem``), and Phi'(m_hat) in catalog
-order is built once, when the ascent returns.
+An outer trial of step eta along d (slope s = -<d, grad>_+) is accepted only
+if Psi(trial) <= Psi(w) - drop, drop = max(1e-4 eta s, noise).  Its warm ascent
+needs to be only as accurate as that test can use (the forcing rule of inexact
+Newton methods, Eisenstat & Walker 1996): it stops at the gradient norm
+max(TOL_INNER, INNER_FORCING sqrt(eta s)), which is INNER_FORCING * grad_plus
+for a full steepest-descent step.  An ascent that stops at gradient norm g
+falls short of the maximum by about g^2 / (2 mu), mu the smallest curvature of
+-G there (2 along the height for one power), so the Psi of such a trial is low
+by about 5e-7 eta s / mu, below the drop unless mu is tiny.  A start stops
+only at a saddle whose ascent reached TOL_INNER: a saddle from a looser ascent
+is carried on to TOL_INNER before its residual may stop the start, and before
+a stall ends it, so ``residual`` certifies exactly what an ascent at TOL_INNER
+does.
+
+The trial's ascent also gets the ceiling Psi(w) - drop and stops as soon as
+its value exceeds it.  The ascent never lowers its value and every exit
+returns the current value (or a divergence, which is rejected too), so a run
+that passes the ceiling would have ended above it: the trial is rejected
+exactly as after the full ascent.  Accepted trials never reach the ceiling
+and run unchanged, so the solve trajectory does not depend on the ceiling.
+Each trial state of the inner ascent is evaluated once (``_InnerProblem``),
+and Phi'(m_hat) in catalog order is built once, when the ascent returns.
 """
 
 from __future__ import annotations
 
 import math
+import pickle
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +60,7 @@ from .fields import SpectralField
 
 
 class NoCoerciveDirectionError(RuntimeError):
-    """Raised when every start diverges: no maximizable plus-direction found."""
+    """Raised when every start is dropped: no maximizable plus-direction found."""
 
 
 # Fixed limits, read at call time.  TOL_INNER sits above the float64 noise
@@ -50,6 +70,9 @@ TOL_INNER = 1e-8
 MAX_INNER = 4000
 MAX_OUTER = 400
 DIVERGENCE_NORM = 1e6  # an inner state or cold height beyond this diverges
+LBFGS_MEMORY = 7  # (step, gradient change) pairs behind the outer L-BFGS direction
+INNER_FORCING = 1e-3  # C of a trial ascent's tolerance max(TOL_INNER, C sqrt(eta * slope))
+_FINISHED = ("converged", "roundoff_floor")  # the stops whose Psi value counts
 _EPS = float(np.finfo(float).eps)
 
 
@@ -70,7 +93,8 @@ class SolverConfig:
 class SaddleResult:
     """One inner ascent; ``stop`` says why it ended.
 
-    ``stop`` is ``converged`` (gradient norm <= TOL_INNER), ``roundoff_floor``
+    ``stop`` is ``converged`` (gradient norm <= the ascent's tolerance, TOL_INNER
+    unless a warm call passed a looser one), ``roundoff_floor``
     (no halved step gains above 16 ulp of G), ``ceiling`` (the value passed the
     caller's ceiling), ``max_inner`` or ``diverged`` (state norm above
     DIVERGENCE_NORM, or a gradient norm that is not finite).  ``grad`` holds
@@ -99,15 +123,22 @@ class SaddleResult:
 
 @dataclass
 class GroundStateResult:
+    """A solve's outcome.  ``history`` is its list of records, one dict each,
+    kept as one pickle (a sixth of the dicts' memory) and unpickled per read."""
+
     u_star: SpectralField
     energy: float
     residual: float
     s_w: float
     converged: bool
     message: str
-    history: list
+    _history: bytes = field(repr=False)
     kernel_report: GramReport
     quadrature_gap: float = 0.0
+
+    @property
+    def history(self) -> list:
+        return pickle.loads(self._history)
 
 
 def plus_norm(u: SpectralField) -> float:
@@ -237,15 +268,55 @@ def _initial_height(problem):
     return t if t <= DIVERGENCE_NORM else None
 
 
-def _bb_step(ds, dd, eta, metric=1.0):
-    """Barzilai-Borwein step <ds, ds> / <ds, dd> in the inner product ``metric``.
+def _bb_step(ds, dd, eta):
+    """Barzilai-Borwein step <ds, ds> / <ds, dd> of the inner ascent.
 
     ``ds`` is the change of the iterate and ``dd`` the fall of the Riesz step
     direction; without positive curvature along ``ds`` the old ``eta`` stays.
     """
-    mds = metric * ds
-    denom = float(mds @ dd)
-    return min(max(float(mds @ ds) / denom, 1e-12), 1e6) if denom > 1e-300 else eta
+    denom = float(ds @ dd)
+    return min(max(float(ds @ ds) / denom, 1e-12), 1e6) if denom > 1e-300 else eta
+
+
+class _LBFGS:
+    """The outer L-BFGS direction (Nocedal & Wright, *Numerical Optimization*, Alg. 7.4).
+
+    Iterates and gradients come in coordinates where the plus metric is the dot
+    product.  ``pairs`` holds (s, y, <s, y>) of the last ``LBFGS_MEMORY`` steps,
+    oldest first: s the change of the iterate, y that of its gradient.  A pair
+    is kept only if <s, y> > eps <y, y> (Byrd, Lu, Nocedal & Zhu 1995), so H
+    stays positive definite.
+    """
+
+    def __init__(self):
+        self.pairs = deque(maxlen=LBFGS_MEMORY)
+        self.prev = None
+
+    def direction(self, x, g):
+        """(d, -<d, g>) at the unit iterate x with gradient g, d tangent to the sphere.
+
+        d is -H g by the two-loop recursion, H starting as <s, y> / <y, y> of the
+        newest pair (the identity without pairs), projected tangent to x; it is
+        -g when that projection is no descent direction (roundoff or non-finite).
+        """
+        if self.prev is not None:
+            s, y = x - self.prev[0], g - self.prev[1]
+            if (sy := float(s @ y)) > _EPS * float(y @ y):  # positive beyond roundoff
+                self.pairs.append((s, y, sy))
+        self.prev = (x, g)
+        q = g.copy()
+        alphas = []
+        for s, y, sy in reversed(self.pairs):
+            alphas.append(float(s @ q) / sy)
+            q -= alphas[-1] * y
+        if self.pairs:
+            s, y, sy = self.pairs[-1]
+            q *= sy / float(y @ y)
+        for (s, y, sy), a in zip(self.pairs, reversed(alphas)):
+            q += (a - float(y @ q) / sy) * s
+        d = float(q @ x) * x - q
+        slope = -float(d @ g)
+        return (d, slope) if slope > 0 else (-g, float(g @ g))
 
 
 def _backtrack(eta, slope, floor, trial):
@@ -269,8 +340,10 @@ def inner_maximize(
     """Maximize Phi over the half-space of w; see module docstring.
 
     The kernel block is ``ctx.kernel_report.basis``, the q-Gram eigenvectors
-    above the floor.  ``warm`` is ``(state, ceiling)``: a previous ``_state``
-    and a ceiling (``inf`` for none).  A warm state whose value is below 0 is
+    above the floor.  ``warm`` is ``(state, ceiling)`` or ``(state, ceiling,
+    tol)``: a previous ``_state``, a ceiling (``inf`` for none) and the gradient
+    norm at which the ascent stops ``converged`` (TOL_INNER when left out, and
+    for a call without ``warm``).  A warm state whose value is below 0 is
     off the maximizer's basin (Psi > 0 and s_w is bounded away from 0 on the
     Nehari-Pankov set), so the height is re-seeded as for a cold start.  With a
     ceiling the ascent returns as soon as its value exceeds it, after the start
@@ -295,9 +368,9 @@ def inner_maximize(
         return SaddleResult(SpectralField(ctx.catalog, u), float(x[0]), value, iters, gnorm,
                             stop, grad, _state=x)
 
-    ceiling = math.inf
+    ceiling, tol = math.inf, TOL_INNER
     if warm is not None:
-        state, ceiling = warm
+        state, ceiling, tol = warm if len(warm) == 3 else (*warm, TOL_INNER)
         x = np.array(state, dtype=float)
         if x.shape != (problem.size,):
             raise ValueError("warm state has the wrong size")
@@ -324,7 +397,7 @@ def inner_maximize(
         return (x_try, v_try, qf_try) if v_try >= value + 1e-4 * eta * gnorm * gnorm else None
 
     for it in range(MAX_INNER + 1):
-        if gnorm <= TOL_INNER:
+        if gnorm <= tol:
             return result(x, value, it, gnorm, "converged", n)
         # G <= t^2/2, so a runaway value shows here first; no step follows a NaN/inf gradient
         if math.sqrt(float(x @ x)) > DIVERGENCE_NORM or not math.isfinite(gnorm):
@@ -370,52 +443,67 @@ def _run_start(start_id, w, ctx, cfg, records):
     It stops ``converged`` as soon as the residual of its saddle, the dual norm
     of Phi'(m_hat) that certifies the start, is within ``tol_outer``; else at
     ``max_outer`` or ``stalled_at_floor`` (no trial beats the roundoff of Psi).
+    A start whose cold ascent does not finish (``diverged`` or ``max_inner``:
+    its Psi may sit far below the maximum) is dropped with that stop, and so is
+    one whose finishing ascent to TOL_INNER does not.
     """
-    saddle = inner_maximize(w, ctx, cfg)
-    if saddle.diverged:
-        records.append({"start": start_id, "outer": 0, "event": "diverged", "stop": "diverged"})
-        return None
     cat = ctx.catalog
-    eta, prev, counts = 1.0, None, {}
-    for outer in range(MAX_OUTER + 1):
+    root = np.sqrt(cat.eig[cat.plus_idx])
+    saddle, tol = inner_maximize(w, ctx, cfg), TOL_INNER
+    lbfgs, counts, outer, stalled = _LBFGS(), {}, 0, False
+    while True:
+        if saddle.stop not in _FINISHED:
+            records.append({"start": start_id, "outer": outer, "event": saddle.stop,
+                            "stop": saddle.stop})
+            return None
         grad = psi_gradient(w, saddle, ctx)
         gn = plus_norm(grad)
         residual = residual_dual_norm(SpectralField(cat, saddle.grad))
+        if tol > TOL_INNER and (stalled or residual <= cfg.tol_outer or outer == MAX_OUTER):
+            # stop only at an ascent finished to TOL_INNER, so the residual certifies
+            # the same saddle whatever the trial tolerances were
+            saddle, tol = inner_maximize(w, ctx, cfg, warm=(saddle._state, math.inf)), TOL_INNER
+            continue
         record = {"start": start_id, "outer": outer, "psi": saddle.psi, "grad_plus": gn,
                   "residual": residual}
         records.append({**record, "inner_iters": saddle.iterations, **counts})
         stop = "converged" if residual <= cfg.tol_outer else "max_outer"
         if stop == "converged" or outer == MAX_OUTER:
             break
-        if prev is not None:
-            eta = _bb_step(w.coeffs - prev[0].coeffs, grad.coeffs - prev[1].coeffs, eta, cat.eig)
-        prev = (w, grad)
+
+        # the plus metric is the dot product of root * (plus coefficients)
+        x = root * w.coeffs[cat.plus_idx]
+        d, slope = lbfgs.direction(x, root * grad.coeffs[cat.plus_idx])
         counts = {"backtracks": 0, "rejected_inner_iters": 0}
         # require a decrease that beats both Armijo and the roundoff floor of Psi
         noise = 32.0 * _EPS * max(1.0, abs(saddle.psi))
 
         def descent(eta):  # the normalized step from w, accepted by its capped warm ascent
-            trial = _normalized_plus(cat, (w.coeffs - eta * grad.coeffs)[cat.plus_idx])
-            ceiling = saddle.psi - max(1e-4 * eta * gn * gn, noise)
-            # the ceiling rides in ``warm``, so wrappers of the five-argument
-            # call shape pass it on unchanged
-            s_trial = inner_maximize(trial, ctx, cfg, warm=(saddle._state, ceiling))
+            trial = _normalized_plus(cat, (x + eta * d) / root)
+            ceiling = saddle.psi - max(1e-4 * eta * slope, noise)
+            trial_tol = max(TOL_INNER, INNER_FORCING * math.sqrt(eta * slope))
+            # the ceiling and tolerance ride in ``warm``, so wrappers of the
+            # five-argument call shape pass them on unchanged
+            s_trial = inner_maximize(trial, ctx, cfg, warm=(saddle._state, ceiling, trial_tol))
             # a Psi value counts only from an ascent that converged or reached
             # the roundoff floor of G; an unfinished ascent can sit far below
             # the maximum (toward t -> 0) and fake a decrease
-            if s_trial.stop in ("converged", "roundoff_floor") and s_trial.psi <= ceiling:
-                return trial, s_trial
+            if s_trial.stop in _FINISHED and s_trial.psi <= ceiling:
+                return trial, s_trial, trial_tol
             counts["backtracks"] += 1
             counts["rejected_inner_iters"] += s_trial.iterations
             return None
-        # Psi falls by about eta * gn^2 along the step, so below the noise drop
+        # Psi falls by about eta * slope along the step, so below the noise drop
         # no shorter trial can be accepted
-        eta, accepted = _backtrack(eta, gn * gn, noise, descent)
-        if accepted is None:
+        _, accepted = _backtrack(1.0, slope, noise, descent)
+        outer += 1
+        stalled = accepted is None
+        if accepted is not None:
+            w, saddle, tol = accepted
+        elif tol == TOL_INNER:
             stop = "stalled_at_floor"
-            records.append({**record, "outer": outer + 1, "event": "stalled", **counts})
+            records.append({**record, "outer": outer, "event": "stalled", **counts})
             break
-        w, saddle = accepted
     records[-1]["stop"] = stop
     return {"saddle": saddle, "stop": stop, "residual": residual}
 
@@ -425,40 +513,46 @@ def ground_state(ctx: EnergyContext, cfg: SolverConfig) -> GroundStateResult:
 
     Every inner ascent keeps the kernel block of ``ctx.kernel_report`` (the
     directions above its eigenvalue floor), which the result reports.  Raises
-    NoCoerciveDirectionError if every start diverges.
+    NoCoerciveDirectionError if every start is dropped (see ``_run_start``).
     The starts run one after another.
     """
     if ctx.weight.is_trivial():
         raise ValueError("weight must not vanish identically for a solve")
     cat = ctx.catalog
-    rng = np.random.default_rng(cfg.seed)
     starts = [lowest_plus_direction(cat)]
-    while len(starts) < cfg.n_starts:
-        starts.append(random_plus_direction(cat, rng))
+    if cfg.n_starts > 1:  # a one-start solve draws nothing and never loads numpy.random
+        rng = np.random.default_rng(cfg.seed)
+        starts += [random_plus_direction(cat, rng) for _ in range(cfg.n_starts - 1)]
 
     records: list = []
     outcomes = [_run_start(i, w, ctx, cfg, records) for i, w in enumerate(starts)]
 
     finished = [o for o in outcomes if o is not None]
     if not finished:
-        raise NoCoerciveDirectionError("no coercive direction detected: all starts diverged")
+        raise NoCoerciveDirectionError("no coercive direction detected: every start's "
+                                       "ascent diverged or stopped at max_inner")
 
     # a start is certified exactly when it stopped converged; the start index
     # breaks ties, in start order, before the dicts are compared
     _, _, residual, _, best = min((o["stop"] != "converged", o["saddle"].psi, o["residual"], i, o)
                                   for i, o in enumerate(finished))
-    u_star = best["saddle"].m_hat
+    m_hat = best["saddle"].m_hat
     converged = best["stop"] == "converged"
     message = "converged" if converged else (
         f"{best['stop']}: residual {residual:.3e} above tol_outer; best iterate returned")
+    e_star, gap = phi_eval(m_hat, ctx), energy.quadrature_refinement_gap(m_hat, ctx)
+    history = pickle.dumps(records)
+    # what the result keeps is allocated last, once the solve's temporaries are
+    # freed, so a caller that keeps many results keeps them packed (wave-kernel:
+    # 13.3 -> 11.0 KB of resident memory per kept result)
     return GroundStateResult(
-        u_star=u_star,
-        energy=phi_eval(u_star, ctx),
+        u_star=SpectralField(cat, m_hat.coeffs.copy()),
+        energy=e_star,
         residual=residual,
         s_w=best["saddle"].s_w,
         converged=converged,
         message=message,
-        history=records,
+        _history=history,
         kernel_report=ctx.kernel_report,
-        quadrature_gap=energy.quadrature_refinement_gap(u_star, ctx),
+        quadrature_gap=gap,
     )

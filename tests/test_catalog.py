@@ -11,6 +11,7 @@ from wavegs import (
     DomainSpec,
     ModeKey,
     OperatorSpec,
+    SpectralCatalog,
     build_catalog,
     eigenvalue,
     laplace_eigenvalue,
@@ -217,3 +218,14 @@ def test_catalog_matches_single_mode_reference(dom, op, k):
         assert cat.eigenvalues[i] == lam
         assert cat.eig[i] == float(lam)
         assert cat.classes[i] == (lam > 0) - (lam < 0)
+
+
+def test_tensor_index_rejects_a_repeated_box_cell():
+    cat = build_catalog(DomainSpec.torus(2), OperatorSpec.laplacian_power(2), 2, 2)
+    assert sorted(cat.tensor_index) == list(range(cat.size))
+    # mode 1 written over by mode 0: the box keeps its size but one cell twice
+    space, l = cat.space.copy(), cat.l.copy()
+    space[1], l[1] = space[0], l[0]
+    twice = SpectralCatalog(cat.domain, cat.operator, 2, 2, space, l, cat.lam_num, cat.lam_den)
+    with pytest.raises(ValueError, match="do not fill the coefficient box exactly once"):
+        twice.tensor_index

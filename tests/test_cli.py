@@ -678,6 +678,27 @@ def test_importing_wavegs_loads_no_scipy():
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def test_solves_leave_numpy_ma_and_an_unused_numpy_random_unloaded(tmp_path):
+    # np.unique imports numpy.ma (13.8 ms and 1.3 MB per process), which no
+    # solve needs; a one-start solve draws no random start, so it need not
+    # load numpy.random (2.4 MB)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {**json.loads(_readme_block("json")), "out": str(out)})
+    one_start = _readme_block("python").replace("n_starts=3", "n_starts=1")
+    assert one_start != _readme_block("python")
+    probes = {
+        "quick start": (_readme_block("python"), "numpy.ma"),
+        "cli": ("from wavegs.cli import main; "
+                f"assert main(['solve', '--config', {str(path)!r}]) == 0", "numpy.ma"),
+        "one start": (one_start, "numpy.random"),
+    }
+    for name, (probe, module) in probes.items():
+        done = _fresh_python("-c", probe + f"\nimport sys; print({module!r} in sys.modules)")
+        assert done.returncode == 0, (name, done.stderr)
+        assert done.stdout.split()[-1] == "False", name
+    assert (out / "result.json").exists()
+
+
 def _readme_block(lang):
     return README.read_text().split(f"```{lang}\n", 1)[1].split("```", 1)[0]
 

@@ -370,15 +370,18 @@ def test_warm_state_below_zero_restarts_from_the_cold_height(beam_ctx):
 
 def test_outer_step_rejects_trials_whose_ascent_did_not_finish(beam_ctx, monkeypatch):
     # cut every trial ascent short: a truncated ascent reports a value below
-    # Psi(trial) and can pass the Armijo test with a decrease it never had
+    # Psi(trial) and can pass the Armijo test with a decrease it never had.
+    # Trials ascend only to their forcing tolerance, which two steps already
+    # reach, so each stops at its warm state unless that is within tolerance;
+    # the uncapped ascent that finishes a stopping saddle runs whole
     orig = saddle_mod.inner_maximize
     trials = []
 
     def truncated(w, ctx, cfg, kernel_basis=None, warm=None):
-        if warm is None:
+        if warm is None or warm[1] == math.inf:
             return orig(w, ctx, cfg, kernel_basis, warm)
         with monkeypatch.context() as m:
-            m.setattr(saddle_mod, "MAX_INNER", 2)
+            m.setattr(saddle_mod, "MAX_INNER", 0)
             res = orig(w, ctx, cfg, kernel_basis, warm)
         trials.append((res, warm[1]))
         return res
@@ -413,12 +416,14 @@ def test_ground_state_rejects_trivial_weight(toy_ctx):
 
 def test_ceiling_keeps_trajectory_through_a_five_argument_hook(beam_ctx, monkeypatch):
     # wrappers with the trace hook's call shape: one strips the ceiling from
-    # ``warm`` (every rejected trial runs to the end), one passes it through
+    # ``warm`` (every rejected trial runs to the end) and keeps what follows it,
+    # the trial's tolerance; one passes ``warm`` through
     orig = saddle_mod.inner_maximize
     seen = {"uncapped": 0, "capped": 0, "ceilings": 0}
 
     def uncapped(w, ctx, cfg, kernel_basis=None, warm=None):
-        res = orig(w, ctx, cfg, kernel_basis, None if warm is None else (warm[0], math.inf))
+        res = orig(w, ctx, cfg, kernel_basis,
+                   None if warm is None else (warm[0], math.inf, *warm[2:]))
         seen["uncapped"] += res.iterations
         return res
 
@@ -660,3 +665,111 @@ def test_inner_ascent_ends_diverged_on_a_non_finite_gradient(beam_ctx, monkeypat
     assert res.stop == "diverged" and res.grad is None
     assert res.iterations == at - 1 and counts["gradient"] == at
     assert counts["synth"] == counts["synth_at_bad"]
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def test_lbfgs_direction_is_tangent_and_descends():
+    rng = np.random.default_rng(41)
+    lbfgs = saddle_mod._LBFGS()
+    x = _unit(rng.standard_normal(12))
+    for step in range(2 * saddle_mod.LBFGS_MEMORY):
+        g = rng.standard_normal(12)
+        g -= float(g @ x) * x  # a Riesz gradient on the sphere is tangent
+        d, slope = lbfgs.direction(x, g)
+        assert abs(float(d @ x)) <= 1e-14 * np.linalg.norm(d)
+        assert slope == -float(d @ g) and slope > 0
+        if step == 0:  # no pair yet: steepest descent
+            np.testing.assert_allclose(d, -g, rtol=0, atol=1e-15)
+        x = _unit(x + 0.1 * d)
+    assert 0 < len(lbfgs.pairs) <= saddle_mod.LBFGS_MEMORY
+    assert all(sy > 0 for _, _, sy in lbfgs.pairs)
+
+
+def test_lbfgs_skips_a_pair_without_positive_curvature():
+    lbfgs = saddle_mod._LBFGS()
+    x0, x1, x2 = (_unit(np.array(v, dtype=float)) for v in ([1, 0, 0], [1, 1, 0], [1, 1, 1]))
+    lbfgs.direction(x0, np.array([0.0, 1.0, 0.0]))
+    # the gradient turns against the step: <s, y> < 0, no pair
+    lbfgs.direction(x1, np.array([0.0, -1.0, 0.0]))
+    assert len(lbfgs.pairs) == 0
+    # zero curvature is skipped too, with its roundoff: y orthogonal to s
+    s = x2 - x1
+    y = np.cross(s, [1.0, 0.0, 0.0])
+    lbfgs.direction(x2, np.array([0.0, -1.0, 0.0]) + y)
+    assert abs(float(s @ y)) < 1e-16 and len(lbfgs.pairs) == 0
+    lbfgs.direction(x1, np.array([0.0, -1.0, 0.0]) + y - s)
+    assert len(lbfgs.pairs) == 1 and lbfgs.pairs[0][2] > 0
+
+
+@pytest.mark.parametrize("bad", ["ascent", "nan"])
+def test_lbfgs_falls_back_to_steepest_descent(bad):
+    # feed a pair whose inverse-Hessian estimate is negative (a pair the
+    # curvature test would keep out) or non-finite: the direction is then no
+    # descent direction, and -g replaces it
+    lbfgs = saddle_mod._LBFGS()
+    x = _unit(np.array([1.0, 0.0, 0.0]))
+    g = np.array([0.0, 1.0, 0.5])
+    s, y = np.array([0.0, 1.0, 0.0]), np.array([0.0, -2.0, 0.0])
+    lbfgs.pairs.append((s, y, -1.0 if bad == "ascent" else math.nan))
+    d, slope = lbfgs.direction(x, g)
+    np.testing.assert_array_equal(d, -g)
+    assert slope == float(g @ g)
+
+
+def test_trial_ascents_stop_at_their_forcing_tolerance(readme_beam_ctx, monkeypatch):
+    orig = saddle_mod.inner_maximize
+    calls = []
+
+    def traced(w, ctx, cfg, kernel_basis=None, warm=None):
+        res = orig(w, ctx, cfg, kernel_basis, warm)
+        tol = saddle_mod.TOL_INNER if warm is None or len(warm) == 2 else warm[2]
+        calls.append((tol, res))
+        return res
+
+    monkeypatch.setattr(saddle_mod, "inner_maximize", traced)
+    res = ground_state(readme_beam_ctx, SolverConfig(n_starts=4, seed=0))
+    assert res.converged
+    by_psi = {r.psi: (tol, r) for tol, r in calls}
+    accepted = [rec for rec in res.history if rec["outer"] > 0 and "event" not in rec]
+    loose = 0
+    for rec in accepted:
+        tol, r = by_psi[rec["psi"]]
+        assert r.stop in ("converged", "roundoff_floor")
+        assert r.stop == "roundoff_floor" or r.grad_norm <= tol
+        loose += r.stop == "converged" and r.grad_norm > saddle_mod.TOL_INNER
+    assert loose > len(accepted) // 2  # most trials stop well short of TOL_INNER
+    # every start stops on a saddle whose ascent reached TOL_INNER
+    last = [rec for rec in res.history if "stop" in rec]
+    assert len(last) == 4
+    for rec in last:
+        tol, r = by_psi[rec["psi"]]
+        assert tol == saddle_mod.TOL_INNER and rec["residual"] <= 1e-6
+        assert r.stop == "roundoff_floor" or r.grad_norm <= saddle_mod.TOL_INNER
+
+
+def test_a_start_whose_cold_ascent_stops_at_max_inner_is_dropped(readme_beam_ctx, monkeypatch):
+    orig = saddle_mod.inner_maximize
+    cold_calls = []
+
+    def first_cold_cut(w, ctx, cfg, kernel_basis=None, warm=None):
+        with monkeypatch.context() as m:
+            if warm is None:
+                cold_calls.append(w)
+                if len(cold_calls) == 1:  # start 0's cold ascent stops at MAX_INNER
+                    m.setattr(saddle_mod, "MAX_INNER", 3)
+            return orig(w, ctx, cfg, kernel_basis, warm)
+
+    monkeypatch.setattr(saddle_mod, "inner_maximize", first_cold_cut)
+    res = ground_state(readme_beam_ctx, SolverConfig(n_starts=2, seed=0))
+    assert res.converged
+    dropped = [rec for rec in res.history if rec["start"] == 0]
+    assert dropped == [{"start": 0, "outer": 0, "event": "max_inner", "stop": "max_inner"}]
+    assert [rec["stop"] for rec in res.history if "stop" in rec] == ["max_inner", "converged"]
+    # with every cold ascent cut, no start is left
+    monkeypatch.setattr(saddle_mod, "inner_maximize", orig)
+    monkeypatch.setattr(saddle_mod, "MAX_INNER", 3)
+    with pytest.raises(NoCoerciveDirectionError, match="max_inner"):
+        ground_state(readme_beam_ctx, SolverConfig(n_starts=2, seed=0))
