@@ -10,12 +10,13 @@ and with 4 starts, and the space-time beam with 2 starts.  Every problem is
 built through the public ``wavegs`` API and solved once.
 
 Per problem the JSON document records the energy, residual, ``converged``,
-each start's ``stop``, the transforms (``EnergyContext.synth`` calls), the
-inner iterations (summed over ``saddle.inner_maximize`` calls), the outer
-records (``len(history)``) and the wall time of the solve, which includes the
-counting wrappers (a few hundred ns per call).  Counts are deterministic for a
-fixed checkout and BLAS thread count; wall times are not.  A solve that
-raises ``NoCoerciveDirectionError`` records its message and counts.  Usage:
+each start's ``stop``, the transforms (``EnergyContext.synth`` calls) and the
+inner iterations (summed over the inner ascents) that the solver reports as
+``GroundStateResult.transforms`` and ``inner_iters``, the outer records
+(``len(history)``) and the wall time of the solve, which runs with no counting
+wrapper.  Counts are deterministic for a fixed checkout and BLAS thread count;
+wall times are not.  A solve that raises ``NoCoerciveDirectionError`` records
+its message and the counts the exception carries.  Usage:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 benchmarks/bench_solve.py \\
         [--problems beam_seed0,wave_16] [--out BENCH_solve.json]
@@ -31,7 +32,6 @@ from pathlib import Path
 import numpy as np
 
 import wavegs
-from wavegs import saddle
 
 X_SPAN, T_SPAN, T_HALF = (0.0, 4.71), (0.0, 6.2832), (0.0, 3.1416)
 
@@ -62,48 +62,18 @@ PROBLEMS = {
 }
 
 
-class Counts:
-    """Counts transforms and inner iterations while installed."""
-
-    def __init__(self):
-        self.synth = self.inner_iters = 0
-        self._synth = wavegs.EnergyContext.synth
-        self._inner = saddle.inner_maximize
-
-    def __enter__(self):
-        synth, inner = self._synth, self._inner
-
-        def counted_synth(ctx, coeffs):
-            self.synth += 1
-            return synth(ctx, coeffs)
-
-        def counted_inner(w, ctx, cfg, kernel_basis=None, warm=None):
-            res = inner(w, ctx, cfg, kernel_basis, warm)
-            self.inner_iters += res.iterations
-            return res
-
-        wavegs.EnergyContext.synth = counted_synth
-        saddle.inner_maximize = counted_inner
-        return self
-
-    def __exit__(self, *exc):
-        wavegs.EnergyContext.synth = self._synth
-        saddle.inner_maximize = self._inner
-
-
 def solve(name):
     ctx, cfg = _problem(**PROBLEMS[name])
     ctx.kernel_report  # the q-Gram is set-up, not solve, work
-    with Counts() as counts:
-        t0 = time.perf_counter()
-        try:
-            res, error = wavegs.ground_state(ctx, cfg), None
-        except wavegs.NoCoerciveDirectionError as exc:
-            res, error = None, str(exc)
-        wall = time.perf_counter() - t0
-    cost = {"transforms": counts.synth, "inner_iters": counts.inner_iters, "wall_s": wall}
-    if error is not None:
-        return {"error": error, **cost}
+    t0 = time.perf_counter()
+    try:
+        res = wavegs.ground_state(ctx, cfg)
+    except wavegs.NoCoerciveDirectionError as exc:
+        res = exc
+    wall = time.perf_counter() - t0
+    cost = {"transforms": res.transforms, "inner_iters": res.inner_iters, "wall_s": wall}
+    if isinstance(res, wavegs.NoCoerciveDirectionError):
+        return {"error": str(res), **cost}
     return {
         "energy": res.energy,
         "residual": res.residual,

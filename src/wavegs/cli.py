@@ -265,16 +265,17 @@ def _run_solve(config: RunConfig) -> Outcome:
     ctx = EnergyContext(catalog, grid, weight, config.nonlinearity)
     try:
         result = ground_state(ctx, config.solver)
-    except NoCoerciveDirectionError as exc:
-        return EXIT_NO_CONVERGENCE, {"error": str(exc)}, {}
+    except NoCoerciveDirectionError as exc:  # every start dropped: its records and counts
+        result = exc
+    writers = {"solver_log.jsonl": lambda path: path.write_text(
+        "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in result.history))}
+    counts = {"transforms": result.transforms, "inner_iters": result.inner_iters}
+    if isinstance(result, NoCoerciveDirectionError):
+        return EXIT_NO_CONVERGENCE, {"error": str(result), **counts}, writers
 
-    writers = {
-        "solver_log.jsonl": lambda path: path.write_text(
-            "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in result.history)),
-        "coefficients.json": lambda path: path.write_text(
-            json.dumps(result.u_star.to_json(), sort_keys=True)),
-        "field.csv": lambda path: field_to_csv(result.u_star, grid, path),
-    }
+    writers["coefficients.json"] = lambda path: path.write_text(
+        json.dumps(result.u_star.to_json(), sort_keys=True))
+    writers["field.csv"] = lambda path: field_to_csv(result.u_star, grid, path)
     payload = {
         "energy": result.energy,
         "s_w": result.s_w,
@@ -284,6 +285,7 @@ def _run_solve(config: RunConfig) -> Outcome:
         "quadrature_gap": result.quadrature_gap,
         "kernel_gram": result.kernel_report.to_json(),
         "outer_records": len(result.history),
+        **counts,
     }
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE, payload, writers
 

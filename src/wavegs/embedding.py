@@ -232,7 +232,9 @@ def gap_ratio_bracket(N: int, m: int, l_max: int = 10000):
 
     The denominator is the leading form of the near-resonance gap asymptotics
     on S^N, with its constant written out (j* the real offset of k_l + j from
-    the exact resonance degree).
+    the exact resonance degree).  ``l_max`` must be at least 2: the scan starts at l = 2.
     """
     _require_half_power(N, m)
+    if l_max < 2:
+        raise ValueError(f"l_max must be at least 2, got {l_max}")
     return _accel.gap_ratio_scan(N, m, l_max)

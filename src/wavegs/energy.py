@@ -34,10 +34,10 @@ class NonlinearitySpec:
         if not terms:
             raise ValueError("need at least one nonlinearity term")
         for a, p in terms:
-            if a <= 0:
+            if not a > 0:  # NaN fails too
                 raise ValueError("amplitudes must be positive")
-            if p <= 2:
-                raise ValueError("exponents must exceed 2")
+            if not 2 < p < math.inf:
+                raise ValueError("exponents must exceed 2 and be finite")
         ps = [p for _, p in terms]
         if any(q <= p for p, q in zip(ps, ps[1:])):
             raise ValueError("exponents must be strictly increasing")
@@ -80,6 +80,7 @@ class EnergyContext:
         self._transform = TensorTransform(catalog, grid)
         self.qw = weight.values * grid.quad_weight  # q times the rectangle-rule weight
         self._amps, self._exps = zip(*nonlinearity.terms)
+        self.transforms = 0  # synth calls, the transforms a solve reports
 
     @cached_property
     def kernel_report(self):
@@ -88,6 +89,7 @@ class EnergyContext:
         return control.kernel_gram(self.weight, self.catalog, self.grid)
 
     def synth(self, coeffs: np.ndarray) -> np.ndarray:
+        self.transforms += 1
         return self._transform.synth(coeffs)
 
     def analyze_values(self, values: np.ndarray) -> np.ndarray:

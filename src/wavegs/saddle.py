@@ -46,6 +46,7 @@ and Phi'(m_hat) in catalog order is built once, when the ascent returns.
 from __future__ import annotations
 
 import math
+import numbers
 import pickle
 from collections import deque
 from dataclasses import dataclass, field
@@ -60,7 +61,11 @@ from .fields import SpectralField
 
 
 class NoCoerciveDirectionError(RuntimeError):
-    """Raised when every start is dropped: no maximizable plus-direction found."""
+    """Raised when every start is dropped; carries the solve's history and counts."""
+
+    def __init__(self, message, history=(), transforms=0, inner_iters=0):
+        super().__init__(message)
+        self.history, self.transforms, self.inner_iters = list(history), transforms, inner_iters
 
 
 # Fixed limits, read at call time.  TOL_INNER sits above the float64 noise
@@ -85,8 +90,13 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.tol_outer < math.inf:
             raise ValueError("tol_outer must be positive and finite")
+        for name in ("n_starts", "seed"):
+            if isinstance(v := getattr(self, name), bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.n_starts < 1:
             raise ValueError("need at least one start")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass
@@ -135,6 +145,8 @@ class GroundStateResult:
     _history: bytes = field(repr=False)
     kernel_report: GramReport
     quadrature_gap: float = 0.0
+    transforms: int = 0  # the solve's EnergyContext.synth calls
+    inner_iters: int = 0  # the iterations of all its inner ascents
 
     @property
     def history(self) -> list:
@@ -438,7 +450,7 @@ def psi_gradient(w: SpectralField, saddle: SaddleResult, ctx: EnergyContext) -> 
 
 
 def _run_start(start_id, w, ctx, cfg, records):
-    """Outer descent from ``w``; its last record in ``records`` gets a ``stop`` key.
+    """Outer descent from ``w``; its last record gets ``stop`` and the start's counts.
 
     It stops ``converged`` as soon as the residual of its saddle, the dual norm
     of Phi'(m_hat) that certifies the start, is within ``tol_outer``; else at
@@ -449,20 +461,27 @@ def _run_start(start_id, w, ctx, cfg, records):
     """
     cat = ctx.catalog
     root = np.sqrt(cat.eig[cat.plus_idx])
-    saddle, tol = inner_maximize(w, ctx, cfg), TOL_INNER
+    transforms, inner_iters = ctx.transforms, 0
+
+    def ascend(v, warm=None):  # every ascent of the start, its iterations counted
+        nonlocal inner_iters
+        res = inner_maximize(v, ctx, cfg, warm=warm)
+        inner_iters += res.iterations
+        return res
+    saddle, tol = ascend(w), TOL_INNER
     lbfgs, counts, outer, stalled = _LBFGS(), {}, 0, False
     while True:
-        if saddle.stop not in _FINISHED:
-            records.append({"start": start_id, "outer": outer, "event": saddle.stop,
-                            "stop": saddle.stop})
-            return None
+        if saddle.stop not in _FINISHED:  # the start is dropped
+            stop = saddle.stop
+            records.append({"start": start_id, "outer": outer, "event": stop})
+            break
         grad = psi_gradient(w, saddle, ctx)
         gn = plus_norm(grad)
         residual = residual_dual_norm(SpectralField(cat, saddle.grad))
         if tol > TOL_INNER and (stalled or residual <= cfg.tol_outer or outer == MAX_OUTER):
             # stop only at an ascent finished to TOL_INNER, so the residual certifies
             # the same saddle whatever the trial tolerances were
-            saddle, tol = inner_maximize(w, ctx, cfg, warm=(saddle._state, math.inf)), TOL_INNER
+            saddle, tol = ascend(w, (saddle._state, math.inf)), TOL_INNER
             continue
         record = {"start": start_id, "outer": outer, "psi": saddle.psi, "grad_plus": gn,
                   "residual": residual}
@@ -484,7 +503,7 @@ def _run_start(start_id, w, ctx, cfg, records):
             trial_tol = max(TOL_INNER, INNER_FORCING * math.sqrt(eta * slope))
             # the ceiling and tolerance ride in ``warm``, so wrappers of the
             # five-argument call shape pass them on unchanged
-            s_trial = inner_maximize(trial, ctx, cfg, warm=(saddle._state, ceiling, trial_tol))
+            s_trial = ascend(trial, (saddle._state, ceiling, trial_tol))
             # a Psi value counts only from an ascent that converged or reached
             # the roundoff floor of G; an unfinished ascent can sit far below
             # the maximum (toward t -> 0) and fake a decrease
@@ -504,8 +523,10 @@ def _run_start(start_id, w, ctx, cfg, records):
             stop = "stalled_at_floor"
             records.append({**record, "outer": outer, "event": "stalled", **counts})
             break
-    records[-1]["stop"] = stop
-    return {"saddle": saddle, "stop": stop, "residual": residual}
+    records[-1].update(stop=stop, start_transforms=ctx.transforms - transforms,
+                       start_inner_iters=inner_iters)
+    finished = saddle.stop in _FINISHED
+    return {"saddle": saddle, "stop": stop, "residual": residual} if finished else None
 
 
 def ground_state(ctx: EnergyContext, cfg: SolverConfig) -> GroundStateResult:
@@ -524,13 +545,15 @@ def ground_state(ctx: EnergyContext, cfg: SolverConfig) -> GroundStateResult:
         rng = np.random.default_rng(cfg.seed)
         starts += [random_plus_direction(cat, rng) for _ in range(cfg.n_starts - 1)]
 
-    records: list = []
+    records, transforms = [], ctx.transforms
     outcomes = [_run_start(i, w, ctx, cfg, records) for i, w in enumerate(starts)]
+    inner_iters = sum(rec.get("start_inner_iters", 0) for rec in records)
 
     finished = [o for o in outcomes if o is not None]
     if not finished:
         raise NoCoerciveDirectionError("no coercive direction detected: every start's "
-                                       "ascent diverged or stopped at max_inner")
+                                       "ascent diverged or stopped at max_inner",
+                                       records, ctx.transforms - transforms, inner_iters)
 
     # a start is certified exactly when it stopped converged; the start index
     # breaks ties, in start order, before the dicts are compared
@@ -541,7 +564,7 @@ def ground_state(ctx: EnergyContext, cfg: SolverConfig) -> GroundStateResult:
     message = "converged" if converged else (
         f"{best['stop']}: residual {residual:.3e} above tol_outer; best iterate returned")
     e_star, gap = phi_eval(m_hat, ctx), energy.quadrature_refinement_gap(m_hat, ctx)
-    history = pickle.dumps(records)
+    history, transforms = pickle.dumps(records), ctx.transforms - transforms
     # what the result keeps is allocated last, once the solve's temporaries are
     # freed, so a caller that keeps many results keeps them packed (wave-kernel:
     # 13.3 -> 11.0 KB of resident memory per kept result)
@@ -555,4 +578,5 @@ def ground_state(ctx: EnergyContext, cfg: SolverConfig) -> GroundStateResult:
         _history=history,
         kernel_report=ctx.kernel_report,
         quadrature_gap=gap,
+        transforms=transforms, inner_iters=inner_iters,
     )

@@ -13,6 +13,7 @@ import pytest
 import wavegs
 from wavegs.cli import (
     EXIT_CONFIG,
+    EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_REFUSED,
     _SCHEMA,
@@ -210,6 +211,27 @@ def test_solve_toy_writes_artifacts(tmp_path):
     records = [json.loads(line) for line in (out / "solver_log.jsonl").read_text().splitlines()]
     assert all("start" in r for r in records)
     assert records[-1]["stop"] == "converged"
+    # the one start's counts, plus the energy's and the quadrature gap's transforms of u*
+    assert doc["result"]["inner_iters"] == records[-1]["start_inner_iters"]
+    assert doc["result"]["transforms"] == records[-1]["start_transforms"] + 2
+
+
+def test_a_solve_with_no_surviving_start_writes_its_log_and_counts(tmp_path):
+    # the space-time classical wave at K = L = 16: the one start's cold ascent
+    # stops at MAX_INNER, so the start is dropped and no solution is written
+    doc = json.loads(_readme_block("json"))
+    doc.update(operator={"power": 1}, cutoffs={"k_max": 16, "l_max": 16}, out=str(tmp_path / "o"))
+    doc["weight"]["t"] = [0.0, 3.1416]
+    doc["solver"]["starts"] = 1
+    assert run(validate_config(write_config(tmp_path, doc))) == EXIT_NO_CONVERGENCE
+    out = tmp_path / "o"
+    assert sorted(p.name for p in out.iterdir()) == ["result.json", "solver_log.jsonl"]
+    result = json.loads((out / "result.json").read_text())["result"]
+    assert result["error"].startswith("no coercive direction detected")
+    (record,) = [json.loads(line) for line in (out / "solver_log.jsonl").read_text().splitlines()]
+    assert record["stop"] == record["event"] == "max_inner"
+    assert result["transforms"] == record["start_transforms"] > 0
+    assert result["inner_iters"] == record["start_inner_iters"] > 0
 
 
 def test_kernel_free_solve_writes_the_gram_tasks_block(tmp_path):

@@ -218,6 +218,13 @@ def test_gap_ratio_bracket_within_ten():
         assert hi <= 10.0
 
 
+@pytest.mark.parametrize("l_max", [0, 1])
+def test_gap_ratio_bracket_refuses_an_empty_scan(l_max):
+    # the scan starts at l = 2; below that it returned (inf, 0.0) as a bracket
+    with pytest.raises(ValueError, match="l_max must be at least 2"):
+        gap_ratio_bracket(2, 2, l_max)
+
+
 def test_series_report_csv(tmp_path):
     rep = torus_gap_series(1, 2, 4.0, cutoff=32)
     path = tmp_path / "terms.csv"

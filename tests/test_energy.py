@@ -34,6 +34,11 @@ def test_spec_validation():
         NonlinearitySpec(((-1.0, 3.0),))
     with pytest.raises(ValueError):
         NonlinearitySpec(((1.0, 4.0), (1.0, 3.0)))  # not increasing
+    # NaN passed the old a <= 0 and p <= 2 tests and failed deep in a solve
+    for bad in (((math.nan, 4.0),), ((1.0, math.nan),), ((1.0, math.inf),),
+                ((1.0, 3.0), (1.0, math.inf))):
+        with pytest.raises(ValueError):
+            NonlinearitySpec(bad)
     assert NonlinearitySpec(((1.0, 3.0), (2.0, 4.0))).p == 4.0
 
 

@@ -285,14 +285,12 @@ def readme_beam_ctx():
 ])
 def test_inner_ascent_carries_the_gradient_of_its_last_state(terms, energy, monkeypatch):
     ctx = _readme_beam(terms)
+    # the reference gradients are evaluated on a twin, so the solve's count stays its own
+    twin = EnergyContext(ctx.catalog, ctx.grid, ctx.weight, ctx.nonlinearity)
     orig_inner, orig_grad = saddle_mod.inner_maximize, saddle_mod._InnerProblem.gradient
-    orig_synth, orig_psi_gradient = EnergyContext.synth, saddle_mod.psi_gradient
-    counts = {"synth": 0, "gradient": 0, "psi_gradient_synth": 0}
+    orig_psi_gradient = saddle_mod.psi_gradient
+    counts = {"gradient": 0, "psi_gradient_synth": 0}
     exits = {"converged": 0, "halving": 0}
-
-    def synth(self, coeffs):
-        counts["synth"] += 1
-        return orig_synth(self, coeffs)
 
     def gradient(self, x, qf):
         counts["gradient"] += 1
@@ -302,10 +300,7 @@ def test_inner_ascent_carries_the_gradient_of_its_last_state(terms, energy, monk
         counts["gradient"] = 0
         res = orig_inner(w, ctx, cfg, kernel_basis, warm)
         if res.stop in ("converged", "roundoff_floor"):
-            with monkeypatch.context() as m:
-                m.setattr(EnergyContext, "synth", orig_synth)
-                expect = phi_gradient(res.m_hat, ctx).coeffs
-            assert np.array_equal(res.grad, expect)
+            assert np.array_equal(res.grad, phi_gradient(res.m_hat, twin).coeffs)
             # one gradient at the start and one per accepted step: every
             # roundoff_floor exit returns the state it could not leave
             if res.stop == "converged":
@@ -316,12 +311,11 @@ def test_inner_ascent_carries_the_gradient_of_its_last_state(terms, energy, monk
         return res
 
     def psi_gradient(w, saddle, ctx):
-        before = counts["synth"]
+        before = ctx.transforms
         out = orig_psi_gradient(w, saddle, ctx)
-        counts["psi_gradient_synth"] += counts["synth"] - before
+        counts["psi_gradient_synth"] += ctx.transforms - before
         return out
 
-    monkeypatch.setattr(EnergyContext, "synth", synth)
     monkeypatch.setattr(saddle_mod._InnerProblem, "gradient", gradient)
     monkeypatch.setattr(saddle_mod, "inner_maximize", checked)
     monkeypatch.setattr(saddle_mod, "psi_gradient", psi_gradient)
@@ -332,7 +326,7 @@ def test_inner_ascent_carries_the_gradient_of_its_last_state(terms, energy, monk
     assert counts["psi_gradient_synth"] == 0
     # 1,481 when psi_gradient and the ranking re-transformed, 1,373 before the
     # outer descent stopped on the residual and took Barzilai-Borwein steps
-    assert counts["synth"] <= 1100
+    assert res.transforms <= 1100
 
 
 @pytest.mark.parametrize("seed, draw", [(2, 2), (11, 1)])
@@ -405,6 +399,56 @@ def test_ground_state_all_starts_diverge():
         ground_state(ctx, SolverConfig(n_starts=2, seed=0))
 
 
+def test_solve_counts_equal_a_monkeypatched_reference(readme_beam_ctx, monkeypatch):
+    # the reference counts as a harness would: every synth call and the
+    # iterations of every inner_maximize call, wrapped by name
+    synth, inner = EnergyContext.synth, saddle_mod.inner_maximize
+    ref = {"transforms": 0, "inner_iters": 0}
+
+    def counted_synth(self, coeffs):
+        ref["transforms"] += 1
+        return synth(self, coeffs)
+
+    def counted_inner(w, ctx, cfg, kernel_basis=None, warm=None):
+        res = inner(w, ctx, cfg, kernel_basis, warm)
+        ref["inner_iters"] += res.iterations
+        return res
+
+    monkeypatch.setattr(EnergyContext, "synth", counted_synth)
+    monkeypatch.setattr(saddle_mod, "inner_maximize", counted_inner)
+    res = ground_state(readme_beam_ctx, SolverConfig(n_starts=2, seed=0))
+    assert res.converged
+    assert {"transforms": res.transforms, "inner_iters": res.inner_iters} == ref
+    last = [rec for rec in res.history if "stop" in rec]
+    assert sum(rec["start_inner_iters"] for rec in last) == res.inner_iters
+    # after the starts, the energy and the quadrature gap transform u* once each
+    assert sum(rec["start_transforms"] for rec in last) == res.transforms - 2
+
+    # every start dropped: the exception carries the same counts and the records
+    ref.update(transforms=0, inner_iters=0)
+    monkeypatch.setattr(saddle_mod, "MAX_INNER", 3)
+    with pytest.raises(NoCoerciveDirectionError) as info:
+        ground_state(readme_beam_ctx, SolverConfig(n_starts=2, seed=0))
+    exc = info.value
+    assert str(exc) == ("no coercive direction detected: every start's ascent diverged or "
+                        "stopped at max_inner")
+    assert {"transforms": exc.transforms, "inner_iters": exc.inner_iters} == ref
+    assert [rec["stop"] for rec in exc.history] == ["max_inner", "max_inner"]
+    assert sum(rec["start_transforms"] for rec in exc.history) == exc.transforms
+    assert sum(rec["start_inner_iters"] for rec in exc.history) == exc.inner_iters
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_starts": 2.5}, {"n_starts": True}, {"n_starts": 0}, {"seed": 1.5}, {"seed": -1},
+    {"seed": False}, {"tol_outer": math.nan}, {"tol_outer": math.inf}, {"tol_outer": 0.0},
+], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_solver_config_rejects_what_a_solve_cannot_run(kwargs):
+    # a fractional or negative count or seed used to fail inside ground_state,
+    # as a TypeError from range or numpy's SeedSequence, or a ValueError there
+    with pytest.raises(ValueError):
+        SolverConfig(**kwargs)
+
+
 def test_ground_state_rejects_trivial_weight(toy_ctx):
     cat = toy_ctx.catalog
     grid = toy_ctx.grid
@@ -446,12 +490,13 @@ def test_ceiling_keeps_trajectory_through_a_five_argument_hook(beam_ctx, monkeyp
     assert fast.residual == full.residual
     np.testing.assert_array_equal(fast.u_star.coeffs, full.u_star.coeffs)
     assert len(fast.history) == len(full.history)
+    costs = ("rejected_inner_iters", "start_transforms", "start_inner_iters")
     for a, b in zip(fast.history, full.history):
         assert set(a) == set(b)
-        assert {k: v for k, v in a.items() if k != "rejected_inner_iters"} == {
-            k: v for k, v in b.items() if k != "rejected_inner_iters"}
-        if "backtracks" in a:
-            assert a["rejected_inner_iters"] <= b["rejected_inner_iters"]
+        assert {k: v for k, v in a.items() if k not in costs} == {
+            k: v for k, v in b.items() if k not in costs}
+        for k in set(costs) & set(a):
+            assert a[k] <= b[k]
 
 
 def test_inner_ceiling_decides_like_the_full_ascent(beam_ctx):
@@ -579,6 +624,7 @@ def test_inner_cost_does_not_depend_on_the_last_bits_of_the_height(monkeypatch):
         calls.append(0)
         res = ground_state(ctx, SolverConfig(n_starts=1, seed=0))
         assert res.converged
+        assert res.transforms == calls[-1]  # the wrapper is the reference count
     assert max(calls) <= 1.05 * min(calls)
 
 
@@ -595,22 +641,14 @@ def test_heavy_readme_weight_certifies_the_scaled_energy(c):
     assert res.energy * c == pytest.approx(README_BEAM_ENERGY, rel=1e-8)
 
 
-def test_heavy_weight_solve_scales_and_stays_cheap(beam_ctx, monkeypatch):
+def test_heavy_weight_solve_scales_and_stays_cheap(beam_ctx):
     # q -> c q scales the maximizer by c^(-1/2) and the level by 1/c (p = 4), so
     # the heights here are 1/100 of those at q = 1; a step rule that depended
     # on the scale of t spent 11,719 transforms on this solve
     cat, grid = beam_ctx.catalog, beam_ctx.grid
     ctx = EnergyContext(cat, grid, WeightField.constant(grid, 1e4), beam_ctx.nonlinearity)
-    synth = EnergyContext.synth
-    calls = []
-
-    def counted(self, coeffs):
-        calls.append(None)
-        return synth(self, coeffs)
-
-    monkeypatch.setattr(EnergyContext, "synth", counted)
     res = ground_state(ctx, SolverConfig(n_starts=1, seed=0))
-    assert len(calls) <= 1000
+    assert res.transforms <= 1000
     assert res.energy * 1e4 == pytest.approx(6.561345971748, rel=1e-7)
 
 
@@ -643,28 +681,23 @@ def test_backtrack_tries_the_step_then_halves_down_to_the_floor():
 def test_inner_ascent_ends_diverged_on_a_non_finite_gradient(beam_ctx, monkeypatch, bad, at):
     # the at-th gradient (the start's is the first) turns non-finite: the ascent
     # ends there and forms no trial from it
-    orig_grad, orig_synth = saddle_mod._InnerProblem.gradient, EnergyContext.synth
-    counts = {"gradient": 0, "synth": 0, "synth_at_bad": None}
+    orig_grad = saddle_mod._InnerProblem.gradient
+    counts = {"gradient": 0, "synth_at_bad": None}
 
     def gradient(self, x, qf):
         counts["gradient"] += 1
         n, d, gnorm = orig_grad(self, x, qf)
         if counts["gradient"] < at:
             return n, d, gnorm
-        counts["synth_at_bad"] = counts["synth"]
+        counts["synth_at_bad"] = self.ctx.transforms
         return n, np.full_like(d, bad), bad
 
-    def synth(self, coeffs):
-        counts["synth"] += 1
-        return orig_synth(self, coeffs)
-
     monkeypatch.setattr(saddle_mod._InnerProblem, "gradient", gradient)
-    monkeypatch.setattr(EnergyContext, "synth", synth)
     w = random_plus_direction(beam_ctx.catalog, np.random.default_rng(0))  # 35 steps unpatched
     res = inner_maximize(w, beam_ctx, SolverConfig())
     assert res.stop == "diverged" and res.grad is None
     assert res.iterations == at - 1 and counts["gradient"] == at
-    assert counts["synth"] == counts["synth_at_bad"]
+    assert beam_ctx.transforms == counts["synth_at_bad"]
 
 
 def _unit(v):
@@ -765,8 +798,12 @@ def test_a_start_whose_cold_ascent_stops_at_max_inner_is_dropped(readme_beam_ctx
     monkeypatch.setattr(saddle_mod, "inner_maximize", first_cold_cut)
     res = ground_state(readme_beam_ctx, SolverConfig(n_starts=2, seed=0))
     assert res.converged
-    dropped = [rec for rec in res.history if rec["start"] == 0]
-    assert dropped == [{"start": 0, "outer": 0, "event": "max_inner", "stop": "max_inner"}]
+    (dropped,) = [rec for rec in res.history if rec["start"] == 0]
+    spent = {"start_transforms": dropped.pop("start_transforms"),
+             "start_inner_iters": dropped.pop("start_inner_iters")}
+    assert dropped == {"start": 0, "outer": 0, "event": "max_inner", "stop": "max_inner"}
+    # the cold height's ray, the start state and one per accepted step
+    assert spent == {"start_transforms": 5, "start_inner_iters": 3}
     assert [rec["stop"] for rec in res.history if "stop" in rec] == ["max_inner", "converged"]
     # with every cold ascent cut, no start is left
     monkeypatch.setattr(saddle_mod, "inner_maximize", orig)
