@@ -6,7 +6,8 @@ e_l = cos(l t) for l > 0, e_{-l} = sin(l t), e_0 = const.  A catalog is a
 truncated enumeration of these modes together with their eigenvalues
 P(nu_spatial) - l^2, kept as exact integer numerators over one denominator so
 that the plus/kernel/minus classification is never at the mercy of
-floating-point roundoff.
+floating-point roundoff.  The modes are listed in the C order of their box,
+so on a torus a coefficient vector is the (2K+1)^N x (2L+1) box itself.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, lcm, prod
+from math import comb, lcm
 
 import numpy as np
 
@@ -200,6 +201,7 @@ class SpectralCatalog:
 
     Eigenvalue i is exactly ``lam_num[i] / lam_den``, with Python-int numerators
     (int64 overflows for high powers of P) over the lcm of P's denominators.
+    The transforms refuse a catalog whose ``coords`` are not its box in C order.
     """
 
     def __init__(self, domain, operator, k_max, l_max, space, l, lam_num, lam_den):
@@ -246,20 +248,6 @@ class SpectralCatalog:
         """Each mode's signed index per axis, ``space`` then ``l``, built on first use."""
         return np.column_stack([self.space, self.l])
 
-    @cached_property
-    def tensor_index(self) -> np.ndarray:
-        """Flat position of each torus mode in the box (2K+1)^dim x (2L+1), axes (k_1.., l)."""
-        if self.domain.kind != TORUS:
-            raise ValueError("only torus catalogs fill a coefficient box")
-        shift = np.array(self.cutoffs)
-        box = tuple(2 * shift + 1)
-        index = np.ravel_multi_index((self.coords + shift).T, box)
-        # every box cell exactly once (np.unique would import numpy.ma)
-        if np.any(np.bincount(index, minlength=prod(box)) != 1):
-            raise ValueError("catalog modes do not fill the coefficient box exactly once")
-        index.flags.writeable = False
-        return index
-
     def to_json(self):
         # from the arrays, so a digest fills no cache; eigenvalues in lowest terms, as Fraction
         g = np.gcd(self.lam_num, self.lam_den)
@@ -275,7 +263,7 @@ class SpectralCatalog:
 
 
 def _mode_box(domain: DomainSpec, k_max: int, l_max: int):
-    """Every (space, l) within the cutoffs, unordered: (n, d) and (n,) int64 arrays."""
+    """Every (space, l) within the cutoffs in the box's C order: (n, d) and (n,) int64 arrays."""
     if domain.kind == TORUS:
         axes = [np.arange(-k_max, k_max + 1)] * domain.dim
         space = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
@@ -285,23 +273,21 @@ def _mode_box(domain: DomainSpec, k_max: int, l_max: int):
         index = np.arange(mult.sum()) - np.repeat(np.cumsum(mult) - mult, mult) + 1
         space = np.column_stack([np.repeat(degrees, mult), index])
     ls = np.arange(-l_max, l_max + 1)
-    return np.tile(space, (len(ls), 1)), np.repeat(ls, len(space))
+    return np.repeat(space, len(ls), axis=0), np.tile(ls, len(space))
 
 
 def build_catalog(domain: DomainSpec, operator: OperatorSpec, k_max: int, l_max: int) -> SpectralCatalog:
     """Enumerate all real modes within the cutoffs, classified exactly.
 
     Torus cutoffs are per-component (|k_j| <= k_max); sphere cutoffs bound the
-    harmonic degree.  Modes are ordered by (|l|, l < 0, |space|, space < 0)
-    lexicographically.  Eigenvalue signs are decided in exact integer
+    harmonic degree.  Modes are in the C order of the box: the space rows (torus
+    wavevectors in ``meshgrid(indexing="ij")`` order, sphere (degree, index))
+    outermost, then l.  Eigenvalue signs are decided in exact integer
     arithmetic, so resonances land in the kernel class exactly.
     """
     if k_max < 0 or l_max < 0:
         raise ValueError("cutoffs must be >= 0")
     space, l = _mode_box(domain, k_max, l_max)
-    # np.lexsort sorts by its last row first
-    order = np.lexsort(np.vstack([(space < 0).T[::-1], np.abs(space).T[::-1], l < 0, np.abs(l)]))
-    space, l = space[order], l[order]
     if domain.kind == TORUS:
         nu = (space * space).sum(axis=1)
     else:

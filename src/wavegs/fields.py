@@ -128,6 +128,10 @@ def _axis_table(cutoff: int, nodes: np.ndarray) -> np.ndarray:
 def _axis_tables(catalog: SpectralCatalog, grid: ProductGrid) -> list:
     if not grid.compliant_with(catalog):
         raise ValueError("grid too coarse (or wrong shape) for catalog")
+    shift = np.array(catalog.cutoffs)
+    box = np.indices(2 * shift + 1).reshape(len(shift), -1).T - shift
+    if not np.array_equal(catalog.coords, box):
+        raise ValueError("catalog modes are not its coefficient box in C order")
     return [_axis_table(c, nodes) for c, nodes in zip(catalog.cutoffs, grid.axes)]
 
 
@@ -146,14 +150,14 @@ def basis_rows(catalog: SpectralCatalog, grid: ProductGrid, mode_indices) -> np.
 
 
 class TensorTransform:
-    """Synthesis/analysis as dims+1 per-axis products; values are in the grid's C order.
+    """Synthesis/analysis as dims+1 per-axis products; coefficients are the catalog's
+    box and values the grid, each in its C order.
 
-    Each product contracts the box's leading axis and appends the grid axis at the back.
+    Each product contracts the leading axis and appends the other side's axis at the back.
     """
 
     def __init__(self, catalog: SpectralCatalog, grid: ProductGrid):
         self._to_grid = _axis_tables(catalog, grid)
-        self.index = catalog.tensor_index
         self.quad_weight = grid.quad_weight
         self._to_box = [table.T for table in self._to_grid]
 
@@ -164,12 +168,10 @@ class TensorTransform:
         return a.ravel()
 
     def synth(self, coeffs: np.ndarray) -> np.ndarray:
-        box = np.empty(len(self.index))
-        box[self.index] = coeffs
-        return self._contract(box, self._to_grid)
+        return self._contract(coeffs, self._to_grid)
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
-        return self._contract(values, self._to_box)[self.index] * self.quad_weight
+        return self._contract(values, self._to_box) * self.quad_weight
 
 
 @dataclass

@@ -352,14 +352,14 @@ def inner_maximize(
     """Maximize Phi over the half-space of w; see module docstring.
 
     The kernel block is ``ctx.kernel_report.basis``, the q-Gram eigenvectors
-    above the floor.  ``warm`` is ``(state, ceiling)`` or ``(state, ceiling,
-    tol)``: a previous ``_state``, a ceiling (``inf`` for none) and the gradient
-    norm at which the ascent stops ``converged`` (TOL_INNER when left out, and
-    for a call without ``warm``).  A warm state whose value is below 0 is
-    off the maximizer's basin (Psi > 0 and s_w is bounded away from 0 on the
-    Nehari-Pankov set), so the height is re-seeded as for a cold start.  With a
-    ceiling the ascent returns as soon as its value exceeds it, after the start
-    evaluation or after an accepted step (grad_norm inf, stop ``ceiling``).
+    above the floor.  ``warm`` is ``(state, ceiling, tol)``: a previous
+    ``_state``, a ceiling (``inf`` for none) and the gradient norm at which the
+    ascent stops ``converged`` (TOL_INNER for a call without ``warm``).  A warm
+    state whose value is below 0 is off the maximizer's basin (Psi > 0 and s_w
+    is bounded away from 0 on the Nehari-Pankov set), so the height is
+    re-seeded as for a cold start.  With a ceiling the ascent returns as soon
+    as its value exceeds it, after the start evaluation or after an accepted
+    step (grad_norm inf, stop ``ceiling``).
     The ascent is monotone and every other exit returns the current value, so
     the uncapped run would also end above the ceiling or diverge; a run that
     stays at or below the ceiling is the uncapped run, bit for bit.  Every
@@ -382,7 +382,7 @@ def inner_maximize(
 
     ceiling, tol = math.inf, TOL_INNER
     if warm is not None:
-        state, ceiling, tol = warm if len(warm) == 3 else (*warm, TOL_INNER)
+        state, ceiling, tol = warm
         x = np.array(state, dtype=float)
         if x.shape != (problem.size,):
             raise ValueError("warm state has the wrong size")
@@ -469,6 +469,7 @@ def _run_start(start_id, w, ctx, cfg, records):
         inner_iters += res.iterations
         return res
     saddle, tol = ascend(w), TOL_INNER
+    pending = saddle.iterations  # the ascents that found ``saddle``, in no record yet
     lbfgs, counts, outer, stalled = _LBFGS(), {}, 0, False
     while True:
         if saddle.stop not in _FINISHED:  # the start is dropped
@@ -481,11 +482,13 @@ def _run_start(start_id, w, ctx, cfg, records):
         if tol > TOL_INNER and (stalled or residual <= cfg.tol_outer or outer == MAX_OUTER):
             # stop only at an ascent finished to TOL_INNER, so the residual certifies
             # the same saddle whatever the trial tolerances were
-            saddle, tol = ascend(w, (saddle._state, math.inf)), TOL_INNER
+            saddle, tol = ascend(w, (saddle._state, math.inf, TOL_INNER)), TOL_INNER
+            pending += saddle.iterations
             continue
         record = {"start": start_id, "outer": outer, "psi": saddle.psi, "grad_plus": gn,
                   "residual": residual}
-        records.append({**record, "inner_iters": saddle.iterations, **counts})
+        records.append({**record, "inner_iters": pending, **counts})
+        pending = 0
         stop = "converged" if residual <= cfg.tol_outer else "max_outer"
         if stop == "converged" or outer == MAX_OUTER:
             break
@@ -519,6 +522,7 @@ def _run_start(start_id, w, ctx, cfg, records):
         stalled = accepted is None
         if accepted is not None:
             w, saddle, tol = accepted
+            pending = saddle.iterations
         elif tol == TOL_INNER:
             stop = "stalled_at_floor"
             records.append({**record, "outer": outer, "event": "stalled", **counts})

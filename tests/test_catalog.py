@@ -11,17 +11,22 @@ from wavegs import (
     DomainSpec,
     ModeKey,
     OperatorSpec,
+    ProductGrid,
     SpectralCatalog,
+    SpectralField,
+    analyze,
     build_catalog,
     eigenvalue,
     laplace_eigenvalue,
     sphere_multiplicity,
+    synthesize,
 )
 
 QUADRATIC = OperatorSpec((Fraction(1, 3), Fraction(1, 2), 1))
 LAPLACE_12 = OperatorSpec.laplacian_power(12)
 
 # SHA-1 digests of the canonical JSON, pinned from the per-mode Fraction build
+# with its modes in the (|l|, l < 0, |space|, space < 0) order
 PINNED_DIGESTS = [
     (DomainSpec.circle(), OperatorSpec.laplacian_power(1), 48, 48,
      "b1f1a2de750690653b8bc35887f309f36a9fe712"),
@@ -186,9 +191,36 @@ def test_deterministic_mode_ordering():
     assert a.digest == b.digest
 
 
+def _in_pinned_order(doc):
+    """The catalog document with its modes, eigenvalues and classes re-sorted
+    by (|l|, l < 0, |space|, space < 0), the order the pinned digests hash."""
+    space = np.array([m["space"] for m in doc["modes"]])
+    l = np.array([m["l"] for m in doc["modes"]])
+    # np.lexsort sorts by its last row first
+    order = np.lexsort(np.vstack([(space < 0).T[::-1], np.abs(space).T[::-1], l < 0, np.abs(l)]))
+    return {**doc, **{key: [doc[key][i] for i in order]
+                      for key in ("modes", "eigenvalues", "classes")}}
+
+
 @pytest.mark.parametrize("dom,op,k,l,digest", PINNED_DIGESTS)
 def test_catalog_digest_is_pinned(dom, op, k, l, digest):
-    assert build_catalog(dom, op, k, l).digest == digest
+    # only the order of the modes differs from the pinned build
+    doc = _in_pinned_order(build_catalog(dom, op, k, l).to_json())
+    assert hashlib.sha1(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_torus_catalog_is_its_box_in_c_order():
+    cat = build_catalog(DomainSpec.torus(2), OperatorSpec.laplacian_power(2), 2, 1)
+    box = np.array([(k1, k2, l) for k1 in range(-2, 3) for k2 in range(-2, 3) for l in (-1, 0, 1)])
+    np.testing.assert_array_equal(cat.coords, box)
+    assert cat.modes[:4] == (ModeKey((-2, -2), -1), ModeKey((-2, -2), 0), ModeKey((-2, -2), 1),
+                             ModeKey((-2, -1), -1))
+
+
+def test_sphere_catalog_lists_space_rows_then_l():
+    cat = build_catalog(DomainSpec.sphere(2), OperatorSpec.laplacian_power(1), 2, 1)
+    rows = [(0, 1), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (2, 4), (2, 5)]
+    assert cat.modes == tuple(ModeKey(s, l) for s in rows for l in (-1, 0, 1))
 
 
 @pytest.mark.parametrize("dom", [DomainSpec.circle(), DomainSpec.torus(2), DomainSpec.sphere(2)])
@@ -220,12 +252,25 @@ def test_catalog_matches_single_mode_reference(dom, op, k):
         assert cat.classes[i] == (lam > 0) - (lam < 0)
 
 
-def test_tensor_index_rejects_a_repeated_box_cell():
+def test_transform_rejects_a_repeated_box_cell():
     cat = build_catalog(DomainSpec.torus(2), OperatorSpec.laplacian_power(2), 2, 2)
-    assert sorted(cat.tensor_index) == list(range(cat.size))
+    grid = ProductGrid.for_catalog(cat)
     # mode 1 written over by mode 0: the box keeps its size but one cell twice
     space, l = cat.space.copy(), cat.l.copy()
     space[1], l[1] = space[0], l[0]
     twice = SpectralCatalog(cat.domain, cat.operator, 2, 2, space, l, cat.lam_num, cat.lam_den)
-    with pytest.raises(ValueError, match="do not fill the coefficient box exactly once"):
-        twice.tensor_index
+    with pytest.raises(ValueError, match="not its coefficient box in C order"):
+        synthesize(SpectralField.zeros(twice), grid)
+
+
+def test_transform_rejects_a_permuted_catalog():
+    # every box cell once, but not in C order: refused rather than read as the box
+    cat = build_catalog(DomainSpec.torus(2), OperatorSpec.laplacian_power(2), 2, 2)
+    grid = ProductGrid.for_catalog(cat)
+    order = np.random.default_rng(0).permutation(cat.size)
+    permuted = SpectralCatalog(cat.domain, cat.operator, 2, 2, cat.space[order], cat.l[order],
+                               cat.lam_num[order], cat.lam_den)
+    with pytest.raises(ValueError, match="not its coefficient box in C order"):
+        synthesize(SpectralField.zeros(permuted), grid)
+    with pytest.raises(ValueError, match="not its coefficient box in C order"):
+        analyze(np.zeros(grid.n_points), permuted, grid)

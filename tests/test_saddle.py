@@ -87,7 +87,8 @@ def test_inner_homogeneity_via_warm_start(beam_ctx):
     first = inner_maximize(w, beam_ctx, cfg)
     # E_w = E_{2w}: normalizing 2w gives back w, warm-started from the old state
     w_again = SpectralField(beam_ctx.catalog, (2.0 * w.coeffs) / 2.0)
-    second = inner_maximize(w_again, beam_ctx, cfg, warm=(first._state, math.inf))
+    second = inner_maximize(w_again, beam_ctx, cfg,
+                            warm=(first._state, math.inf, saddle_mod.TOL_INNER))
     assert abs(first.psi - second.psi) < 1e-8
 
 
@@ -278,6 +279,22 @@ def readme_beam_ctx():
     return _readme_beam(((1.0, 4.0),))
 
 
+# recorded when the catalogs were listed in the (|l|, l < 0, |space|, space < 0) order;
+# a multi-axis coefficient vector read in another order would move them
+@pytest.mark.parametrize("domain, cutoff, energy", [
+    pytest.param(DomainSpec.torus(2), 4, 31.002392374244508, id="torus2_4"),
+    pytest.param(DomainSpec.circle(), 24, 6.890172770585554, id="beam_24"),
+])
+def test_readme_config_energy_on_a_three_axis_box_and_a_large_box(domain, cutoff, energy):
+    cat = build_catalog(domain, OperatorSpec.laplacian_power(2), cutoff, cutoff)
+    grid = ProductGrid.for_catalog(cat)
+    weight = weight_rectangle(grid, (0.0, 4.71), (0.0, 6.2832), 1.0, 0.0, 0.1)
+    ctx = EnergyContext(cat, grid, weight, NonlinearitySpec(((1.0, 4.0),)))
+    res = ground_state(ctx, SolverConfig(n_starts=4, seed=0))
+    assert res.converged
+    assert res.energy == pytest.approx(energy, rel=1e-10, abs=0)
+
+
 # the two-term energy was recorded before value and gradient shared one power per term
 @pytest.mark.parametrize("terms, energy", [
     pytest.param(((1.0, 4.0),), README_BEAM_ENERGY, id="p4"),
@@ -353,12 +370,12 @@ def test_warm_state_below_zero_restarts_from_the_cold_height(beam_ctx):
     far = cold._state.copy()
     far[0] *= 100.0  # G ~ -t^4 there, far below 0
     assert phi_eval(SpectralField(beam_ctx.catalog, 100.0 * cold.m_hat.coeffs), beam_ctx) < 0
-    restarted = inner_maximize(w, beam_ctx, cfg, warm=(far, math.inf))
+    restarted = inner_maximize(w, beam_ctx, cfg, warm=(far, math.inf, saddle_mod.TOL_INNER))
     assert restarted.psi == cold.psi
     assert restarted.iterations == cold.iterations
     assert restarted.stop == cold.stop == "converged"
     # the ceiling still applies after the restart
-    capped = inner_maximize(w, beam_ctx, cfg, warm=(far, 0.5 * cold.psi))
+    capped = inner_maximize(w, beam_ctx, cfg, warm=(far, 0.5 * cold.psi, saddle_mod.TOL_INNER))
     assert capped.stop == "ceiling" and capped.psi > 0.5 * cold.psi
 
 
@@ -438,6 +455,16 @@ def test_solve_counts_equal_a_monkeypatched_reference(readme_beam_ctx, monkeypat
     assert sum(rec["start_inner_iters"] for rec in exc.history) == exc.inner_iters
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_a_starts_records_add_up_to_what_it_spent(readme_beam_ctx, seed):
+    # a trial's saddle carried on to TOL_INNER: its record counts both ascents
+    res = ground_state(readme_beam_ctx, SolverConfig(n_starts=4, seed=seed))
+    for start in range(4):
+        recs = [rec for rec in res.history if rec["start"] == start]
+        spent = sum(rec.get("inner_iters", 0) + rec.get("rejected_inner_iters", 0) for rec in recs)
+        assert spent == recs[-1]["start_inner_iters"]
+
+
 @pytest.mark.parametrize("kwargs", [
     {"n_starts": 2.5}, {"n_starts": True}, {"n_starts": 0}, {"seed": 1.5}, {"seed": -1},
     {"seed": False}, {"tol_outer": math.nan}, {"tol_outer": math.inf}, {"tol_outer": 0.0},
@@ -510,11 +537,13 @@ def test_inner_ceiling_decides_like_the_full_ascent(beam_ctx):
         h = random_plus_direction(cat, rng)
         trial = SpectralField(cat, w.coeffs + scale * h.coeffs)
         trial.coeffs /= plus_norm(trial)
-        full = inner_maximize(trial, beam_ctx, cfg, warm=(base._state, math.inf))
+        full = inner_maximize(trial, beam_ctx, cfg,
+                              warm=(base._state, math.inf, saddle_mod.TOL_INNER))
         assert not full.diverged
         for ceiling in (base.psi, full.psi, np.nextafter(full.psi, -np.inf),
                         full.psi + 1.0, base.psi - 1e-4 * scale):
-            res = inner_maximize(trial, beam_ctx, cfg, warm=(base._state, ceiling))
+            res = inner_maximize(trial, beam_ctx, cfg,
+                                 warm=(base._state, ceiling, saddle_mod.TOL_INNER))
             assert (res.psi > ceiling) == (full.psi > ceiling)
             if full.psi <= ceiling:
                 checked["below"] += 1
@@ -758,7 +787,7 @@ def test_trial_ascents_stop_at_their_forcing_tolerance(readme_beam_ctx, monkeypa
 
     def traced(w, ctx, cfg, kernel_basis=None, warm=None):
         res = orig(w, ctx, cfg, kernel_basis, warm)
-        tol = saddle_mod.TOL_INNER if warm is None or len(warm) == 2 else warm[2]
+        tol = saddle_mod.TOL_INNER if warm is None else warm[2]
         calls.append((tol, res))
         return res
 
