@@ -86,7 +86,7 @@ def _inner_evaluations(power, cutoff, count=1000):
 
     def run():
         for _ in range(count):
-            problem.gradient(x, problem.value(x)[1])
+            problem.gradient(*problem.value(x)[1:])
 
     return run
 
@@ -95,7 +95,7 @@ def cases():
     """(name, zero-argument call) at the diagnostics sizes."""
     rng = np.random.default_rng(0)
     v = rng.standard_normal(2_000_000)
-    amps, exps = np.array([1.0, 0.4]), np.array([3.0, 4.5])
+    terms = ((1.0, 3.0), (0.4, 4.5))
     nu_a, nu_b = _torus_nu(2, 96), _torus_nu(3, 24)
     js = np.arange(-64, 65, dtype=np.int64)
     mask = wavegs.RasterSet.rectangle(X_SPAN, T_SPAN, 2048).mask
@@ -121,9 +121,9 @@ def cases():
         ("build_catalog_circle_48", lambda: wavegs.build_catalog(circle, wave, 48, 48)),
         ("build_catalog_T2_16", lambda: wavegs.build_catalog(torus2, beam, 16, 16)),
         ("build_catalog_T2_24", lambda: wavegs.build_catalog(torus2, beam, 24, 24)),
-        ("quasipoly_f_2e6", lambda: _accel.quasipoly_f(v, amps, exps)),
-        ("quasipoly_prim_2e6", lambda: _accel.quasipoly_prim(v, amps, exps)),
-        ("quasipoly_2e6", lambda: _accel.quasipoly(v, amps, exps)),
+        ("quasipoly_f_2e6", lambda: _accel.quasipoly_f(v, terms)),
+        ("quasipoly_prim_2e6", lambda: _accel.quasipoly_prim(v, terms)),
+        ("quasipoly_2e6", lambda: _accel.quasipoly(v, terms)),
         ("inner_value_gradient_beam_8_x1000", _inner_evaluations(2, 8)),
         ("inner_value_gradient_wave_16_x1000", _inner_evaluations(1, 16)),
         (f"torus_l_sums_T2_96_{len(nu_a)}nu", lambda: _accel.torus_l_sums(nu_a, 2, 3.0)),

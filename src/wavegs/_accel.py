@@ -20,12 +20,12 @@ _ROW_BLOCK = 256
 _L_BLOCK = 1 << 16
 
 
-def quasipoly(v, amps, exps):
-    """(F(s), f(s)) elementwise: F = sum_i (a_i / p_i) |s|^p_i and its derivative
-    f = sum_i a_i |s|^(p_i - 2) s, both from one power |s|^(p_i - 2) per term."""
+def quasipoly(v, terms):
+    """(F(s), f(s)) elementwise for the terms (a_i, p_i): F = sum_i (a_i / p_i) |s|^p_i
+    and its derivative f = sum_i a_i |s|^(p_i - 2) s, from one power |s|^(p_i - 2) per term."""
     av = np.abs(v)
     F = f = None
-    for a, p in zip(amps, exps):
+    for a, p in terms:
         rs = np.power(av, p - 2.0)
         rs *= v  # |s|^(p - 2) s
         Fi = rs * v
@@ -39,14 +39,14 @@ def quasipoly(v, amps, exps):
     return F, f
 
 
-def quasipoly_f(v, amps, exps):
+def quasipoly_f(v, terms):
     """f(s) = sum_i a_i |s|^(p_i - 2) s, evaluated elementwise (``quasipoly``'s f)."""
-    return quasipoly(v, amps, exps)[1]
+    return quasipoly(v, terms)[1]
 
 
-def quasipoly_prim(v, amps, exps):
+def quasipoly_prim(v, terms):
     """Primitive F(s) = sum_i (a_i / p_i) |s|^p_i, elementwise (``quasipoly``'s F)."""
-    return quasipoly(v, amps, exps)[0]
+    return quasipoly(v, terms)[0]
 
 
 def torus_l_sums(nu, m, s):

@@ -193,6 +193,7 @@ CLASS_PLUS = 1
 CLASS_ZERO = 0
 CLASS_MINUS = -1
 
+_TINY = float(np.finfo(float).tiny)  # an off-kernel |lambda| below this has no float64 inverse
 _CLASS_NAMES = {CLASS_PLUS: "plus", CLASS_ZERO: "zero", CLASS_MINUS: "minus"}
 
 
@@ -201,7 +202,9 @@ class SpectralCatalog:
 
     Eigenvalue i is exactly ``lam_num[i] / lam_den``, with Python-int numerators
     (int64 overflows for high powers of P) over the lcm of P's denominators.
-    The transforms refuse a catalog whose ``coords`` are not its box in C order.
+    A nonzero eigenvalue below the smallest normal float64 in magnitude is
+    refused (``ValueError``), so ``metric`` is positive.  The transforms refuse
+    a catalog whose ``coords`` are not its box in C order.
     """
 
     def __init__(self, domain, operator, k_max, l_max, space, l, lam_num, lam_den):
@@ -217,6 +220,11 @@ class SpectralCatalog:
         # Python int / int is correctly rounded, so this equals float(Fraction)
         self.eig = (self.lam_num / self.lam_den).astype(np.float64)
         self.classes = np.sign(self.lam_num).astype(np.int8)
+        lost = np.flatnonzero((self.classes != CLASS_ZERO) & (np.abs(self.eig) < _TINY))
+        if lost.size:
+            i = lost[0]
+            raise ValueError(f"mode (space {tuple(self.space[i].tolist())}, l {self.l[i]}) has a nonzero "
+                             f"eigenvalue below {_TINY:.3g} in magnitude, which float64 cannot hold")
         self.plus_idx = np.flatnonzero(self.classes == CLASS_PLUS)
         self.zero_idx = np.flatnonzero(self.classes == CLASS_ZERO)
         self.minus_idx = np.flatnonzero(self.classes == CLASS_MINUS)
@@ -234,6 +242,11 @@ class SpectralCatalog:
     def eigenvalues(self) -> tuple:
         """The exact eigenvalues as ``Fraction`` objects, built on first use."""
         return tuple(Fraction(n, self.lam_den) for n in self.lam_num)
+
+    @cached_property
+    def metric(self) -> np.ndarray:
+        """|lambda| off the kernel and 1 on it: the one weight of every norm, built on first use."""
+        return np.where(self.classes == CLASS_ZERO, 1.0, np.abs(self.eig))
 
     def kernel_dim(self) -> int:
         return len(self.zero_idx)

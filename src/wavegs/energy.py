@@ -1,13 +1,14 @@
 """Energy functional for the weighted superlinear wave problem.
 
-Phi(u) = 1/2 ||u+||_+^2 - 1/2 ||u-||_-^2 - I(u),  I(u) = integral of q F(u),
-with a quasipolynomial nonlinearity f(s) = sum_i a_i |s|^(p_i - 2) s.  The
-coefficient-space gradient is lambda * a - g with g the analyzed nonlinear
-term, which covers plus, kernel and minus modes in one formula.  One pass of
-the pointwise kernel (``EnergyContext.pointwise``) gives both I(u) and q f(u)
-from the grid values of u, one power per term; the potential and the solver's
-inner ascent, which analyzes q f(u) (``analyze_values``) for its gradient, read
-that pass, so they agree bit for bit.
+Phi(u) = 1/2 <lambda u, u> - I(u),  I(u) = integral of q F(u), with a
+quasipolynomial nonlinearity f(s) = sum_i a_i |s|^(p_i - 2) s; the quadratic
+part is 1/2 ||u+||_+^2 - 1/2 ||u-||_-^2.  The coefficient-space gradient is
+lambda * u - g with g the analyzed nonlinear term, which covers plus, kernel
+and minus modes in one formula.  ``EnergyContext.phi`` is the one statement of
+Phi: one pass of the pointwise kernel (``EnergyContext.pointwise``) gives both
+I(u) and q f(u) from the grid values of u, one power per term.  ``phi_eval``
+and the solver's inner ascent, which analyzes q f(u) (``analyze_values``) for
+its gradient, both read it, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import _accel, control
 from .catalog import SpectralCatalog
-from .fields import ProductGrid, SpectralField, TensorTransform, WeightField, energy_norms, synthesize
+from .fields import ProductGrid, SpectralField, TensorTransform, WeightField, synthesize
 
 
 @dataclass(frozen=True)
@@ -52,14 +53,6 @@ class NonlinearitySpec:
         """Growth exponent: the largest p_i."""
         return self.terms[-1][1]
 
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return np.array([a for a, _ in self.terms])
-
-    @property
-    def exponents(self) -> np.ndarray:
-        return np.array([p for _, p in self.terms])
-
 
 class EnergyContext:
     """Catalog + grid + weight + nonlinearity, with the transform plan baked in."""
@@ -79,7 +72,6 @@ class EnergyContext:
         self.nonlinearity = nonlinearity
         self._transform = TensorTransform(catalog, grid)
         self.qw = weight.values * grid.quad_weight  # q times the rectangle-rule weight
-        self._amps, self._exps = zip(*nonlinearity.terms)
         self.transforms = 0  # synth calls, the transforms a solve reports
 
     @cached_property
@@ -98,12 +90,17 @@ class EnergyContext:
 
     def pointwise(self, values: np.ndarray) -> tuple:
         """(I(u), q f(u)) from the grid values of u, one ``_accel.quasipoly`` pass."""
-        F, f = _accel.quasipoly(values, self._amps, self._exps)
+        F, f = _accel.quasipoly(values, self.nonlinearity.terms)
         f *= self.weight.values
         return float(self.qw @ F), f
 
     def potential_from_values(self, values: np.ndarray) -> float:
         return self.pointwise(values)[0]
+
+    def phi(self, coeffs: np.ndarray) -> tuple:
+        """(Phi(u), q f(u)) of the coefficients u: 1/2 <lambda u, u> - I(u), one synthesis."""
+        potential, qf = self.pointwise(self.synth(coeffs))
+        return 0.5 * float(coeffs @ (self.catalog.eig * coeffs)) - potential, qf
 
 
 def I_eval(u: SpectralField, ctx: EnergyContext) -> float:
@@ -112,16 +109,13 @@ def I_eval(u: SpectralField, ctx: EnergyContext) -> float:
 
 
 def phi_eval(u: SpectralField, ctx: EnergyContext) -> float:
-    """Phi(u) = 1/2 (||u+||_+^2 - ||u-||_-^2) - I(u)."""
-    plus, minus, _ = energy_norms(u)
-    return 0.5 * (plus * plus - minus * minus) - I_eval(u, ctx)
+    """Phi(u) = 1/2 <lambda u, u> - I(u), as ``EnergyContext.phi`` states it."""
+    return ctx.phi(u.coeffs)[0]
 
 
 def residual_dual_norm(g: SpectralField) -> float:
-    """Dual criticality measure: g^2/|lambda| off the kernel, plain l2 on it."""
-    lam = g.catalog.eig
-    weights = np.where(g.catalog.classes != 0, 1.0 / np.maximum(np.abs(lam), 1e-300), 1.0)
-    return math.sqrt(float(np.sum(g.coeffs * g.coeffs * weights)))
+    """Dual criticality measure: g^2 over the catalog ``metric``, |lambda| off the kernel."""
+    return math.sqrt(float(np.sum(g.coeffs * g.coeffs / g.catalog.metric)))
 
 
 def quadrature_refinement_gap(u: SpectralField, ctx: EnergyContext) -> float:
@@ -136,6 +130,6 @@ def quadrature_refinement_gap(u: SpectralField, ctx: EnergyContext) -> float:
     reps = ctx.weight.values.reshape(ctx.grid.shape)
     for ax in range(reps.ndim):
         reps = np.repeat(reps, 2, axis=ax)
-    F, _ = _accel.quasipoly(vals, ctx.nonlinearity.amplitudes, ctx.nonlinearity.exponents)
+    F, _ = _accel.quasipoly(vals, ctx.nonlinearity.terms)
     fine_I = float(np.sum(reps.ravel() * F)) * fine.quad_weight
     return abs(fine_I - I_eval(u, ctx))

@@ -260,11 +260,10 @@ def project(u: SpectralField, part: str) -> SpectralField:
 
 
 def energy_norms(u: SpectralField):
-    """(norm_plus, norm_minus, norm_L2): the lambda-weighted signed norms and l2."""
-    lam = u.catalog.eig
-    sq = u.coeffs * u.coeffs
-    plus = math.sqrt(float(np.sum(np.where(lam > 0, lam, 0.0) * sq)))
-    minus = math.sqrt(float(np.sum(np.where(lam < 0, -lam, 0.0) * sq)))
+    """(norm_plus, norm_minus, norm_L2): the ``metric``-weighted norms of the plus and
+    minus parts, and l2."""
+    cat, sq = u.catalog, u.coeffs * u.coeffs
+    plus, minus = (math.sqrt(float(cat.metric[idx] @ sq[idx])) for idx in (cat.plus_idx, cat.minus_idx))
     return plus, minus, math.sqrt(float(np.sum(sq)))
 
 

@@ -1,10 +1,9 @@
 """Two-level variational solver for the strongly indefinite energy.
 
-Inner level: for a unit plus-direction w, monotone ascent of
-G(t, z) = t^2/2 - ||z^-||_-^2/2 - I(t w + z) over the half-space
-R+ w (+) E0 (+) E-, giving the maximizer m(w), its height s_w and the reduced
-value Psi(w).  Outer level: descent of Psi on the unit sphere of the truncated
-plus space by limited-memory BFGS, multi-start.  The reduced gradient is the
+Inner level: for a unit plus-direction w, monotone ascent of Phi itself over
+the half-space R+ w (+) E0 (+) E-, giving the maximizer m(w), its height s_w
+and the reduced value Psi(w) = Phi(m(w)).  Outer level: descent of Psi on the
+unit sphere of the truncated plus space by limited-memory BFGS, multi-start.  The reduced gradient is the
 Riesz representative of h -> s_w Phi'(m(w))[h] in the plus inner product.  A
 descent stops once the residual of its saddle, the dual norm of Phi'(m(w)),
 is within tol_outer: the same number certifies the returned ground state.
@@ -15,9 +14,9 @@ is the L-BFGS direction (Absil, Mahony & Sepulchre 2008, section 8): the
 two-loop recursion in the plus metric over the last ``LBFGS_MEMORY`` pairs of
 (change of w, change of the gradient), a pair kept only if its curvature is
 positive beyond roundoff, projected tangent to w (``_LBFGS``); steepest
-descent if that is no descent direction.  One helper (``_backtrack``) halves
-either level's step until the trial is accepted or no step can beat the
-level's roundoff floor.
+descent if that is no descent direction, and -grad / max(1, ||grad||_+)
+before the first pair.  One helper (``_backtrack``) halves either level's step
+until the trial is accepted or no step can beat the level's roundoff floor.
 
 An outer trial of step eta along d (slope s = -<d, grad>_+) is accepted only
 if Psi(trial) <= Psi(w) - drop, drop = max(1e-4 eta s, noise).  Its warm ascent
@@ -26,7 +25,7 @@ Newton methods, Eisenstat & Walker 1996): it stops at the gradient norm
 max(TOL_INNER, INNER_FORCING sqrt(eta s)), which is INNER_FORCING * grad_plus
 for a full steepest-descent step.  An ascent that stops at gradient norm g
 falls short of the maximum by about g^2 / (2 mu), mu the smallest curvature of
--G there (2 along the height for one power), so the Psi of such a trial is low
+-Phi there (2 along the height for one power), so the Psi of such a trial is low
 by about 5e-7 eta s / mu, below the drop unless mu is tiny.  A start stops
 only at a saddle whose ascent reached TOL_INNER: a saddle from a looser ascent
 is carried on to TOL_INNER before its residual may stop the start, and before
@@ -39,8 +38,9 @@ returns the current value (or a divergence, which is rejected too), so a run
 that passes the ceiling would have ended above it: the trial is rejected
 exactly as after the full ascent.  Accepted trials never reach the ceiling
 and run unchanged, so the solve trajectory does not depend on the ceiling.
-Each trial state of the inner ascent is evaluated once (``_InnerProblem``),
-and Phi'(m_hat) in catalog order is built once, when the ascent returns.
+Each trial state of the inner ascent is evaluated once (``_InnerProblem``) by
+``EnergyContext.phi``, as ``phi_eval`` is, so a saddle's Psi is Phi(m_hat) bit
+for bit; the ascent returns the Phi'(m_hat) its last state holds.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import numpy as np
 from . import energy
 # saddle.kernel_gram stays importable: the benchmark tracer wraps it by name
 from .control import GramReport, kernel_gram  # noqa: F401
-from .energy import EnergyContext, phi_eval, residual_dual_norm
+from .energy import EnergyContext, residual_dual_norm
 from .fields import SpectralField
 
 
@@ -69,7 +69,7 @@ class NoCoerciveDirectionError(RuntimeError):
 
 
 # Fixed limits, read at call time.  TOL_INNER sits above the float64 noise
-# floor of the value-monitored ascent (gains below ~16 ulp of G cannot be
+# floor of the value-monitored ascent (gains below ~16 ulp of Phi cannot be
 # certified, which caps reachable gradient norms near 2e-9 on desk problems).
 TOL_INNER = 1e-8
 MAX_INNER = 4000
@@ -105,11 +105,11 @@ class SaddleResult:
 
     ``stop`` is ``converged`` (gradient norm <= the ascent's tolerance, TOL_INNER
     unless a warm call passed a looser one), ``roundoff_floor``
-    (no halved step gains above 16 ulp of G), ``ceiling`` (the value passed the
+    (no halved step gains above 16 ulp of Phi), ``ceiling`` (the value passed the
     caller's ceiling), ``max_inner`` or ``diverged`` (state norm above
-    DIVERGENCE_NORM, or a gradient norm that is not finite).  ``grad`` holds
-    the coefficients of Phi'(m_hat), built on return from the analyzed q f(u)
-    of the ascent's last state; it is None after ``ceiling`` and ``diverged``.
+    DIVERGENCE_NORM, or a gradient norm that is not finite).  ``psi`` and
+    ``grad`` are Phi(m_hat) and Phi'(m_hat) as the last state evaluated them;
+    ``grad`` is None after ``ceiling`` and ``diverged``.
     ``_state`` is the state vector (t, y, z^-) that a warm start takes back.
     """
 
@@ -133,8 +133,9 @@ class SaddleResult:
 
 @dataclass
 class GroundStateResult:
-    """A solve's outcome.  ``history`` is its list of records, one dict each,
-    kept as one pickle (a sixth of the dicts' memory) and unpickled per read."""
+    """A solve's outcome; ``energy`` is the chosen saddle's ``psi``, Phi(u_star).
+    ``history`` is its list of records, one dict each, kept as one pickle (a
+    sixth of the dicts' memory) and unpickled per read."""
 
     u_star: SpectralField
     energy: float
@@ -157,7 +158,7 @@ def plus_norm(u: SpectralField) -> float:
     """||.||_+ of the plus part."""
     cat = u.catalog
     c = u.coeffs[cat.plus_idx]
-    return math.sqrt(float(np.sum(cat.eig[cat.plus_idx] * c * c)))
+    return math.sqrt(float(np.sum(cat.metric[cat.plus_idx] * c * c)))
 
 
 def _normalized_plus(catalog, plus_coeffs) -> SpectralField:
@@ -179,14 +180,14 @@ def random_plus_direction(catalog, rng) -> SpectralField:
     every mode while its cold ascent and outer descent stay short.
     """
     plus = catalog.plus_idx
-    return _normalized_plus(catalog, rng.standard_normal(len(plus)) / catalog.eig[plus])
+    return _normalized_plus(catalog, rng.standard_normal(len(plus)) / catalog.metric[plus])
 
 
 def lowest_plus_direction(catalog) -> SpectralField:
     """Unit plus-field concentrated on the smallest positive eigenvalue."""
     if len(catalog.plus_idx) == 0:
         raise ValueError("catalog has no plus modes")
-    lam_plus = catalog.eig[catalog.plus_idx]
+    lam_plus = catalog.metric[catalog.plus_idx]
     return _normalized_plus(catalog, np.arange(len(lam_plus)) == np.argmin(lam_plus))
 
 
@@ -201,54 +202,44 @@ def _check_plus_unit(w: SpectralField):
 
 
 class _InnerProblem:
-    """G(x) with its Riesz-ascent gradient; x = (t, y, z^-), y in the kernel basis.
+    """Phi on the half-space of w, in the state x = (t, y, z^-), y in the kernel basis.
 
-    Each state is synthesized once: ``value`` returns q f(u) beside G, and
-    ``gradient`` analyzes that array and forms the state gradient
-    (t c_w - n_+ . w, -V^T n_0, lambda_- z^- - n_-) from the blocks of the
-    analyzed n, with c_w = sum lambda_+ w^2.
+    Each state u = t w + V y + z^- is synthesized once: ``value`` returns Phi(u)
+    (``EnergyContext.phi``) with u and q f(u), and ``gradient`` forms
+    Phi'(u) = lambda u - analyze(q f(u)) and restricts it to the blocks:
+    <Phi'(u), w> on t, V^T Phi'(u) on y, Phi'(u) on z^-.  The Riesz metric of
+    the state is 1 on t (||w||_+ = 1) and y, the catalog ``metric`` on z^-.
     """
 
     def __init__(self, w, ctx):
-        cat = ctx.catalog
-        self.ctx = ctx
-        self.cat = cat
-        self.plus = cat.plus_idx
-        self.zero = cat.zero_idx
-        self.minus = cat.minus_idx
-        self.wp = w.coeffs[self.plus]
-        self.c_w = float(cat.eig[self.plus] @ (self.wp * self.wp))
+        self.ctx, self.cat = ctx, ctx.catalog
+        self.wp = w.coeffs[self.cat.plus_idx]
         self.V = ctx.kernel_report.basis
         self.VT = np.ascontiguousarray(self.V.T)
-        self.lam_minus = cat.eig[self.minus]
         self.ys = slice(1, 1 + self.V.shape[1])
-        self.ms = slice(self.ys.stop, None)
-        # Riesz metric of the state: 1 on t and y, |lambda| on z^-
-        self.metric = np.concatenate((np.ones(self.ys.stop), -self.lam_minus))
+        self.metric = np.concatenate((np.ones(self.ys.stop), self.cat.metric[self.cat.minus_idx]))
         self.size = len(self.metric)
 
     def assemble(self, x):
-        u = np.zeros(self.cat.size)
-        u[self.plus] = x[0] * self.wp
-        u[self.zero] = self.V @ x[self.ys]
-        u[self.minus] = x[self.ms]
+        cat, u = self.cat, np.zeros(self.cat.size)
+        u[cat.plus_idx] = x[0] * self.wp
+        u[cat.zero_idx] = self.V @ x[self.ys]
+        u[cat.minus_idx] = x[self.ys.stop:]
         return u
 
     def value(self, x):
-        """(G, q f(u)) at the state x; q f(u) feeds ``gradient`` at this state."""
-        potential, qf = self.ctx.pointwise(self.ctx.synth(self.assemble(x)))
-        t, zm = float(x[0]), x[self.ms]
-        return 0.5 * t * t + 0.5 * float(self.lam_minus @ (zm * zm)) - potential, qf
+        """(Phi(u), u, q f(u)) at the state x; u and q f(u) feed ``gradient`` there."""
+        u = self.assemble(x)
+        phi, qf = self.ctx.phi(u)
+        return phi, u, qf
 
-    def gradient(self, x, qf):
-        """(n, Riesz ascent direction d, ||d||) at the state x, n the analyzed ``qf``."""
-        n = self.ctx.analyze_values(qf)
-        g = np.empty(self.size)
-        g[0] = x[0] * self.c_w - n[self.plus] @ self.wp
-        g[self.ys] = -(self.VT @ n[self.zero])
-        g[self.ms] = self.lam_minus * x[self.ms] - n[self.minus]
+    def gradient(self, u, qf):
+        """(Phi'(u), Riesz ascent direction d, ||d||) at u, from the analyzed ``qf``."""
+        cat, grad = self.cat, self.cat.eig * u - self.ctx.analyze_values(qf)
+        g = np.concatenate(([grad[cat.plus_idx] @ self.wp], self.VT @ grad[cat.zero_idx],
+                            grad[cat.minus_idx]))
         d = g / self.metric
-        return n, d, math.sqrt(float(g @ d))
+        return grad, d, math.sqrt(float(g @ d))
 
 
 def _initial_height(problem):
@@ -308,8 +299,10 @@ class _LBFGS:
         """(d, -<d, g>) at the unit iterate x with gradient g, d tangent to the sphere.
 
         d is -H g by the two-loop recursion, H starting as <s, y> / <y, y> of the
-        newest pair (the identity without pairs), projected tangent to x; it is
-        -g when that projection is no descent direction (roundoff or non-finite).
+        newest pair, projected tangent to x; it is -g when that projection is no
+        descent direction (roundoff or non-finite).  Without a pair H is
+        1 / max(1, ||g||), so the step at eta = 1 is no longer than the sphere's
+        radius.
         """
         if self.prev is not None:
             s, y = x - self.prev[0], g - self.prev[1]
@@ -324,6 +317,8 @@ class _LBFGS:
         if self.pairs:
             s, y, sy = self.pairs[-1]
             q *= sy / float(y @ y)
+        else:
+            q /= max(1.0, math.sqrt(float(g @ g)))
         for (s, y, sy), a in zip(self.pairs, reversed(alphas)):
             q += (a - float(y @ q) / sy) * s
         d = float(q @ x) * x - q
@@ -373,12 +368,9 @@ def inner_maximize(
     _check_plus_unit(w)
     problem = _InnerProblem(w, ctx)
 
-    def result(x, value, iters, gnorm, stop, n=None):
-        # Phi'(m_hat) = lambda * m_hat - n, formed once per ascent from its last n
-        u = problem.assemble(x)
-        grad = None if n is None else ctx.catalog.eig * u - n
-        return SaddleResult(SpectralField(ctx.catalog, u), float(x[0]), value, iters, gnorm,
-                            stop, grad, _state=x)
+    def result(x, value, iters, gnorm, stop, grad=None):
+        return SaddleResult(SpectralField(ctx.catalog, problem.assemble(x)), float(x[0]), value,
+                            iters, gnorm, stop, grad, _state=x)
 
     ceiling, tol = math.inf, TOL_INNER
     if warm is not None:
@@ -387,17 +379,17 @@ def inner_maximize(
         if x.shape != (problem.size,):
             raise ValueError("warm state has the wrong size")
         x[0] = max(x[0], 1e-8)
-        value, qf = problem.value(x)
+        value, u, qf = problem.value(x)
     if warm is None or value < 0:
         x = np.zeros(problem.size)
         if (t := _initial_height(problem)) is None:
             return result(x, math.nan, 0, math.inf, "diverged")
         x[0] = t
-        value, qf = problem.value(x)
+        value, u, qf = problem.value(x)
 
     if value > ceiling:
         return result(x, value, 0, math.inf, "ceiling")
-    n, d, gnorm = problem.gradient(x, qf)
+    grad, d, gnorm = problem.gradient(u, qf)
     eta = 1.0
     prev = None  # (x, d) of the previous iteration
 
@@ -405,31 +397,31 @@ def inner_maximize(
         x_try = x + eta * d
         if not 0 < x_try[0] < math.inf:
             return None
-        v_try, qf_try = problem.value(x_try)
-        return (x_try, v_try, qf_try) if v_try >= value + 1e-4 * eta * gnorm * gnorm else None
+        v_try, u_try, qf_try = problem.value(x_try)
+        return (x_try, v_try, u_try, qf_try) if v_try >= value + 1e-4 * eta * gnorm * gnorm else None
 
     for it in range(MAX_INNER + 1):
         if gnorm <= tol:
-            return result(x, value, it, gnorm, "converged", n)
-        # G <= t^2/2, so a runaway value shows here first; no step follows a NaN/inf gradient
+            return result(x, value, it, gnorm, "converged", grad)
+        # Phi <= t^2/2 here, so a runaway value shows first; no step follows a NaN/inf gradient
         if math.sqrt(float(x @ x)) > DIVERGENCE_NORM or not math.isfinite(gnorm):
             return result(x, value, it, gnorm, "diverged")
         if it == MAX_INNER:
-            return result(x, value, it, gnorm, "max_inner", n)
+            return result(x, value, it, gnorm, "max_inner", grad)
 
         if prev is not None:
             eta = _bb_step(x - prev[0], prev[1] - d, eta)
         prev = (x, d)
 
-        # G rises by about eta * gnorm^2 along the step, so below 16 ulp of G
+        # Phi rises by about eta * gnorm^2 along the step, so below 16 ulp of Phi
         # no shorter step can show a gain above roundoff
         eta, accepted = _backtrack(eta, gnorm * gnorm, 16.0 * _EPS * max(1.0, abs(value)), ascent)
         if accepted is None:
-            return result(x, value, it + 1, gnorm, "roundoff_floor", n)
-        x, value, qf = accepted
+            return result(x, value, it + 1, gnorm, "roundoff_floor", grad)
+        x, value, u, qf = accepted
         if value > ceiling:
             return result(x, value, it + 1, math.inf, "ceiling")
-        n, d, gnorm = problem.gradient(x, qf)
+        grad, d, gnorm = problem.gradient(u, qf)
 
 
 def psi_gradient(w: SpectralField, saddle: SaddleResult, ctx: EnergyContext) -> SpectralField:
@@ -439,7 +431,7 @@ def psi_gradient(w: SpectralField, saddle: SaddleResult, ctx: EnergyContext) -> 
     inner ascent already evaluated Phi'(m_hat), so this costs no transform.
     """
     cat = ctx.catalog
-    lam_plus = cat.eig[cat.plus_idx]
+    lam_plus = cat.metric[cat.plus_idx]
     rep = saddle.s_w * saddle.grad[cat.plus_idx] / lam_plus
     wp = w.coeffs[cat.plus_idx]
     for _ in range(2):  # re-orthogonalize once to push tangency to roundoff
@@ -460,7 +452,7 @@ def _run_start(start_id, w, ctx, cfg, records):
     one whose finishing ascent to TOL_INNER does not.
     """
     cat = ctx.catalog
-    root = np.sqrt(cat.eig[cat.plus_idx])
+    root = np.sqrt(cat.metric[cat.plus_idx])
     transforms, inner_iters = ctx.transforms, 0
 
     def ascend(v, warm=None):  # every ascent of the start, its iterations counted
@@ -508,7 +500,7 @@ def _run_start(start_id, w, ctx, cfg, records):
             # five-argument call shape pass them on unchanged
             s_trial = ascend(trial, (saddle._state, ceiling, trial_tol))
             # a Psi value counts only from an ascent that converged or reached
-            # the roundoff floor of G; an unfinished ascent can sit far below
+            # the roundoff floor of Phi; an unfinished ascent can sit far below
             # the maximum (toward t -> 0) and fake a decrease
             if s_trial.stop in _FINISHED and s_trial.psi <= ceiling:
                 return trial, s_trial, trial_tol
@@ -567,14 +559,14 @@ def ground_state(ctx: EnergyContext, cfg: SolverConfig) -> GroundStateResult:
     converged = best["stop"] == "converged"
     message = "converged" if converged else (
         f"{best['stop']}: residual {residual:.3e} above tol_outer; best iterate returned")
-    e_star, gap = phi_eval(m_hat, ctx), energy.quadrature_refinement_gap(m_hat, ctx)
+    gap = energy.quadrature_refinement_gap(m_hat, ctx)
     history, transforms = pickle.dumps(records), ctx.transforms - transforms
     # what the result keeps is allocated last, once the solve's temporaries are
     # freed, so a caller that keeps many results keeps them packed (wave-kernel:
     # 13.3 -> 11.0 KB of resident memory per kept result)
     return GroundStateResult(
         u_star=SpectralField(cat, m_hat.coeffs.copy()),
-        energy=e_star,
+        energy=best["saddle"].psi,
         residual=residual,
         s_w=best["saddle"].s_w,
         converged=converged,

@@ -36,13 +36,11 @@ def test_quasipoly_paths_agree(rng):
     v = np.concatenate((rng.standard_normal(4096), [0.0, -0.0, -2.5, 2.5, -1.0, 1.0]))
     for terms in [((1.0, 3.0),), ((1.0, 3.5),), ((1.0, 4.0),), ((1.0, 5.0),), ((1.0, 6.0),),
                   ((1.0, 3.0), (0.5, 5.0)), ((1.0, 3.0), (0.4, 4.5))]:
-        amps = np.array([a for a, _ in terms])
-        exps = np.array([p for _, p in terms])
         f_ref = [sum(a * abs(x) ** (p - 2.0) * x for a, p in terms) for x in v]
         F_ref = [sum(a / p * abs(x) ** p for a, p in terms) for x in v]
-        F, f = _accel.quasipoly(v, amps, exps)
-        for got, ref in [(F, F_ref), (f, f_ref), (_accel.quasipoly_prim(v, amps, exps), F_ref),
-                         (_accel.quasipoly_f(v, amps, exps), f_ref)]:
+        F, f = _accel.quasipoly(v, terms)
+        for got, ref in [(F, F_ref), (f, f_ref), (_accel.quasipoly_prim(v, terms), F_ref),
+                         (_accel.quasipoly_f(v, terms), f_ref)]:
             np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
         assert np.all(F[v == 0] == 0) and np.all(f[v == 0] == 0)
         pairs = f[-6:].reshape(3, 2)  # f is odd: (0, -0), (-2.5, 2.5), (-1, 1)

@@ -274,3 +274,23 @@ def test_transform_rejects_a_permuted_catalog():
         synthesize(SpectralField.zeros(permuted), grid)
     with pytest.raises(ValueError, match="not its coefficient box in C order"):
         analyze(np.zeros(grid.n_points), permuted, grid)
+
+
+@pytest.mark.parametrize("name", ["torus2_cat", "circle_wave_cat", "sphere_kg_cat"])
+def test_metric_is_abs_lambda_off_the_kernel_and_one_on_it(name, request):
+    cat = request.getfixturevalue(name)
+    off = cat.classes != 0
+    assert cat.kernel_dim() > 0 and off.any()
+    np.testing.assert_array_equal(cat.metric[off], np.abs(cat.eig[off]))
+    np.testing.assert_array_equal(cat.metric[~off], 1.0)
+
+
+def test_catalog_refuses_an_eigenvalue_float64_cannot_hold():
+    # P(tau) = 1e-400 + tau on the circle: the 9 modes with |k| = |l| are plus in
+    # exact arithmetic, but their float eigenvalue is 0.0, and 1 / lambda is inf
+    op = OperatorSpec([Fraction(1, 10**400), 1])
+    with pytest.raises(ValueError, match=r"mode \(space \(-2,\), l -2\) has a nonzero eigenvalue"):
+        build_catalog(DomainSpec.circle(), op, 2, 2)
+    # a small but normal eigenvalue is kept
+    cat = build_catalog(DomainSpec.circle(), OperatorSpec([Fraction(1, 10**300), 1]), 2, 2)
+    assert cat.kernel_dim() == 0 and cat.metric.min() == pytest.approx(1e-300, rel=1e-12)

@@ -211,9 +211,9 @@ def test_solve_toy_writes_artifacts(tmp_path):
     records = [json.loads(line) for line in (out / "solver_log.jsonl").read_text().splitlines()]
     assert all("start" in r for r in records)
     assert records[-1]["stop"] == "converged"
-    # the one start's counts, plus the energy's and the quadrature gap's transforms of u*
+    # the one start's counts, plus the quadrature gap's transform of u*
     assert doc["result"]["inner_iters"] == records[-1]["start_inner_iters"]
-    assert doc["result"]["transforms"] == records[-1]["start_transforms"] + 2
+    assert doc["result"]["transforms"] == records[-1]["start_transforms"] + 1
 
 
 def test_a_solve_with_no_surviving_start_writes_its_log_and_counts(tmp_path):
@@ -586,6 +586,18 @@ def test_a_negative_seed_override_is_a_config_error(tmp_path, capsys):
     path = write_config(tmp_path, toy_solve_doc(tmp_path / "o"))
     assert main(["solve", "--config", str(path), "--seed", "-1"]) == EXIT_CONFIG
     assert capsys.readouterr().err == "config error: seed must be non-negative, got -1\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_an_eigenvalue_float64_cannot_hold_is_a_config_error(tmp_path, capsys):
+    # P(tau) = 1e-400 + tau: the |k| = |l| modes are plus, but their float eigenvalue
+    # is 0.0; the solve once divided by it and reported non-finite coefficients
+    doc = {**toy_solve_doc(tmp_path / "o"), "cutoffs": {"k_max": 2, "l_max": 2}}
+    doc.update(operator={"coefficients": ["1/1" + "0" * 400, 1]}, grid={"oversample": 2})
+    assert main(["solve", "--config", str(write_config(tmp_path, doc))]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: mode (space (-2,), l -2) has a nonzero eigenvalue below 2.23e-308 in "
+        "magnitude, which float64 cannot hold\n")
     assert not (tmp_path / "o").exists()
 
 

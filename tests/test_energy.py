@@ -45,8 +45,7 @@ def test_spec_validation():
 def f_and_F(s, spec):
     """(f(s), F(s)) elementwise, from the kernels the energy evaluates."""
     s = np.asarray(s, dtype=np.float64)
-    return (_accel.quasipoly_f(s, spec.amplitudes, spec.exponents),
-            _accel.quasipoly_prim(s, spec.amplitudes, spec.exponents))
+    return _accel.quasipoly_f(s, spec.terms), _accel.quasipoly_prim(s, spec.terms)
 
 
 def test_nonlinearity_point_values():

@@ -309,9 +309,9 @@ def test_inner_ascent_carries_the_gradient_of_its_last_state(terms, energy, monk
     counts = {"gradient": 0, "psi_gradient_synth": 0}
     exits = {"converged": 0, "halving": 0}
 
-    def gradient(self, x, qf):
+    def gradient(self, u, qf):
         counts["gradient"] += 1
-        return orig_grad(self, x, qf)
+        return orig_grad(self, u, qf)
 
     def checked(w, ctx, cfg, kernel_basis=None, warm=None):
         counts["gradient"] = 0
@@ -438,8 +438,8 @@ def test_solve_counts_equal_a_monkeypatched_reference(readme_beam_ctx, monkeypat
     assert {"transforms": res.transforms, "inner_iters": res.inner_iters} == ref
     last = [rec for rec in res.history if "stop" in rec]
     assert sum(rec["start_inner_iters"] for rec in last) == res.inner_iters
-    # after the starts, the energy and the quadrature gap transform u* once each
-    assert sum(rec["start_transforms"] for rec in last) == res.transforms - 2
+    # after the starts, the quadrature gap transforms u* once
+    assert sum(rec["start_transforms"] for rec in last) == res.transforms - 1
 
     # every start dropped: the exception carries the same counts and the records
     ref.update(transforms=0, inner_iters=0)
@@ -463,6 +463,39 @@ def test_a_starts_records_add_up_to_what_it_spent(readme_beam_ctx, seed):
         recs = [rec for rec in res.history if rec["start"] == start]
         spent = sum(rec.get("inner_iters", 0) + rec.get("rejected_inner_iters", 0) for rec in recs)
         assert spent == recs[-1]["start_inner_iters"]
+
+
+def test_an_ascent_returns_phi_of_its_saddle(readme_beam_ctx):
+    # the ascent's value is EnergyContext.phi of m_hat, bit for bit: cold ascents
+    # from the lowest mode and five random draws
+    cat, rng = readme_beam_ctx.catalog, np.random.default_rng(0)
+    starts = [lowest_plus_direction(cat)] + [random_plus_direction(cat, rng) for _ in range(5)]
+    for w in starts:
+        saddle = inner_maximize(w, readme_beam_ctx, SolverConfig())
+        assert saddle.stop in ("converged", "roundoff_floor")
+        assert saddle.psi == phi_eval(saddle.m_hat, readme_beam_ctx)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_energy_is_the_chosen_starts_last_psi(readme_beam_ctx, seed):
+    res = ground_state(readme_beam_ctx, SolverConfig(n_starts=4, seed=seed))
+    assert res.converged
+    last = [rec for rec in res.history if "stop" in rec]
+    chosen = min(last, key=lambda rec: (rec["stop"] != "converged", rec["psi"], rec["residual"]))
+    assert res.energy == chosen["psi"]
+
+
+def test_first_outer_step_takes_no_backtrack():
+    # the weight times 1e-6: ||grad||_+ is 1e7 and more at the starts, and a
+    # first step of -grad at eta = 1 once backtracked about 20 times per start
+    ctx = _readme_beam(((1.0, 4.0),))
+    ctx = EnergyContext(ctx.catalog, ctx.grid, WeightField(ctx.grid, 1e-6 * ctx.weight.values),
+                        ctx.nonlinearity)
+    res = ground_state(ctx, SolverConfig(n_starts=4, seed=0))
+    firsts = [rec for rec in res.history if rec["outer"] == 1]
+    assert [rec["start"] for rec in firsts] == [0, 1, 2, 3]
+    assert [rec["backtracks"] for rec in firsts] == [0, 0, 0, 0]
+    assert all(rec["grad_plus"] > 1e6 for rec in res.history if rec["outer"] == 0)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -713,13 +746,13 @@ def test_inner_ascent_ends_diverged_on_a_non_finite_gradient(beam_ctx, monkeypat
     orig_grad = saddle_mod._InnerProblem.gradient
     counts = {"gradient": 0, "synth_at_bad": None}
 
-    def gradient(self, x, qf):
+    def gradient(self, u, qf):
         counts["gradient"] += 1
-        n, d, gnorm = orig_grad(self, x, qf)
+        grad, d, gnorm = orig_grad(self, u, qf)
         if counts["gradient"] < at:
-            return n, d, gnorm
+            return grad, d, gnorm
         counts["synth_at_bad"] = self.ctx.transforms
-        return n, np.full_like(d, bad), bad
+        return grad, np.full_like(d, bad), bad
 
     monkeypatch.setattr(saddle_mod._InnerProblem, "gradient", gradient)
     w = random_plus_direction(beam_ctx.catalog, np.random.default_rng(0))  # 35 steps unpatched
@@ -743,8 +776,8 @@ def test_lbfgs_direction_is_tangent_and_descends():
         d, slope = lbfgs.direction(x, g)
         assert abs(float(d @ x)) <= 1e-14 * np.linalg.norm(d)
         assert slope == -float(d @ g) and slope > 0
-        if step == 0:  # no pair yet: steepest descent
-            np.testing.assert_allclose(d, -g, rtol=0, atol=1e-15)
+        if step == 0:  # no pair yet: steepest descent, no longer than the sphere's radius
+            np.testing.assert_allclose(d, -g / max(1.0, np.linalg.norm(g)), rtol=0, atol=1e-15)
         x = _unit(x + 0.1 * d)
     assert 0 < len(lbfgs.pairs) <= saddle_mod.LBFGS_MEMORY
     assert all(sy > 0 for _, _, sy in lbfgs.pairs)
