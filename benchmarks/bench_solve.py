@@ -12,7 +12,9 @@ built through the public ``wavegs`` API and solved once.
 Per problem the JSON document records the energy, residual, ``converged``,
 each start's ``stop``, the transforms (``EnergyContext.synth`` calls) and the
 inner iterations (summed over the inner ascents) that the solver reports as
-``GroundStateResult.transforms`` and ``inner_iters``, the outer records
+``GroundStateResult.transforms`` and ``inner_iters``, the rejected outer
+trials (``backtracks``) and the inner iterations of their ascents
+(``rejected_inner_iters``), summed over ``history``, the outer records
 (``len(history)``) and the wall time of the solve, which runs with no counting
 wrapper.  Counts are deterministic for a fixed checkout and BLAS thread count;
 wall times are not.  A solve that raises ``NoCoerciveDirectionError`` records
@@ -72,6 +74,8 @@ def solve(name):
         res = exc
     wall = time.perf_counter() - t0
     cost = {"transforms": res.transforms, "inner_iters": res.inner_iters, "wall_s": wall}
+    for key in ("backtracks", "rejected_inner_iters"):
+        cost[key] = sum(rec.get(key, 0) for rec in res.history)
     if isinstance(res, wavegs.NoCoerciveDirectionError):
         return {"error": str(res), **cost}
     return {

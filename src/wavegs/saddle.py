@@ -32,12 +32,6 @@ is carried on to TOL_INNER before its residual may stop the start, and before
 a stall ends it, so ``residual`` certifies exactly what an ascent at TOL_INNER
 does.
 
-The trial's ascent also gets the ceiling Psi(w) - drop and stops as soon as
-its value exceeds it.  The ascent never lowers its value and every exit
-returns the current value (or a divergence, which is rejected too), so a run
-that passes the ceiling would have ended above it: the trial is rejected
-exactly as after the full ascent.  Accepted trials never reach the ceiling
-and run unchanged, so the solve trajectory does not depend on the ceiling.
 Each trial state of the inner ascent is evaluated once (``_InnerProblem``) by
 ``EnergyContext.phi``, as ``phi_eval`` is, so a saddle's Psi is Phi(m_hat) bit
 for bit; the ascent returns the Phi'(m_hat) its last state holds.
@@ -105,11 +99,10 @@ class SaddleResult:
 
     ``stop`` is ``converged`` (gradient norm <= the ascent's tolerance, TOL_INNER
     unless a warm call passed a looser one), ``roundoff_floor``
-    (no halved step gains above 16 ulp of Phi), ``ceiling`` (the value passed the
-    caller's ceiling), ``max_inner`` or ``diverged`` (state norm above
-    DIVERGENCE_NORM, or a gradient norm that is not finite).  ``psi`` and
-    ``grad`` are Phi(m_hat) and Phi'(m_hat) as the last state evaluated them;
-    ``grad`` is None after ``ceiling`` and ``diverged``.
+    (no halved step gains above 16 ulp of Phi), ``max_inner`` or ``diverged``
+    (state norm above DIVERGENCE_NORM, or a gradient norm that is not finite).
+    ``psi`` and ``grad`` are Phi(m_hat) and Phi'(m_hat) as the last state
+    evaluated them; ``grad`` is None after ``diverged``.
     ``_state`` is the state vector (t, y, z^-) that a warm start takes back.
     """
 
@@ -347,17 +340,11 @@ def inner_maximize(
     """Maximize Phi over the half-space of w; see module docstring.
 
     The kernel block is ``ctx.kernel_report.basis``, the q-Gram eigenvectors
-    above the floor.  ``warm`` is ``(state, ceiling, tol)``: a previous
-    ``_state``, a ceiling (``inf`` for none) and the gradient norm at which the
-    ascent stops ``converged`` (TOL_INNER for a call without ``warm``).  A warm
-    state whose value is below 0 is off the maximizer's basin (Psi > 0 and s_w
-    is bounded away from 0 on the Nehari-Pankov set), so the height is
-    re-seeded as for a cold start.  With a ceiling the ascent returns as soon
-    as its value exceeds it, after the start evaluation or after an accepted
-    step (grad_norm inf, stop ``ceiling``).
-    The ascent is monotone and every other exit returns the current value, so
-    the uncapped run would also end above the ceiling or diverge; a run that
-    stays at or below the ceiling is the uncapped run, bit for bit.  Every
+    above the floor.  ``warm`` is ``(state, tol)``: a previous ``_state`` and
+    the gradient norm at which the ascent stops ``converged`` (TOL_INNER for a
+    call without ``warm``).  A warm state whose value is below 0 is off the
+    maximizer's basin (Psi > 0 and s_w is bounded away from 0 on the
+    Nehari-Pankov set), so the height is re-seeded as for a cold start.  Every
     entry of the state x = (t, y, z^-), the height too, takes the same Riesz
     step x + eta * d, so the rule does not depend on the scale of t; a trial at
     t <= 0 is rejected and its step halved like a trial without a gain.
@@ -372,9 +359,9 @@ def inner_maximize(
         return SaddleResult(SpectralField(ctx.catalog, problem.assemble(x)), float(x[0]), value,
                             iters, gnorm, stop, grad, _state=x)
 
-    ceiling, tol = math.inf, TOL_INNER
+    tol = TOL_INNER
     if warm is not None:
-        state, ceiling, tol = warm
+        state, tol = warm
         x = np.array(state, dtype=float)
         if x.shape != (problem.size,):
             raise ValueError("warm state has the wrong size")
@@ -387,8 +374,6 @@ def inner_maximize(
         x[0] = t
         value, u, qf = problem.value(x)
 
-    if value > ceiling:
-        return result(x, value, 0, math.inf, "ceiling")
     grad, d, gnorm = problem.gradient(u, qf)
     eta = 1.0
     prev = None  # (x, d) of the previous iteration
@@ -419,8 +404,6 @@ def inner_maximize(
         if accepted is None:
             return result(x, value, it + 1, gnorm, "roundoff_floor", grad)
         x, value, u, qf = accepted
-        if value > ceiling:
-            return result(x, value, it + 1, math.inf, "ceiling")
         grad, d, gnorm = problem.gradient(u, qf)
 
 
@@ -474,7 +457,7 @@ def _run_start(start_id, w, ctx, cfg, records):
         if tol > TOL_INNER and (stalled or residual <= cfg.tol_outer or outer == MAX_OUTER):
             # stop only at an ascent finished to TOL_INNER, so the residual certifies
             # the same saddle whatever the trial tolerances were
-            saddle, tol = ascend(w, (saddle._state, math.inf, TOL_INNER)), TOL_INNER
+            saddle, tol = ascend(w, (saddle._state, TOL_INNER)), TOL_INNER
             pending += saddle.iterations
             continue
         record = {"start": start_id, "outer": outer, "psi": saddle.psi, "grad_plus": gn,
@@ -492,17 +475,17 @@ def _run_start(start_id, w, ctx, cfg, records):
         # require a decrease that beats both Armijo and the roundoff floor of Psi
         noise = 32.0 * _EPS * max(1.0, abs(saddle.psi))
 
-        def descent(eta):  # the normalized step from w, accepted by its capped warm ascent
+        def descent(eta):  # the normalized step from w, accepted by its warm ascent
             trial = _normalized_plus(cat, (x + eta * d) / root)
-            ceiling = saddle.psi - max(1e-4 * eta * slope, noise)
+            armijo = saddle.psi - max(1e-4 * eta * slope, noise)
             trial_tol = max(TOL_INNER, INNER_FORCING * math.sqrt(eta * slope))
-            # the ceiling and tolerance ride in ``warm``, so wrappers of the
-            # five-argument call shape pass them on unchanged
-            s_trial = ascend(trial, (saddle._state, ceiling, trial_tol))
+            # the tolerance rides in ``warm``, so wrappers of the five-argument
+            # call shape pass it on unchanged
+            s_trial = ascend(trial, (saddle._state, trial_tol))
             # a Psi value counts only from an ascent that converged or reached
             # the roundoff floor of Phi; an unfinished ascent can sit far below
             # the maximum (toward t -> 0) and fake a decrease
-            if s_trial.stop in _FINISHED and s_trial.psi <= ceiling:
+            if s_trial.stop in _FINISHED and s_trial.psi <= armijo:
                 return trial, s_trial, trial_tol
             counts["backtracks"] += 1
             counts["rejected_inner_iters"] += s_trial.iterations

@@ -88,7 +88,7 @@ def test_inner_homogeneity_via_warm_start(beam_ctx):
     # E_w = E_{2w}: normalizing 2w gives back w, warm-started from the old state
     w_again = SpectralField(beam_ctx.catalog, (2.0 * w.coeffs) / 2.0)
     second = inner_maximize(w_again, beam_ctx, cfg,
-                            warm=(first._state, math.inf, saddle_mod.TOL_INNER))
+                            warm=(first._state, saddle_mod.TOL_INNER))
     assert abs(first.psi - second.psi) < 1e-8
 
 
@@ -370,13 +370,10 @@ def test_warm_state_below_zero_restarts_from_the_cold_height(beam_ctx):
     far = cold._state.copy()
     far[0] *= 100.0  # G ~ -t^4 there, far below 0
     assert phi_eval(SpectralField(beam_ctx.catalog, 100.0 * cold.m_hat.coeffs), beam_ctx) < 0
-    restarted = inner_maximize(w, beam_ctx, cfg, warm=(far, math.inf, saddle_mod.TOL_INNER))
+    restarted = inner_maximize(w, beam_ctx, cfg, warm=(far, saddle_mod.TOL_INNER))
     assert restarted.psi == cold.psi
     assert restarted.iterations == cold.iterations
     assert restarted.stop == cold.stop == "converged"
-    # the ceiling still applies after the restart
-    capped = inner_maximize(w, beam_ctx, cfg, warm=(far, 0.5 * cold.psi, saddle_mod.TOL_INNER))
-    assert capped.stop == "ceiling" and capped.psi > 0.5 * cold.psi
 
 
 def test_outer_step_rejects_trials_whose_ascent_did_not_finish(beam_ctx, monkeypatch):
@@ -384,22 +381,26 @@ def test_outer_step_rejects_trials_whose_ascent_did_not_finish(beam_ctx, monkeyp
     # Psi(trial) and can pass the Armijo test with a decrease it never had.
     # Trials ascend only to their forcing tolerance, which two steps already
     # reach, so each stops at its warm state unless that is within tolerance;
-    # the uncapped ascent that finishes a stopping saddle runs whole
+    # an ascent to TOL_INNER, as finishes a stopping saddle, runs whole
     orig = saddle_mod.inner_maximize
+    psi_at = {}  # id of a returned state -> the psi of its saddle
     trials = []
 
     def truncated(w, ctx, cfg, kernel_basis=None, warm=None):
-        if warm is None or warm[1] == math.inf:
-            return orig(w, ctx, cfg, kernel_basis, warm)
-        with monkeypatch.context() as m:
-            m.setattr(saddle_mod, "MAX_INNER", 0)
+        if warm is None or warm[1] == saddle_mod.TOL_INNER:
             res = orig(w, ctx, cfg, kernel_basis, warm)
-        trials.append((res, warm[1]))
+        else:
+            with monkeypatch.context() as m:
+                m.setattr(saddle_mod, "MAX_INNER", 0)
+                res = orig(w, ctx, cfg, kernel_basis, warm)
+            trials.append((res, psi_at[id(warm[0])]))
+        psi_at[id(res._state)] = res.psi
         return res
 
     monkeypatch.setattr(saddle_mod, "inner_maximize", truncated)
     res = ground_state(beam_ctx, SolverConfig(n_starts=1, seed=0))
-    unfinished = [r for r, ceiling in trials if r.stop == "max_inner" and r.psi <= ceiling]
+    # a cut ascent whose value fell below that of the saddle it started from
+    unfinished = [r for r, base in trials if r.stop == "max_inner" and r.psi < base]
     assert unfinished
     accepted = {rec["psi"] for rec in res.history if rec["outer"] > 0 and "event" not in rec}
     assert accepted
@@ -516,81 +517,6 @@ def test_ground_state_rejects_trivial_weight(toy_ctx):
                         NonlinearitySpec.pure_power(4))
     with pytest.raises(ValueError):
         ground_state(ctx, SolverConfig())
-
-
-def test_ceiling_keeps_trajectory_through_a_five_argument_hook(beam_ctx, monkeypatch):
-    # wrappers with the trace hook's call shape: one strips the ceiling from
-    # ``warm`` (every rejected trial runs to the end) and keeps what follows it,
-    # the trial's tolerance; one passes ``warm`` through
-    orig = saddle_mod.inner_maximize
-    seen = {"uncapped": 0, "capped": 0, "ceilings": 0}
-
-    def uncapped(w, ctx, cfg, kernel_basis=None, warm=None):
-        res = orig(w, ctx, cfg, kernel_basis,
-                   None if warm is None else (warm[0], math.inf, *warm[2:]))
-        seen["uncapped"] += res.iterations
-        return res
-
-    def capped(w, ctx, cfg, kernel_basis=None, warm=None):
-        seen["ceilings"] += warm is not None and warm[1] < math.inf
-        res = orig(w, ctx, cfg, kernel_basis, warm)
-        seen["capped"] += res.iterations
-        return res
-
-    cfg = SolverConfig(n_starts=2, seed=1)
-    monkeypatch.setattr(saddle_mod, "inner_maximize", uncapped)
-    full = ground_state(beam_ctx, cfg)
-    monkeypatch.setattr(saddle_mod, "inner_maximize", capped)
-    fast = ground_state(beam_ctx, cfg)
-
-    assert seen["ceilings"] > 0
-    assert sum(r.get("backtracks", 0) for r in full.history) > 0
-    assert seen["capped"] < seen["uncapped"]
-    assert fast.energy == full.energy
-    assert fast.residual == full.residual
-    np.testing.assert_array_equal(fast.u_star.coeffs, full.u_star.coeffs)
-    assert len(fast.history) == len(full.history)
-    costs = ("rejected_inner_iters", "start_transforms", "start_inner_iters")
-    for a, b in zip(fast.history, full.history):
-        assert set(a) == set(b)
-        assert {k: v for k, v in a.items() if k not in costs} == {
-            k: v for k, v in b.items() if k not in costs}
-        for k in set(costs) & set(a):
-            assert a[k] <= b[k]
-
-
-def test_inner_ceiling_decides_like_the_full_ascent(beam_ctx):
-    cfg = SolverConfig()
-    cat = beam_ctx.catalog
-    w = lowest_plus_direction(cat)
-    base = inner_maximize(w, beam_ctx, cfg)
-    rng = np.random.default_rng(31)
-    checked = {"above": 0, "below": 0}
-    for scale in (1e-3, 1e-2, 1e-1, 0.5):
-        h = random_plus_direction(cat, rng)
-        trial = SpectralField(cat, w.coeffs + scale * h.coeffs)
-        trial.coeffs /= plus_norm(trial)
-        full = inner_maximize(trial, beam_ctx, cfg,
-                              warm=(base._state, math.inf, saddle_mod.TOL_INNER))
-        assert not full.diverged
-        for ceiling in (base.psi, full.psi, np.nextafter(full.psi, -np.inf),
-                        full.psi + 1.0, base.psi - 1e-4 * scale):
-            res = inner_maximize(trial, beam_ctx, cfg,
-                                 warm=(base._state, ceiling, saddle_mod.TOL_INNER))
-            assert (res.psi > ceiling) == (full.psi > ceiling)
-            if full.psi <= ceiling:
-                checked["below"] += 1
-                assert res.psi == full.psi
-                assert res.iterations == full.iterations
-                assert res.converged == full.converged
-                assert res.grad_norm == full.grad_norm
-                np.testing.assert_array_equal(res._state, full._state)
-                np.testing.assert_array_equal(res.grad, full.grad)
-            else:
-                checked["above"] += 1
-                assert res.iterations <= full.iterations
-                assert not res.converged
-    assert checked["above"] > 0 and checked["below"] > 0
 
 
 @pytest.mark.parametrize("case, dropped", [("no kernel", 0), ("whole kernel", 0),
@@ -820,7 +746,7 @@ def test_trial_ascents_stop_at_their_forcing_tolerance(readme_beam_ctx, monkeypa
 
     def traced(w, ctx, cfg, kernel_basis=None, warm=None):
         res = orig(w, ctx, cfg, kernel_basis, warm)
-        tol = saddle_mod.TOL_INNER if warm is None else warm[2]
+        tol = saddle_mod.TOL_INNER if warm is None else warm[1]
         calls.append((tol, res))
         return res
 
