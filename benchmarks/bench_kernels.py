@@ -5,7 +5,8 @@ pointwise nonlinearity, a large solve grid; for the catalog, the circle
 classical wave at K = L = 48 and T^2 beams at 16 and 24; for the kernel Gram,
 also the README beam's weight on T^2 and T^3 at K = L = 8).  The per-evaluation
 cost of the inner ascent is timed as 1,000 value-plus-gradient evaluations of
-one ``saddle._InnerProblem`` at its maximizer, at the circle-beam (K = L = 8,
+one ``saddle._InnerProblem`` at the state (t, r) of its maximizer, built from
+the result's ``m_hat`` as a warm start builds it, at the circle-beam (K = L = 8,
 power 2) and wave-kernel (K = L = 16, power 1) sizes.  Each kernel is
 timed in this process as the best of a few calls, and its tracemalloc peak is
 taken from one more call; ``import wavegs`` is timed cold, in fresh
@@ -81,7 +82,10 @@ def _inner_evaluations(power, cutoff, count=1000):
     weight = wavegs.weight_rectangle(grid, X_SPAN, T_SPAN, 1.0, 0.0, 0.1)
     ctx = wavegs.EnergyContext(cat, grid, weight, wavegs.NonlinearitySpec.pure_power(4.0))
     w = wavegs.lowest_plus_direction(cat)
-    x = wavegs.inner_maximize(w, ctx, wavegs.SolverConfig())._state
+    res = wavegs.inner_maximize(w, ctx, wavegs.SolverConfig())
+    # the state (t, r) of the maximizer, as a warm start builds it from m_hat
+    x = np.concatenate(([res.s_w], res.m_hat.coeffs))
+    x[1 + cat.plus_idx] = 0.0
     problem = saddle._InnerProblem(w, ctx)
 
     def run():

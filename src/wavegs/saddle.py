@@ -1,7 +1,7 @@
 """Two-level variational solver for the strongly indefinite energy.
 
 Inner level: for a unit plus-direction w, monotone ascent of Phi itself over
-the half-space R+ w (+) E0 (+) E-, giving the maximizer m(w), its height s_w
+the half-space R+ w (+) E0 (+) E-, on the field u = t w + r, giving the maximizer m(w), its height s_w
 and the reduced value Psi(w) = Phi(m(w)).  Outer level: descent of Psi on the
 unit sphere of the truncated plus space by limited-memory BFGS, multi-start.  The reduced gradient is the
 Riesz representative of h -> s_w Phi'(m(w))[h] in the plus inner product.  A
@@ -82,8 +82,9 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.tol_outer < math.inf:
-            raise ValueError("tol_outer must be positive and finite")
+        tol = self.tol_outer
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+            raise ValueError(f"tol_outer must be a positive finite number, got {tol!r}")
         for name in ("n_starts", "seed"):
             if isinstance(v := getattr(self, name), bool) or not isinstance(v, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
@@ -102,8 +103,8 @@ class SaddleResult:
     (no halved step gains above 16 ulp of Phi), ``max_inner`` or ``diverged``
     (state norm above DIVERGENCE_NORM, or a gradient norm that is not finite).
     ``psi`` and ``grad`` are Phi(m_hat) and Phi'(m_hat) as the last state
-    evaluated them; ``grad`` is None after ``diverged``.
-    ``_state`` is the state vector (t, y, z^-) that a warm start takes back.
+    evaluated them; ``grad`` is None after ``diverged``.  ``m_hat`` is the
+    field a warm start takes back.
     """
 
     m_hat: SpectralField
@@ -113,7 +114,6 @@ class SaddleResult:
     grad_norm: float
     stop: str
     grad: np.ndarray | None = field(default=None, repr=False)
-    _state: np.ndarray = field(default=None, repr=False)
 
     @property
     def converged(self) -> bool:
@@ -195,30 +195,26 @@ def _check_plus_unit(w: SpectralField):
 
 
 class _InnerProblem:
-    """Phi on the half-space of w, in the state x = (t, y, z^-), y in the kernel basis.
+    """Phi on the half-space of w, in the state x = (t, r): the field u = t w + r.
 
-    Each state u = t w + V y + z^- is synthesized once: ``value`` returns Phi(u)
-    (``EnergyContext.phi``) with u and q f(u), and ``gradient`` forms
-    Phi'(u) = lambda u - analyze(q f(u)) and restricts it to the blocks:
-    <Phi'(u), w> on t, V^T Phi'(u) on y, Phi'(u) on z^-.  The Riesz metric of
-    the state is 1 on t (||w||_+ = 1) and y, the catalog ``metric`` on z^-.
+    r is a catalog coefficient vector, zero on the plus block, so the plus
+    block of u is t w bit for bit; w's off-plus entries, below the 1e-12 that
+    ``_check_plus_unit`` allows, enter u times t.  Each state is
+    synthesized once: ``value`` returns Phi(u) (``EnergyContext.phi``) with u
+    and q f(u), and ``gradient`` forms Phi'(u) = lambda u - analyze(q f(u)) and
+    its Riesz direction on (t, r): <Phi'(u), w> on t (||w||_+ = 1), the
+    projection V V^T Phi'(u) onto the kernel block V on r's kernel part, and
+    Phi'(u) / |lambda| on its minus part.
     """
 
     def __init__(self, w, ctx):
-        self.ctx, self.cat = ctx, ctx.catalog
-        self.wp = w.coeffs[self.cat.plus_idx]
-        self.V = ctx.kernel_report.basis
-        self.VT = np.ascontiguousarray(self.V.T)
-        self.ys = slice(1, 1 + self.V.shape[1])
-        self.metric = np.concatenate((np.ones(self.ys.stop), self.cat.metric[self.cat.minus_idx]))
-        self.size = len(self.metric)
+        cat = ctx.catalog
+        self.ctx, self.w, self.V, self.size = ctx, w.coeffs, ctx.kernel_report.basis, 1 + cat.size
+        self.zero_idx, self.kernel = cat.zero_idx, 1 + cat.zero_idx  # r's kernel part in x
+        self.minus_scale = (cat.classes == -1) / cat.metric  # 1 / |lambda| on minus, else 0
 
     def assemble(self, x):
-        cat, u = self.cat, np.zeros(self.cat.size)
-        u[cat.plus_idx] = x[0] * self.wp
-        u[cat.zero_idx] = self.V @ x[self.ys]
-        u[cat.minus_idx] = x[self.ys.stop:]
-        return u
+        return x[0] * self.w + x[1:]
 
     def value(self, x):
         """(Phi(u), u, q f(u)) at the state x; u and q f(u) feed ``gradient`` there."""
@@ -228,11 +224,12 @@ class _InnerProblem:
 
     def gradient(self, u, qf):
         """(Phi'(u), Riesz ascent direction d, ||d||) at u, from the analyzed ``qf``."""
-        cat, grad = self.cat, self.cat.eig * u - self.ctx.analyze_values(qf)
-        g = np.concatenate(([grad[cat.plus_idx] @ self.wp], self.VT @ grad[cat.zero_idx],
-                            grad[cat.minus_idx]))
-        d = g / self.metric
-        return grad, d, math.sqrt(float(g @ d))
+        grad = self.ctx.catalog.eig * u - self.ctx.analyze_values(qf)
+        d = np.empty(self.size)
+        d[0] = grad @ self.w
+        d[1:] = grad * self.minus_scale
+        d[self.kernel] = self.V @ (grad[self.zero_idx] @ self.V)
+        return grad, d, math.sqrt(float(d[0] * d[0] + grad @ d[1:]))
 
 
 def _initial_height(problem):
@@ -246,9 +243,7 @@ def _initial_height(problem):
     lies beyond ``DIVERGENCE_NORM``: the ray is not maximizable.
     """
     ctx = problem.ctx
-    ray = np.zeros(problem.size)
-    ray[0] = 1.0
-    wvals = np.abs(ctx.synth(problem.assemble(ray)))
+    wvals = np.abs(ctx.synth(problem.w))
     terms = [(a * float(ctx.qw @ wvals**p), p - 2.0) for a, p in ctx.nonlinearity.terms]
     terms = [(c, e) for c, e in terms if c > 0]
     if not terms:
@@ -340,12 +335,16 @@ def inner_maximize(
     """Maximize Phi over the half-space of w; see module docstring.
 
     The kernel block is ``ctx.kernel_report.basis``, the q-Gram eigenvectors
-    above the floor.  ``warm`` is ``(state, tol)``: a previous ``_state`` and
-    the gradient norm at which the ascent stops ``converged`` (TOL_INNER for a
-    call without ``warm``).  A warm state whose value is below 0 is off the
-    maximizer's basin (Psi > 0 and s_w is bounded away from 0 on the
-    Nehari-Pankov set), so the height is re-seeded as for a cold start.  Every
-    entry of the state x = (t, y, z^-), the height too, takes the same Riesz
+    above the floor.  ``warm`` is ``(m_hat, tol)``: a previous result's
+    ``m_hat`` on ``ctx.catalog``, whose plus-norm is the starting height and
+    whose off-plus coefficients are the starting r, and the gradient norm at
+    which the ascent stops ``converged`` (TOL_INNER for a call without
+    ``warm``).  The ascent moves r only within the kernel block and the minus
+    space, so a warm field's kernel part should lie in the block, as that of
+    every result on the same context does.  A warm state whose value is below
+    0 is off the maximizer's basin (Psi > 0 and s_w is bounded away from 0 on
+    the Nehari-Pankov set), so the height is re-seeded as for a cold start.
+    Every entry of the state x = (t, r), the height too, takes the same Riesz
     step x + eta * d, so the rule does not depend on the scale of t; a trial at
     t <= 0 is rejected and its step halved like a trial without a gain.
     ``cfg`` and ``kernel_basis`` are not read (the inner level has no
@@ -357,15 +356,15 @@ def inner_maximize(
 
     def result(x, value, iters, gnorm, stop, grad=None):
         return SaddleResult(SpectralField(ctx.catalog, problem.assemble(x)), float(x[0]), value,
-                            iters, gnorm, stop, grad, _state=x)
+                            iters, gnorm, stop, grad)
 
     tol = TOL_INNER
     if warm is not None:
-        state, tol = warm
-        x = np.array(state, dtype=float)
-        if x.shape != (problem.size,):
-            raise ValueError("warm state has the wrong size")
-        x[0] = max(x[0], 1e-8)
+        m_hat, tol = warm
+        if getattr(m_hat, "catalog", None) is not ctx.catalog:
+            raise ValueError("warm field is not on the context's catalog")
+        x = np.concatenate(([max(plus_norm(m_hat), 1e-8)], m_hat.coeffs))
+        x[1 + ctx.catalog.plus_idx] = 0.0
         value, u, qf = problem.value(x)
     if warm is None or value < 0:
         x = np.zeros(problem.size)
@@ -457,7 +456,7 @@ def _run_start(start_id, w, ctx, cfg, records):
         if tol > TOL_INNER and (stalled or residual <= cfg.tol_outer or outer == MAX_OUTER):
             # stop only at an ascent finished to TOL_INNER, so the residual certifies
             # the same saddle whatever the trial tolerances were
-            saddle, tol = ascend(w, (saddle._state, TOL_INNER)), TOL_INNER
+            saddle, tol = ascend(w, (saddle.m_hat, TOL_INNER)), TOL_INNER
             pending += saddle.iterations
             continue
         record = {"start": start_id, "outer": outer, "psi": saddle.psi, "grad_plus": gn,
@@ -481,7 +480,7 @@ def _run_start(start_id, w, ctx, cfg, records):
             trial_tol = max(TOL_INNER, INNER_FORCING * math.sqrt(eta * slope))
             # the tolerance rides in ``warm``, so wrappers of the five-argument
             # call shape pass it on unchanged
-            s_trial = ascend(trial, (saddle._state, trial_tol))
+            s_trial = ascend(trial, (saddle.m_hat, trial_tol))
             # a Psi value counts only from an ascent that converged or reached
             # the roundoff floor of Phi; an unfinished ascent can sit far below
             # the maximum (toward t -> 0) and fake a decrease

@@ -85,11 +85,36 @@ def test_inner_homogeneity_via_warm_start(beam_ctx):
     rng = np.random.default_rng(21)
     w = random_plus_direction(beam_ctx.catalog, rng)
     first = inner_maximize(w, beam_ctx, cfg)
-    # E_w = E_{2w}: normalizing 2w gives back w, warm-started from the old state
+    # E_w = E_{2w}: normalizing 2w gives back w, warm-started from the old saddle
     w_again = SpectralField(beam_ctx.catalog, (2.0 * w.coeffs) / 2.0)
-    second = inner_maximize(w_again, beam_ctx, cfg,
-                            warm=(first._state, saddle_mod.TOL_INNER))
+    second = inner_maximize(w_again, beam_ctx, cfg, warm=(first.m_hat, saddle_mod.TOL_INNER))
     assert abs(first.psi - second.psi) < 1e-8
+
+
+def test_an_ascents_plus_block_is_its_height_times_w(readme_beam_ctx):
+    # u = t w + r with r zero on the plus block: P+ m_hat = s_w w bit for bit,
+    # for a cold ascent and for a warm one on a neighbouring direction
+    ctx, cfg = readme_beam_ctx, SolverConfig()
+    cat = ctx.catalog
+    w = lowest_plus_direction(cat)
+    cold = inner_maximize(w, ctx, cfg)
+    h = random_plus_direction(cat, np.random.default_rng(5))
+    trial = SpectralField(cat, w.coeffs + 0.1 * h.coeffs)
+    trial.coeffs /= plus_norm(trial)
+    warm = inner_maximize(trial, ctx, cfg, warm=(cold.m_hat, saddle_mod.TOL_INNER))
+    assert warm.iterations > 0 and warm.psi != cold.psi
+    for v, res in ((w, cold), (trial, warm)):
+        assert res.stop in ("converged", "roundoff_floor")
+        np.testing.assert_array_equal(res.m_hat.coeffs[cat.plus_idx],
+                                      res.s_w * v.coeffs[cat.plus_idx])
+
+
+def test_a_warm_field_on_another_catalog_is_refused(toy_ctx, beam_ctx):
+    other = inner_maximize(lowest_plus_direction(toy_ctx.catalog), toy_ctx, SolverConfig())
+    w = lowest_plus_direction(beam_ctx.catalog)
+    for field in (other.m_hat, other.m_hat.coeffs):
+        with pytest.raises(ValueError):
+            inner_maximize(w, beam_ctx, SolverConfig(), warm=(field, saddle_mod.TOL_INNER))
 
 
 def test_inner_positivity_and_alignment_for_random_directions(beam_ctx):
@@ -367,9 +392,10 @@ def test_warm_state_below_zero_restarts_from_the_cold_height(beam_ctx):
     cfg = SolverConfig()
     w = lowest_plus_direction(beam_ctx.catalog)
     cold = inner_maximize(w, beam_ctx, cfg)
-    far = cold._state.copy()
-    far[0] *= 100.0  # G ~ -t^4 there, far below 0
-    assert phi_eval(SpectralField(beam_ctx.catalog, 100.0 * cold.m_hat.coeffs), beam_ctx) < 0
+    cat = beam_ctx.catalog
+    far = SpectralField(cat, cold.m_hat.coeffs.copy())
+    far.coeffs[cat.plus_idx] *= 100.0  # G ~ -t^4 there, far below 0
+    assert phi_eval(far, beam_ctx) < 0
     restarted = inner_maximize(w, beam_ctx, cfg, warm=(far, saddle_mod.TOL_INNER))
     assert restarted.psi == cold.psi
     assert restarted.iterations == cold.iterations
@@ -383,28 +409,32 @@ def test_outer_step_rejects_trials_whose_ascent_did_not_finish(beam_ctx, monkeyp
     # reach, so each stops at its warm state unless that is within tolerance;
     # an ascent to TOL_INNER, as finishes a stopping saddle, runs whole
     orig = saddle_mod.inner_maximize
-    psi_at = {}  # id of a returned state -> the psi of its saddle
-    trials = []
 
-    def truncated(w, ctx, cfg, kernel_basis=None, warm=None):
-        if warm is None or warm[1] == saddle_mod.TOL_INNER:
-            res = orig(w, ctx, cfg, kernel_basis, warm)
-        else:
+    def solve(finished):
+        trials = []
+
+        def truncated(w, ctx, cfg, kernel_basis=None, warm=None):
+            if warm is None or warm[1] == saddle_mod.TOL_INNER:
+                return orig(w, ctx, cfg, kernel_basis, warm)
             with monkeypatch.context() as m:
                 m.setattr(saddle_mod, "MAX_INNER", 0)
                 res = orig(w, ctx, cfg, kernel_basis, warm)
-            trials.append((res, psi_at[id(warm[0])]))
-        psi_at[id(res._state)] = res.psi
-        return res
+            trials.append(res)
+            return res
 
-    monkeypatch.setattr(saddle_mod, "inner_maximize", truncated)
-    res = ground_state(beam_ctx, SolverConfig(n_starts=1, seed=0))
-    # a cut ascent whose value fell below that of the saddle it started from
-    unfinished = [r for r, base in trials if r.stop == "max_inner" and r.psi < base]
-    assert unfinished
-    accepted = {rec["psi"] for rec in res.history if rec["outer"] > 0 and "event" not in rec}
-    assert accepted
-    assert not any(r.psi in accepted for r in unfinished)
+        with monkeypatch.context() as m:
+            m.setattr(saddle_mod, "inner_maximize", truncated)
+            m.setattr(saddle_mod, "_FINISHED", finished)
+            res = ground_state(beam_ctx, SolverConfig(n_starts=1, seed=0))
+        accepted = {rec["psi"] for rec in res.history if rec["outer"] > 0 and "event" not in rec}
+        return [r.psi for r in trials if r.stop == "max_inner"], accepted
+
+    unfinished, accepted = solve(saddle_mod._FINISHED)
+    assert unfinished and accepted
+    assert not any(psi in accepted for psi in unfinished)
+    # without the guard, some cut trial passes the Armijo test and is taken
+    unfinished, accepted = solve(saddle_mod._FINISHED + ("max_inner",))
+    assert any(psi in accepted for psi in unfinished)
 
 
 def test_ground_state_all_starts_diverge():
@@ -502,10 +532,12 @@ def test_first_outer_step_takes_no_backtrack():
 @pytest.mark.parametrize("kwargs", [
     {"n_starts": 2.5}, {"n_starts": True}, {"n_starts": 0}, {"seed": 1.5}, {"seed": -1},
     {"seed": False}, {"tol_outer": math.nan}, {"tol_outer": math.inf}, {"tol_outer": 0.0},
+    {"tol_outer": True}, {"tol_outer": "1e-6"},
 ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
 def test_solver_config_rejects_what_a_solve_cannot_run(kwargs):
     # a fractional or negative count or seed used to fail inside ground_state,
-    # as a TypeError from range or numpy's SeedSequence, or a ValueError there
+    # as a TypeError from range or numpy's SeedSequence, or a ValueError there;
+    # a boolean tol_outer was taken as 1.0 and a string raised TypeError
     with pytest.raises(ValueError):
         SolverConfig(**kwargs)
 
@@ -537,10 +569,15 @@ def test_direct_inner_call_keeps_the_solves_kernel_block(case, dropped, toy_ctx,
     a = inner_maximize(w, ctx, cfg)
     b = inner_maximize(w, ctx, cfg, report.basis)
     assert a.stop == "converged"
-    assert a._state.size == 1 + report.dim - dropped + len(ctx.catalog.minus_idx)
+    # the ascent moves the kernel part only within the block it keeps; from a
+    # random draw, since the lowest mode's saddle has no part off the block even
+    # when the ascent is free there
+    c = inner_maximize(random_plus_direction(ctx.catalog, np.random.default_rng(0)), ctx, cfg)
+    off_block = np.linalg.eigh(report.gram)[1][:, :dropped].T @ c.m_hat.coeffs[ctx.catalog.zero_idx]
+    assert np.max(np.abs(off_block), initial=0.0) <= 1e-14 * np.linalg.norm(c.m_hat.coeffs)
     assert (a.psi, a.s_w, a.iterations, a.grad_norm, a.stop) == (
         b.psi, b.s_w, b.iterations, b.grad_norm, b.stop)
-    for x, y in ((a._state, b._state), (a.grad, b.grad), (a.m_hat.coeffs, b.m_hat.coeffs)):
+    for x, y in ((a.grad, b.grad), (a.m_hat.coeffs, b.m_hat.coeffs)):
         np.testing.assert_array_equal(x, y)
 
 
