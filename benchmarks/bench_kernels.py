@@ -4,15 +4,18 @@ Sizes are those of the ``wavebench`` diagnostics batch (and, for the
 pointwise nonlinearity, a large solve grid; for the catalog, the circle
 classical wave at K = L = 48 and T^2 beams at 16 and 24; for the kernel Gram,
 also the README beam's weight on T^2 and T^3 at K = L = 8).  The per-evaluation
-cost of the inner ascent is timed as 1,000 value-plus-gradient evaluations of
-one ``saddle._InnerProblem`` at the state (t, r) of its maximizer, built from
-the result's ``m_hat`` as a warm start builds it, at the circle-beam (K = L = 8,
-power 2) and wave-kernel (K = L = 16, power 1) sizes.  Each kernel is
-timed in this process as the best of a few calls, and its tracemalloc peak is
-taken from one more call; ``import wavegs`` is timed cold, in fresh
-interpreters (best and median).  The script prints a table and then one JSON
-line with the seconds and peak MB per kernel, the import times and the
-machine facts, and writes that document to ``--out``.  Usage:
+cost of the inner ascent is timed as 1,000 (on T^2, 100) value-plus-gradient
+evaluations of one ``saddle._InnerProblem`` at the state (t, r) of its
+maximizer, built from the result's ``m_hat`` as a warm start builds it, at the
+circle-beam (K = L = 8, power 2) and wave-kernel (K = L = 16, power 1) sizes,
+and with the space-time weight (t in [0, 3.1416]), whose support hull is about
+37% of the grid, for the classical wave on the circle at K = L = 16 and the
+beam on T^2 at K = L = 8.  Each kernel is timed in this process as the best
+of a few calls, and its tracemalloc peak is taken from one more call;
+``import wavegs`` is timed cold, in fresh interpreters (best and median).  The
+script prints a table and then one JSON line with the seconds and peak MB per
+kernel, the import times and the machine facts, and writes that document to
+``--out``.  Usage:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeats N] [--out BENCH_kernels.json]
 """
@@ -32,8 +35,8 @@ import numpy as np
 import wavegs
 from wavegs import _accel, saddle
 
-# the diagnostics batch's rectangle weight and raster set
-X_SPAN, T_SPAN = (0.0, 4.71), (0.0, 6.2832)
+# the diagnostics batch's rectangle weight and raster set, and the space-time t side
+X_SPAN, T_SPAN, T_HALF = (0.0, 4.71), (0.0, 6.2832), (0.0, 3.1416)
 
 
 def _best(fn, repeats):
@@ -73,13 +76,14 @@ def _torus_nu(n, cutoff):
     return np.unique(sum(g.ravel() ** 2 for g in grids)).astype(np.int64)
 
 
-def _inner_evaluations(power, cutoff, count=1000):
+def _inner_evaluations(power, cutoff, count=1000, t_span=T_SPAN, torus_dim=0):
     """``count`` value-plus-gradient evaluations of the README weight's inner problem
-    (p = 4) on the circle, at the maximizer of the lowest plus direction."""
-    cat = wavegs.build_catalog(wavegs.DomainSpec.circle(),
-                               wavegs.OperatorSpec.laplacian_power(power), cutoff, cutoff)
+    (p = 4) with the given t side, on the circle or T^torus_dim, at the maximizer of
+    the lowest plus direction."""
+    domain = wavegs.DomainSpec.torus(torus_dim) if torus_dim else wavegs.DomainSpec.circle()
+    cat = wavegs.build_catalog(domain, wavegs.OperatorSpec.laplacian_power(power), cutoff, cutoff)
     grid = wavegs.ProductGrid.for_catalog(cat)
-    weight = wavegs.weight_rectangle(grid, X_SPAN, T_SPAN, 1.0, 0.0, 0.1)
+    weight = wavegs.weight_rectangle(grid, X_SPAN, t_span, 1.0, 0.0, 0.1)
     ctx = wavegs.EnergyContext(cat, grid, weight, wavegs.NonlinearitySpec.pure_power(4.0))
     w = wavegs.lowest_plus_direction(cat)
     res = wavegs.inner_maximize(w, ctx, wavegs.SolverConfig())
@@ -130,6 +134,10 @@ def cases():
         ("quasipoly_2e6", lambda: _accel.quasipoly(v, terms)),
         ("inner_value_gradient_beam_8_x1000", _inner_evaluations(2, 8)),
         ("inner_value_gradient_wave_16_x1000", _inner_evaluations(1, 16)),
+        ("inner_value_gradient_spacetime_wave_16_x1000",
+         _inner_evaluations(1, 16, t_span=T_HALF)),
+        ("inner_value_gradient_T2_spacetime_beam_8_x100",
+         _inner_evaluations(2, 8, 100, T_HALF, torus_dim=2)),
         (f"torus_l_sums_T2_96_{len(nu_a)}nu", lambda: _accel.torus_l_sums(nu_a, 2, 3.0)),
         (f"torus_l_sums_T3_24_{len(nu_b)}nu", lambda: _accel.torus_l_sums(nu_b, 2, 2.0)),
         # s = p / (p - 2); wexp = 2 p sigma_p / (p - 2) with p = 3: 1.0 on S^3, 0.5 on S^2

@@ -3,10 +3,11 @@
 The problems are variations of the README solve config (circle, (-Laplace)^2,
 p = 4, rectangle weight x in [0, 4.71], t in [0, 6.2832], smoothing 0.1,
 K = L = 8, 4 starts, seed 0): the README beam at seeds 0-3, two nonlinearity
-terms ((1, 3), (0.5, 5)), the weight times 1e4, 1e6 and 1e-6, T^2 at
-K = L = 4, K = L = 24, the classical wave ({"power": 1}) at K = L = 16 with 1
-start, the space-time classical wave (t in [0, 3.1416]) at K = L = 16 with 1
-and with 4 starts, and the space-time beam with 2 starts.  Every problem is
+terms ((1, 3), (0.5, 5)), the weight times 1e4, 1e6 and 1e-6, the weight
+with x in [0, 1], T^2 at K = L = 4, K = L = 24, the classical wave
+({"power": 1}) at K = L = 16 with 1 start, the space-time classical wave
+(t in [0, 3.1416]) at K = L = 16 with 1 and with 4 starts, and the space-time
+beam with 2 starts.  Every problem is
 built through the public ``wavegs`` API and solved once.
 
 Per problem the JSON document records the energy, residual, ``converged``,
@@ -15,9 +16,10 @@ inner iterations (summed over the inner ascents) that the solver reports as
 ``GroundStateResult.transforms`` and ``inner_iters``, the rejected outer
 trials (``backtracks``) and the inner iterations of their ascents
 (``rejected_inner_iters``), summed over ``history``, the outer records
-(``len(history)``) and the wall time of the solve, which runs with no counting
-wrapper.  Counts are deterministic for a fixed checkout and BLAS thread count;
-wall times are not.  A solve that raises ``NoCoerciveDirectionError`` records
+(``len(history)``), the wall time of the solve, which runs with no counting
+wrapper, and ``l_nonzero_share``, the fraction of sum(u_i^2) of u* on the
+modes with l != 0 (0 for a stationary u*).  Counts are deterministic for a
+fixed checkout and BLAS thread count; wall times are not.  A solve that raises ``NoCoerciveDirectionError`` records
 its message and the counts the exception carries.  Usage:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 benchmarks/bench_solve.py \\
@@ -38,13 +40,13 @@ import wavegs
 X_SPAN, T_SPAN, T_HALF = (0.0, 4.71), (0.0, 6.2832), (0.0, 3.1416)
 
 
-def _problem(power=2, cutoff=8, terms=((1.0, 4.0),), inside=1.0, t_span=T_SPAN, torus_dim=0,
-             starts=4, seed=0):
+def _problem(power=2, cutoff=8, terms=((1.0, 4.0),), inside=1.0, x_span=X_SPAN, t_span=T_SPAN,
+             torus_dim=0, starts=4, seed=0):
     """(context, solver config) of the README config with the given changes."""
     domain = wavegs.DomainSpec.torus(torus_dim) if torus_dim else wavegs.DomainSpec.circle()
     cat = wavegs.build_catalog(domain, wavegs.OperatorSpec.laplacian_power(power), cutoff, cutoff)
     grid = wavegs.ProductGrid.for_catalog(cat)
-    weight = wavegs.weight_rectangle(grid, X_SPAN, t_span, inside, 0.0, 0.1)
+    weight = wavegs.weight_rectangle(grid, x_span, t_span, inside, 0.0, 0.1)
     ctx = wavegs.EnergyContext(cat, grid, weight, wavegs.NonlinearitySpec(terms))
     return ctx, wavegs.SolverConfig(n_starts=starts, seed=seed)
 
@@ -55,6 +57,8 @@ PROBLEMS = {
     "beam_q1e4": dict(inside=1e4),
     "beam_q1e6": dict(inside=1e6),
     "beam_q1e-6": dict(inside=1e-6),
+    # constant in t, yet its lowest state found is not stationary
+    "beam_x1": dict(x_span=(0.0, 1.0)),
     "torus2_4": dict(torus_dim=2, cutoff=4),
     "beam_24": dict(cutoff=24),
     "wave_16": dict(power=1, cutoff=16, starts=1),
@@ -62,6 +66,12 @@ PROBLEMS = {
     "spacetime_wave_16_4starts": dict(power=1, cutoff=16, starts=4, t_span=T_HALF),
     "spacetime_beam": dict(t_span=T_HALF, starts=2),
 }
+
+
+def l_nonzero_share(u):
+    """Fraction of sum(u_i^2) on the modes with l != 0."""
+    sq = u.coeffs * u.coeffs
+    return float(np.sum(sq[u.catalog.l != 0]) / np.sum(sq))
 
 
 def solve(name):
@@ -84,6 +94,7 @@ def solve(name):
         "converged": res.converged,
         "stops": [rec["stop"] for rec in res.history if "stop" in rec],
         "outer_records": len(res.history),
+        "l_nonzero_share": l_nonzero_share(res.u_star),
         **cost,
     }
 
@@ -100,14 +111,15 @@ def main():
         parser.error(f"unknown problems {unknown}; choose from {list(PROBLEMS)}")
     results = {}
     print(f"{'problem':<26} {'energy':>20} {'residual':>9} {'transforms':>10} "
-          f"{'inner':>7} {'outer':>5} {'wall [s]':>8}  stops")
+          f"{'inner':>7} {'outer':>5} {'l!=0':>7} {'wall [s]':>8}  stops")
     for name in names:
         r = results[name] = solve(name)
         if "error" in r:
             print(f"{name:<26} {r['error']} ({r['transforms']} transforms)", flush=True)
             continue
         print(f"{name:<26} {r['energy']:20.15g} {r['residual']:9.2e} {r['transforms']:10d} "
-              f"{r['inner_iters']:7d} {r['outer_records']:5d} {r['wall_s']:8.2f}  "
+              f"{r['inner_iters']:7d} {r['outer_records']:5d} {r['l_nonzero_share']:7.3f} "
+              f"{r['wall_s']:8.2f}  "
               f"{','.join(r['stops'])}", flush=True)
     facts = {
         "python": platform.python_version(),

@@ -6,9 +6,9 @@ part is 1/2 ||u+||_+^2 - 1/2 ||u-||_-^2.  The coefficient-space gradient is
 lambda * u - g with g the analyzed nonlinear term, which covers plus, kernel
 and minus modes in one formula.  ``EnergyContext.phi`` is the one statement of
 Phi: one pass of the pointwise kernel (``EnergyContext.pointwise``) gives both
-I(u) and q f(u) from the grid values of u, one power per term.  ``phi_eval``
-and the solver's inner ascent, which analyzes q f(u) (``analyze_values``) for
-its gradient, both read it, so they agree bit for bit.
+I(u) and q f(u) from the values of u on the weight's support hull, one power
+per term.  ``phi_eval`` and the solver's inner ascent, which analyzes q f(u)
+(``analyze_values``) for its gradient, both read it, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -55,7 +55,14 @@ class NonlinearitySpec:
 
 
 class EnergyContext:
-    """Catalog + grid + weight + nonlinearity, with the transform plan baked in."""
+    """Catalog + grid + weight + nonlinearity, with the transform plan baked in.
+
+    The transform runs on the weight's support hull (``WeightField.support_hull``):
+    nodes where q vanishes add nothing to I(u) or to q f(u), so ``synth`` returns
+    u on the hull only, ``q`` and ``qw`` hold the weight there, and
+    ``pointwise``/``analyze_values`` take hull values.  When the hull is the whole
+    grid every array is the full grid's, in its C order.
+    """
 
     def __init__(
         self,
@@ -70,8 +77,11 @@ class EnergyContext:
         self.grid = grid
         self.weight = weight
         self.nonlinearity = nonlinearity
-        self._transform = TensorTransform(catalog, grid)
-        self.qw = weight.values * grid.quad_weight  # q times the rectangle-rule weight
+        hull = weight.support_hull()
+        self._transform = TensorTransform(catalog, grid, hull)
+        self.q = weight.values if hull is None else (
+            weight.values.reshape(grid.shape)[np.ix_(*hull)].ravel())
+        self.qw = self.q * grid.quad_weight  # q times the rectangle-rule weight
         self.transforms = 0  # synth calls, the transforms a solve reports
 
     @cached_property
@@ -81,17 +91,19 @@ class EnergyContext:
         return control.kernel_gram(self.weight, self.catalog, self.grid)
 
     def synth(self, coeffs: np.ndarray) -> np.ndarray:
+        """Values of the coefficients on the support hull."""
         self.transforms += 1
         return self._transform.synth(coeffs)
 
     def analyze_values(self, values: np.ndarray) -> np.ndarray:
-        """Catalog coefficients of grid values (rectangle-rule inner products)."""
+        """Catalog coefficients of hull values that vanish off the hull (rectangle-rule
+        inner products)."""
         return self._transform.analyze(values)
 
     def pointwise(self, values: np.ndarray) -> tuple:
-        """(I(u), q f(u)) from the grid values of u, one ``_accel.quasipoly`` pass."""
+        """(I(u), q f(u)) from the hull values of u, one ``_accel.quasipoly`` pass."""
         F, f = _accel.quasipoly(values, self.nonlinearity.terms)
-        f *= self.weight.values
+        f *= self.q
         return float(self.qw @ F), f
 
     def potential_from_values(self, values: np.ndarray) -> float:

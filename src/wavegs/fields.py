@@ -125,14 +125,16 @@ def _axis_table(cutoff: int, nodes: np.ndarray) -> np.ndarray:
     return np.vstack([np.sin(angles[::-1]) * _INV_SQRT_PI, const, np.cos(angles) * _INV_SQRT_PI])
 
 
-def _axis_tables(catalog: SpectralCatalog, grid: ProductGrid) -> list:
+def _axis_tables(catalog: SpectralCatalog, grid: ProductGrid, nodes=None) -> list:
+    """One ``_axis_table`` per axis, on the grid's nodes or on the ``nodes`` selection."""
     if not grid.compliant_with(catalog):
         raise ValueError("grid too coarse (or wrong shape) for catalog")
     shift = np.array(catalog.cutoffs)
     box = np.indices(2 * shift + 1).reshape(len(shift), -1).T - shift
     if not np.array_equal(catalog.coords, box):
         raise ValueError("catalog modes are not its coefficient box in C order")
-    return [_axis_table(c, nodes) for c, nodes in zip(catalog.cutoffs, grid.axes)]
+    axes = grid.axes if nodes is None else [a[sel] for a, sel in zip(grid.axes, nodes)]
+    return [_axis_table(c, a) for c, a in zip(catalog.cutoffs, axes)]
 
 
 def basis_rows(catalog: SpectralCatalog, grid: ProductGrid, mode_indices) -> np.ndarray:
@@ -153,11 +155,14 @@ class TensorTransform:
     """Synthesis/analysis as dims+1 per-axis products; coefficients are the catalog's
     box and values the grid, each in its C order.
 
+    ``nodes`` selects grid nodes per axis (``grid.shape`` order; default every node):
+    values then live on the product of the selections, and analysis is the
+    rectangle rule over it alone, exact for values that vanish off it.
     Each product contracts the leading axis and appends the other side's axis at the back.
     """
 
-    def __init__(self, catalog: SpectralCatalog, grid: ProductGrid):
-        self._to_grid = _axis_tables(catalog, grid)
+    def __init__(self, catalog: SpectralCatalog, grid: ProductGrid, nodes=None):
+        self._to_grid = _axis_tables(catalog, grid, nodes)
         self.quad_weight = grid.quad_weight
         self._to_box = [table.T for table in self._to_grid]
 
@@ -198,6 +203,17 @@ class WeightField:
 
     def is_trivial(self) -> bool:
         return bool(np.all(self.values == 0.0))
+
+    def support_hull(self):
+        """Per-axis node masks (``grid.shape`` order) of the support hull: on each axis,
+        the nodes where q is nonzero somewhere along the other axes.  None when the
+        hull is the whole grid, or empty (q vanishes identically)."""
+        nonzero = self.values.reshape(self.grid.shape) != 0.0
+        axes = range(nonzero.ndim)
+        masks = [nonzero.any(axis=tuple(b for b in axes if b != a)) for a in axes]
+        if all(m.all() for m in masks) or not masks[0].any():
+            return None
+        return masks
 
 
 def arc(name: str, span):

@@ -16,9 +16,12 @@ from wavegs import (
     SpectralField,
     WeightField,
     _accel,
+    analyze,
     build_catalog,
     phi_eval,
     residual_dual_norm,
+    synthesize,
+    weight_rectangle,
 )
 from wavegs.energy import quadrature_refinement_gap
 from wavegs.fields import basis_rows
@@ -255,3 +258,38 @@ def test_torus2_contexts_beyond_old_table_cap():
     assert np.all(np.isfinite(g.coeffs))
     mid = make_context(build_catalog(DomainSpec.torus(2), OperatorSpec.laplacian_power(2), 5, 5))
     assert math.isfinite(quadrature_refinement_gap(random_field(mid.catalog, rng, 0.1), mid))
+
+
+def _rectangle_context(power, cutoff, t_span, outside=0.0):
+    """The README weight (x in [0, 4.71]) with the given t side, circle, p = 4."""
+    cat = build_catalog(DomainSpec.circle(), OperatorSpec.laplacian_power(power), cutoff, cutoff)
+    grid = ProductGrid.for_catalog(cat)
+    weight = weight_rectangle(grid, (0.0, 4.71), t_span, 1.0, outside, 0.1)
+    return EnergyContext(cat, grid, weight, NonlinearitySpec.pure_power(4.0))
+
+
+@pytest.mark.parametrize("power, cutoff, t_span, hull_fraction", [
+    pytest.param(2, 8, (0.0, 6.2832), 0.722, id="beam"),
+    pytest.param(1, 16, (0.0, 3.1416), 0.368, id="spacetime_wave"),
+])
+def test_phi_and_q_f_on_the_support_hull_match_the_whole_grid(power, cutoff, t_span,
+                                                               hull_fraction):
+    # the context evaluates on the weight's support hull only; the reference
+    # runs the rectangle rule over every node, where q = 0 adds nothing
+    ctx = _rectangle_context(power, cutoff, t_span)
+    cat, grid, q = ctx.catalog, ctx.grid, ctx.weight.values
+    assert len(ctx.q) / grid.n_points == pytest.approx(hull_fraction, abs=1e-3)
+    u = SpectralField(cat, np.random.default_rng(0).standard_normal(cat.size) / cat.metric)
+    phi, qf = ctx.phi(u.coeffs)
+    F, f = _accel.quasipoly(synthesize(u, grid), ctx.nonlinearity.terms)
+    phi_ref = 0.5 * float(u.coeffs @ (cat.eig * u.coeffs)) - float(np.sum(q * F)) * grid.quad_weight
+    g_ref = analyze(q * f, cat, grid).coeffs
+    assert abs(phi - phi_ref) <= 1e-15 * abs(phi_ref)
+    assert np.max(np.abs(ctx.analyze_values(qf) - g_ref)) <= 1e-15 * np.max(np.abs(g_ref))
+
+
+def test_a_weight_with_no_zero_node_evaluates_on_the_whole_grid():
+    ctx = _rectangle_context(2, 8, (0.0, 3.1416), outside=0.2)
+    u = random_field(ctx.catalog, np.random.default_rng(1))
+    assert np.array_equal(ctx.synth(u.coeffs), synthesize(u, ctx.grid))
+    assert ctx.q is ctx.weight.values

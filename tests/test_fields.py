@@ -265,6 +265,16 @@ def test_weight_field_validation():
     assert w.is_trivial()
 
 
+def test_support_hull_is_the_product_of_the_per_axis_supports():
+    grid = ProductGrid(2, 6, 4)  # shape (6, 6, 4)
+    values = np.zeros(grid.shape)
+    values[1, 2, 3], values[4, 2, 0] = 1.0, 2.0
+    masks = WeightField(grid, values).support_hull()
+    assert [np.flatnonzero(m).tolist() for m in masks] == [[1, 4], [2], [0, 3]]
+    assert WeightField.constant(grid).support_hull() is None
+    assert WeightField.constant(grid, 0.0).support_hull() is None  # no hull to restrict to
+
+
 def test_weight_rectangle_ramp():
     grid = ProductGrid(1, 64, 64)
     q = weight_rectangle(grid, (0.0, np.pi), (0.0, TWO_PI), inside=2.0, smoothing=0.2)

@@ -616,9 +616,8 @@ def test_initial_height_is_the_nehari_scaling_of_w(terms, parent_height):
     ctx = EnergyContext(cat, grid, weight, NonlinearitySpec(terms))
     w = lowest_plus_direction(cat)
     t = saddle_mod._initial_height(saddle_mod._InnerProblem(w, ctx))
-    wvals = np.abs(ctx.synth(w.coeffs))
-    h = sum(a * float(np.sum(weight.values * wvals**p)) * grid.quad_weight * t ** (p - 2)
-            for a, p in terms)
+    wvals = np.abs(ctx.synth(w.coeffs))  # on the support hull, where ctx.qw lives
+    h = sum(a * float(np.sum(ctx.qw * wvals**p)) * t ** (p - 2) for a, p in terms)
     assert h == pytest.approx(1.0, abs=1e-13)
     ray = [phi_eval(SpectralField(cat, s * w.coeffs), ctx)
            for s in np.geomspace(t / 100, 100 * t, 200)]
@@ -664,6 +663,21 @@ def test_heavy_readme_weight_certifies_the_scaled_energy(c):
     res = ground_state(ctx, SolverConfig(n_starts=4, seed=0))
     assert res.converged
     assert res.energy * c == pytest.approx(README_BEAM_ENERGY, rel=1e-8)
+
+
+def test_a_weight_constant_in_t_can_have_a_lower_time_periodic_state():
+    # the README beam with x in [0, 1]: q does not depend on t, yet full-box starts
+    # reach Psi 1606.2156 with an l != 0 share of 0.040 (seeds 0-2), below 1649.3222,
+    # which random starts on the stationary sector (the l = 0 modes alone) certify;
+    # a solve that kept to that sector would return a level 2.7% too high
+    cat = build_catalog(DomainSpec.circle(), OperatorSpec.laplacian_power(2), 8, 8)
+    grid = ProductGrid.for_catalog(cat)
+    weight = weight_rectangle(grid, (0.0, 1.0), (0.0, 6.2832), 1.0, 0.0, 0.1)
+    ctx = EnergyContext(cat, grid, weight, NonlinearitySpec.pure_power(4.0))
+    res = ground_state(ctx, SolverConfig(n_starts=2, seed=0))
+    sq = res.u_star.coeffs ** 2
+    assert res.energy < 1640.0
+    assert np.sum(sq[cat.l != 0]) / np.sum(sq) > 0.01
 
 
 def test_heavy_weight_solve_scales_and_stays_cheap(beam_ctx):
