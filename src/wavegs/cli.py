@@ -230,6 +230,12 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
                           "on T^N, N >= 2")
     if task == "dalembert" and not (domain.is_circle and operator.power_degree == 1):
         config.refusal = "d'Alembert diagnostics need the classical wave on the circle"
+    # p* is None where no series criterion applies, bar the witness of the classical wave
+    mass_shift = domain.kind == "sphere" and operator == OperatorSpec.klein_gordon(domain.dim)
+    if task == "series" and (p_star is None and not bounded_gap or mass_shift and domain.dim % 2 == 0):
+        config.refusal = ("no series criterion covers this operator on this domain: the series needs "
+                          "(-Laplace)^m with m even or N = 1, the classical wave on T^N (its witness), "
+                          "or the mass shift on S^N with N odd")
     smoothing = blocks["weight"].get("smoothing")  # a rectangle weight's ramp width
     if task in ("solve", "gram", "dalembert") and config.refusal is None and smoothing == 0:
         config.warnings.append("pure indicator weight: quadrature of q f(u) may be under-resolved")
@@ -334,15 +340,10 @@ def _run_dalembert(config: RunConfig) -> Outcome:
 def _run_series(config: RunConfig) -> Outcome:
     node, p = config.blocks["series"], config.p
     if config.domain.kind == "torus":
-        m = config.operator.power_degree
-        if m is None:
-            raise ConfigError("torus series needs a pure power operator")
-        report = torus_gap_series(config.domain.dim, m, p, node["cutoff"])
+        report = torus_gap_series(config.domain.dim, config.operator.power_degree, p, node["cutoff"])
     else:
         kg = config.operator == OperatorSpec.klein_gordon(config.domain.dim)
         m = 1 if kg else config.operator.power_degree
-        if m is None:
-            raise ConfigError("sphere series needs a pure power or the mass-shift operator")
         report = sphere_embedding_series(config.domain.dim, m, p, node["j_cut"], node["l_cut"],
                                          "klein_gordon" if kg else "power")
     return EXIT_OK, {"series": report.to_json()}, {"series_terms.csv": report.terms_to_csv}

@@ -74,9 +74,7 @@ def tail_exponent(index: np.ndarray, values: np.ndarray) -> float | None:
     return float(slope)
 
 
-def _verdict_from_tail(tail: float | None, witness=None) -> str:
-    if witness:
-        return "diverges"
+def _verdict_from_tail(tail: float | None) -> str:
     if tail is None:
         return "inconclusive"
     if tail < -1.0 - TAIL_MARGIN:

@@ -1,24 +1,28 @@
 """Two-level variational solver for the strongly indefinite energy.
 
 Inner level: for a unit plus-direction w, monotone ascent of Phi itself over
-the half-space R+ w (+) E0 (+) E-, on the field u = t w + r, giving the maximizer m(w), its height s_w
-and the reduced value Psi(w) = Phi(m(w)).  Outer level: descent of Psi on the
-unit sphere of the truncated plus space by limited-memory BFGS, multi-start.  The reduced gradient is the
-Riesz representative of h -> s_w Phi'(m(w))[h] in the plus inner product.  A
-descent stops once the residual of its saddle, the dual norm of Phi'(m(w)),
-is within tol_outer: the same number certifies the returned ground state.
+the half-space R+ w (+) E0 (+) E-, on the field u = t w + r, giving the
+maximizer m(w), its height s_w and the reduced value Psi(w) = Phi(m(w)).
+Outer level: descent of Psi on the unit sphere of the truncated plus space by
+limited-memory BFGS, multi-start, in the coordinates x = sqrt(lambda) w+,
+where the plus metric is the dot product and the sphere is Euclidean.  The
+reduced gradient (``psi_gradient``) is s_w Phi'(m(w))+ / sqrt(lambda) there,
+projected tangent to x; ``_unit_plus`` turns coordinates into the unit
+plus-field that the inner level takes.  A descent stops once the residual of
+its saddle, the dual norm of Phi'(m(w)), is within tol_outer: the same number
+certifies the returned ground state.
 
 The inner ascent starts at step 1 and, after each accepted step, takes the
 Barzilai-Borwein step of its last two iterates (``_bb_step``).  The outer step
 is the L-BFGS direction (Absil, Mahony & Sepulchre 2008, section 8): the
-two-loop recursion in the plus metric over the last ``LBFGS_MEMORY`` pairs of
-(change of w, change of the gradient), a pair kept only if its curvature is
-positive beyond roundoff, projected tangent to w (``_LBFGS``); steepest
+two-loop recursion over the last ``LBFGS_MEMORY`` pairs of (change of x,
+change of the gradient), a pair kept only if its curvature is positive
+beyond roundoff, projected tangent to x (``_LBFGS``); steepest
 descent if that is no descent direction, and -grad / max(1, ||grad||_+)
 before the first pair.  One helper (``_backtrack``) halves either level's step
 until the trial is accepted or no step can beat the level's roundoff floor.
 
-An outer trial of step eta along d (slope s = -<d, grad>_+) is accepted only
+An outer trial of step eta along d (slope s = -<d, grad>) is accepted only
 if Psi(trial) <= Psi(w) - drop, drop = max(1e-4 eta s, noise).  Its warm ascent
 needs to be only as accurate as that test can use (the forcing rule of inexact
 Newton methods, Eisenstat & Walker 1996): it stops at the gradient norm
@@ -154,15 +158,12 @@ def plus_norm(u: SpectralField) -> float:
     return math.sqrt(float(np.sum(cat.metric[cat.plus_idx] * c * c)))
 
 
-def _normalized_plus(catalog, plus_coeffs) -> SpectralField:
-    """The plus-field with coefficients ``plus_coeffs``, scaled to unit plus-norm."""
-    if len(catalog.plus_idx) == 0:
-        raise ValueError("catalog has no plus modes")
+def _unit_plus(catalog, y) -> SpectralField:
+    """The unit plus-field w with coordinates sqrt(lambda) w+ = x = y / ||y||: its plus
+    coefficients are x / sqrt(lambda), for the very x that ``_run_start`` carries."""
     coeffs = np.zeros(catalog.size)
-    coeffs[catalog.plus_idx] = plus_coeffs
-    f = SpectralField(catalog, coeffs)
-    f.coeffs /= plus_norm(f)
-    return f
+    coeffs[catalog.plus_idx] = y / math.sqrt(float(y @ y)) / np.sqrt(catalog.metric[catalog.plus_idx])
+    return SpectralField(catalog, coeffs)
 
 
 def random_plus_direction(catalog, rng) -> SpectralField:
@@ -172,8 +173,10 @@ def random_plus_direction(catalog, rng) -> SpectralField:
     from any ground state; damping by the eigenvalue keeps the draw random in
     every mode while its cold ascent and outer descent stay short.
     """
-    plus = catalog.plus_idx
-    return _normalized_plus(catalog, rng.standard_normal(len(plus)) / catalog.metric[plus])
+    if len(catalog.plus_idx) == 0:
+        raise ValueError("catalog has no plus modes")
+    root = np.sqrt(catalog.metric[catalog.plus_idx])
+    return _unit_plus(catalog, rng.standard_normal(len(root)) / root)
 
 
 def lowest_plus_direction(catalog) -> SpectralField:
@@ -181,7 +184,7 @@ def lowest_plus_direction(catalog) -> SpectralField:
     if len(catalog.plus_idx) == 0:
         raise ValueError("catalog has no plus modes")
     lam_plus = catalog.metric[catalog.plus_idx]
-    return _normalized_plus(catalog, np.arange(len(lam_plus)) == np.argmin(lam_plus))
+    return _unit_plus(catalog, np.arange(len(lam_plus)) == np.argmin(lam_plus))
 
 
 def _check_plus_unit(w: SpectralField):
@@ -255,8 +258,7 @@ def _initial_height(problem):
             lo = mid
         else:
             hi = mid
-    t = math.exp(hi)
-    return t if t <= DIVERGENCE_NORM else None
+    return math.exp(hi) if hi <= math.log(DIVERGENCE_NORM) else None  # exp(hi) may overflow
 
 
 def _bb_step(ds, dd, eta):
@@ -406,21 +408,19 @@ def inner_maximize(
         grad, d, gnorm = problem.gradient(u, qf)
 
 
-def psi_gradient(w: SpectralField, saddle: SaddleResult, ctx: EnergyContext) -> SpectralField:
-    """Riesz representative of the reduced derivative, tangent at w.
+def psi_gradient(w: SpectralField, saddle: SaddleResult, ctx: EnergyContext) -> np.ndarray:
+    """The reduced gradient at w in the L-BFGS coordinates x = sqrt(lambda) w+.
 
-    It is s_w Phi'(m_hat) on the plus block, read from ``saddle.grad``: the
-    inner ascent already evaluated Phi'(m_hat), so this costs no transform.
+    It is s_w Phi'(m_hat)+ / sqrt(lambda) projected tangent to x, its Euclidean
+    norm ||grad Psi||_+, read from ``saddle.grad`` at no transform.
     """
     cat = ctx.catalog
-    lam_plus = cat.metric[cat.plus_idx]
-    rep = saddle.s_w * saddle.grad[cat.plus_idx] / lam_plus
-    wp = w.coeffs[cat.plus_idx]
+    root = np.sqrt(cat.metric[cat.plus_idx])
+    g = saddle.s_w * saddle.grad[cat.plus_idx] / root
+    x = root * w.coeffs[cat.plus_idx]
     for _ in range(2):  # re-orthogonalize once to push tangency to roundoff
-        rep = rep - float(np.sum(lam_plus * rep * wp)) * wp
-    out = np.zeros(cat.size)
-    out[cat.plus_idx] = rep
-    return SpectralField(cat, out)
+        g = g - float(g @ x) * x
+    return g
 
 
 def _run_start(start_id, w, ctx, cfg, records):
@@ -434,7 +434,7 @@ def _run_start(start_id, w, ctx, cfg, records):
     one whose finishing ascent to TOL_INNER does not.
     """
     cat = ctx.catalog
-    root = np.sqrt(cat.metric[cat.plus_idx])
+    x = np.sqrt(cat.metric[cat.plus_idx]) * w.coeffs[cat.plus_idx]  # w's L-BFGS coordinates
     transforms, inner_iters = ctx.transforms, 0
 
     def ascend(v, warm=None):  # every ascent of the start, its iterations counted
@@ -451,7 +451,6 @@ def _run_start(start_id, w, ctx, cfg, records):
             records.append({"start": start_id, "outer": outer, "event": stop})
             break
         grad = psi_gradient(w, saddle, ctx)
-        gn = plus_norm(grad)
         residual = residual_dual_norm(SpectralField(cat, saddle.grad))
         if tol > TOL_INNER and (stalled or residual <= cfg.tol_outer or outer == MAX_OUTER):
             # stop only at an ascent finished to TOL_INNER, so the residual certifies
@@ -459,23 +458,22 @@ def _run_start(start_id, w, ctx, cfg, records):
             saddle, tol = ascend(w, (saddle.m_hat, TOL_INNER)), TOL_INNER
             pending += saddle.iterations
             continue
-        record = {"start": start_id, "outer": outer, "psi": saddle.psi, "grad_plus": gn,
-                  "residual": residual}
+        record = {"start": start_id, "outer": outer, "psi": saddle.psi,
+                  "grad_plus": math.sqrt(float(grad @ grad)), "residual": residual}
         records.append({**record, "inner_iters": pending, **counts})
         pending = 0
         stop = "converged" if residual <= cfg.tol_outer else "max_outer"
         if stop == "converged" or outer == MAX_OUTER:
             break
 
-        # the plus metric is the dot product of root * (plus coefficients)
-        x = root * w.coeffs[cat.plus_idx]
-        d, slope = lbfgs.direction(x, root * grad.coeffs[cat.plus_idx])
+        d, slope = lbfgs.direction(x, grad)
         counts = {"backtracks": 0, "rejected_inner_iters": 0}
         # require a decrease that beats both Armijo and the roundoff floor of Psi
         noise = 32.0 * _EPS * max(1.0, abs(saddle.psi))
 
-        def descent(eta):  # the normalized step from w, accepted by its warm ascent
-            trial = _normalized_plus(cat, (x + eta * d) / root)
+        def descent(eta):  # the normalized step from x, accepted by its warm ascent
+            y = x + eta * d
+            trial = _unit_plus(cat, y)
             armijo = saddle.psi - max(1e-4 * eta * slope, noise)
             trial_tol = max(TOL_INNER, INNER_FORCING * math.sqrt(eta * slope))
             # the tolerance rides in ``warm``, so wrappers of the five-argument
@@ -485,7 +483,7 @@ def _run_start(start_id, w, ctx, cfg, records):
             # the roundoff floor of Phi; an unfinished ascent can sit far below
             # the maximum (toward t -> 0) and fake a decrease
             if s_trial.stop in _FINISHED and s_trial.psi <= armijo:
-                return trial, s_trial, trial_tol
+                return y / math.sqrt(float(y @ y)), trial, s_trial, trial_tol
             counts["backtracks"] += 1
             counts["rejected_inner_iters"] += s_trial.iterations
             return None
@@ -495,7 +493,7 @@ def _run_start(start_id, w, ctx, cfg, records):
         outer += 1
         stalled = accepted is None
         if accepted is not None:
-            w, saddle, tol = accepted
+            x, w, saddle, tol = accepted
             pending = saddle.iterations
         elif tol == TOL_INNER:
             stop = "stalled_at_floor"

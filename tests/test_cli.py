@@ -234,6 +234,21 @@ def test_a_solve_with_no_surviving_start_writes_its_log_and_counts(tmp_path):
     assert result["inner_iters"] == record["start_inner_iters"] > 0
 
 
+def test_a_nehari_height_that_overflows_is_a_diverged_solve(tmp_path, capsys):
+    # the README beam at p = 2.01 and inside 1e-3 once ended "config error: math range error"
+    doc = json.loads(_readme_block("json"))
+    doc.update(nonlinearity={"terms": [[1, 2.01]]}, out=str(tmp_path / "o"))
+    doc["weight"]["inside"] = 1e-3
+    assert main(["solve", "--config", str(write_config(tmp_path, doc))]) == EXIT_NO_CONVERGENCE
+    assert "config error" not in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert sorted(p.name for p in out.iterdir()) == ["result.json", "solver_log.jsonl"]
+    assert json.loads((out / "result.json").read_text())["result"]["error"].startswith(
+        "no coercive direction detected")
+    records = [json.loads(line) for line in (out / "solver_log.jsonl").read_text().splitlines()]
+    assert [r["stop"] for r in records] == ["diverged"] * 4
+
+
 def test_kernel_free_solve_writes_the_gram_tasks_block(tmp_path):
     # P(tau) = 1 + tau has no kernel: the solve reports the dim-0 q-Gram, as `gram` does
     solve = toy_solve_doc(tmp_path / "solve")
@@ -305,6 +320,28 @@ def test_series_task_on_the_circle_sphere(tmp_path):
     saved = json.loads((out / "result.json").read_text())
     assert saved["result"]["series"]["p_star"] == "inf"
     assert saved["warnings"] == []
+
+
+@pytest.mark.parametrize("domain, operator", [
+    ({"kind": "torus", "dim": 2}, {"coefficients": [1, 1]}),
+    ({"kind": "sphere", "dim": 2}, {"coefficients": [1, 1]}),
+    ({"kind": "torus", "dim": 2}, {"power": 3}),
+    ({"kind": "sphere", "dim": 3}, {"power": 1}),
+    ({"kind": "sphere", "dim": 2}, {"klein_gordon": True}),
+], ids=["torus-polynomial", "sphere-polynomial", "torus-odd-power", "sphere-odd-power",
+        "mass-shift-even-dim"])
+def test_series_without_a_criterion_is_refused(tmp_path, capsys, domain, operator):
+    # each of these once ended as a config error, with no result.json
+    error = ("no series criterion covers this operator on this domain: the series needs "
+             "(-Laplace)^m with m even or N = 1, the classical wave on T^N (its witness), "
+             "or the mass shift on S^N with N odd")
+    out = tmp_path / "s"
+    doc = {"task": "series", "domain": domain, "operator": operator,
+           "series": {"p": 3.0, "cutoff": 4, "j_cut": 4, "l_cut": 50}, "out": str(out)}
+    assert main(["series", "--config", str(write_config(tmp_path, doc))]) == EXIT_REFUSED
+    assert json.loads((out / "result.json").read_text())["result"]["error"] == error
+    assert capsys.readouterr().err == f"refused: {error}\n"
+    assert [path.name for path in out.iterdir()] == ["result.json"]
 
 
 def test_witness_task_and_refusal(tmp_path, capsys):
@@ -387,6 +424,18 @@ def test_dalembert_reads_a_raster_side_of_a_full_period_as_the_circle(tmp_path):
     result = json.loads((out / "result.json").read_text())["result"]
     assert result["rectangle_margin"] == pytest.approx(4.71, abs=1e-12)
     assert result["inf_A"] > 0 and result["inf_B"] > 0
+
+
+def test_dalembert_on_the_full_raster_sees_the_whole_circle(tmp_path):
+    # every xi and eta slice of the full box has measure 2 pi
+    out = tmp_path / "d"
+    doc = {**_WAVE, "task": "dalembert", "out": str(out),
+           "raster": {"resolution": 64, "set": {"kind": "full"}}}
+    assert main(["dalembert", "--config", str(write_config(tmp_path, doc))]) == EXIT_OK
+    result = json.loads((out / "result.json").read_text())["result"]
+    assert result["inf_A"] == pytest.approx(2 * np.pi, rel=1e-12)
+    assert result["inf_B"] == pytest.approx(2 * np.pi, rel=1e-12)
+    assert "rectangle_margin" not in result
 
 
 @pytest.mark.parametrize("change", [{"operator": {"power": 2}},

@@ -45,6 +45,14 @@ def test_torus_series_biharmonic_t2_converges():
     assert math.isinf(rep.p_star)  # 2N/(N-m)_+ with N = m = 2
 
 
+def test_a_series_too_short_for_a_tail_fit_is_inconclusive():
+    # shells 0, 1, 2: the fit needs four positive ones
+    rep = torus_gap_series(2, 2, 3.0, 2)
+    assert len(rep.index) == 3
+    assert rep.tail_exponent is None
+    assert rep.verdict == "inconclusive"
+
+
 def test_torus_series_thresholds_and_errors():
     assert torus_gap_series(3, 2, 3.0, cutoff=12).p_star == pytest.approx(6.0)
     with pytest.raises(ValueError):

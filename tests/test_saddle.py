@@ -73,6 +73,14 @@ def test_inner_divergence_when_weight_misses_ray():
     assert res.diverged
 
 
+def test_start_builders_refuse_a_catalog_without_plus_modes():
+    cat = build_catalog(DomainSpec.circle(), OperatorSpec.laplacian_power(2), 0, 0)  # kernel only
+    with pytest.raises(ValueError, match="no plus modes"):
+        lowest_plus_direction(cat)
+    with pytest.raises(ValueError, match="no plus modes"):
+        random_plus_direction(cat, np.random.default_rng(0))
+
+
 def test_inner_requires_unit_plus_input(toy_ctx):
     w = lowest_plus_direction(toy_ctx.catalog)
     w2 = SpectralField(toy_ctx.catalog, 2 * w.coeffs)
@@ -155,11 +163,11 @@ def test_psi_gradient_tangency_and_fd(beam_ctx):
     rng = np.random.default_rng(23)
     w = random_plus_direction(cat, rng)
     saddle = inner_maximize(w, beam_ctx, cfg)
-    rep = psi_gradient(w, saddle, beam_ctx)
-    lam = cat.eig[cat.plus_idx]
-    tangency = float(np.sum(lam * rep.coeffs[cat.plus_idx] * w.coeffs[cat.plus_idx]))
+    rep = psi_gradient(w, saddle, beam_ctx)  # in the coordinates x = sqrt(lambda) w+
+    root = np.sqrt(cat.eig[cat.plus_idx])
+    tangency = float(np.sum(rep * root * w.coeffs[cat.plus_idx]))
     # 1e-12 at the scale of the gradient (the check sum itself rounds at that level)
-    assert abs(tangency) < 1e-12 * max(1.0, plus_norm(rep))
+    assert abs(tangency) < 1e-12 * max(1.0, float(np.linalg.norm(rep)))
 
     # finite differences of Psi along a random tangent direction, fresh inner solves
     h = random_plus_direction(cat, rng)
@@ -176,7 +184,7 @@ def test_psi_gradient_tangency_and_fd(beam_ctx):
     up = SpectralField(cat, w.coeffs + eps * hfield.coeffs)
     dn = SpectralField(cat, w.coeffs - eps * hfield.coeffs)
     fd = (psi_at(up) - psi_at(dn)) / (2 * eps)
-    analytic = float(np.sum(lam * rep.coeffs[cat.plus_idx] * hp))
+    analytic = float(np.sum(rep * root * hp))
     assert analytic == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
@@ -190,7 +198,7 @@ def test_psi_gradient_zero_at_toy_optimum(toy_ctx):
     w = lowest_plus_direction(toy_ctx.catalog)
     saddle = inner_maximize(w, toy_ctx, SolverConfig())
     rep = psi_gradient(w, saddle, toy_ctx)
-    assert plus_norm(rep) < 1e-10  # no tangent directions on a 1-mode catalog
+    assert np.linalg.norm(rep) < 1e-10  # no tangent directions on a 1-mode catalog
 
 
 def test_toy_ground_state(toy_ctx):
@@ -380,7 +388,7 @@ def test_unfinished_trial_ascent_is_not_accepted(readme_beam_ctx, seed, draw):
     rng = np.random.default_rng(seed)
     for _ in range(draw):
         coeffs = rng.standard_normal(len(cat.plus_idx))
-    w = saddle_mod._normalized_plus(cat, coeffs)
+    w = saddle_mod._unit_plus(cat, np.sqrt(cat.metric[cat.plus_idx]) * coeffs)
     records: list = []
     out = saddle_mod._run_start(draw, w, ctx, cfg, records)
     assert abs(out["saddle"].psi - README_BEAM_ENERGY) <= 1e-9
@@ -624,6 +632,20 @@ def test_initial_height_is_the_nehari_scaling_of_w(terms, parent_height):
     assert phi_eval(SpectralField(cat, t * w.coeffs), ctx) >= max(ray)
     # the bounded Brent search this replaced stopped within its xatol of 1e-5
     assert t == pytest.approx(parent_height, abs=1e-5)
+
+
+def test_a_nehari_height_beyond_the_divergence_norm_is_no_overflow():
+    # the README beam at p = 2.01 with the weight times 1e-3: the log of the
+    # lowest mode's height is 725, past 709.8, where math.exp overflows
+    cat = build_catalog(DomainSpec.circle(), OperatorSpec.laplacian_power(2), 8, 8)
+    grid = ProductGrid.for_catalog(cat)
+    weight = weight_rectangle(grid, (0.0, 4.71), (0.0, 6.2832), 1e-3, 0.0, 0.1)
+    ctx = EnergyContext(cat, grid, weight, NonlinearitySpec(((1.0, 2.01),)))
+    problem = saddle_mod._InnerProblem(lowest_plus_direction(cat), ctx)
+    assert saddle_mod._initial_height(problem) is None
+    with pytest.raises(NoCoerciveDirectionError) as err:
+        ground_state(ctx, SolverConfig())
+    assert [rec["stop"] for rec in err.value.history] == ["diverged"] * 4
 
 
 def test_inner_cost_does_not_depend_on_the_last_bits_of_the_height(monkeypatch):
