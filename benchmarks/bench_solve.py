@@ -11,9 +11,10 @@ beam with 2 starts.  Every problem is
 built through the public ``wavegs`` API and solved once.
 
 Per problem the JSON document records the energy, residual, ``converged``,
-each start's ``stop``, the transforms (``EnergyContext.synth`` calls) and the
-inner iterations (summed over the inner ascents) that the solver reports as
-``GroundStateResult.transforms`` and ``inner_iters``, the rejected outer
+each start's ``stop`` and the Psi of its last record (``last_psi``; None for a
+start dropped without a descent), the transforms (``EnergyContext.synth``
+calls) and the inner iterations (summed over the inner ascents) that the
+solver reports as ``GroundStateResult.transforms`` and ``inner_iters``, the rejected outer
 trials (``backtracks``) and the inner iterations of their ascents
 (``rejected_inner_iters``), summed over ``history``, the outer records
 (``len(history)``), the wall time of the solve, which runs with no counting
@@ -88,11 +89,13 @@ def solve(name):
         cost[key] = sum(rec.get(key, 0) for rec in res.history)
     if isinstance(res, wavegs.NoCoerciveDirectionError):
         return {"error": str(res), **cost}
+    ends = [rec for rec in res.history if "stop" in rec]  # each start's last record
     return {
         "energy": res.energy,
         "residual": res.residual,
         "converged": res.converged,
-        "stops": [rec["stop"] for rec in res.history if "stop" in rec],
+        "stops": [rec["stop"] for rec in ends],
+        "last_psi": [rec.get("psi") for rec in ends],
         "outer_records": len(res.history),
         "l_nonzero_share": l_nonzero_share(res.u_star),
         **cost,

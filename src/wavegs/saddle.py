@@ -506,12 +506,13 @@ def _run_start(start_id, w, ctx, cfg, records):
 
 
 def ground_state(ctx: EnergyContext, cfg: SolverConfig) -> GroundStateResult:
-    """Multi-start outer minimization; returns the best converged saddle point.
+    """Multi-start outer minimization; returns the finished start of lowest Psi.
 
-    Every inner ascent keeps the kernel block of ``ctx.kernel_report`` (the
-    directions above its eigenvalue floor), which the result reports.  Raises
-    NoCoerciveDirectionError if every start is dropped (see ``_run_start``).
-    The starts run one after another.
+    Each finished start's Psi bounds the ground level, the infimum of Psi on the
+    plus sphere, from above, so the lowest wins, ties broken by residual and then
+    start index; ``converged`` and ``message`` are that start's.  Raises
+    NoCoerciveDirectionError if every start is dropped (see ``_run_start``).  The
+    starts run one after another, each keeping ``ctx.kernel_report``'s block.
     """
     if ctx.weight.is_trivial():
         raise ValueError("weight must not vanish identically for a solve")
@@ -531,10 +532,8 @@ def ground_state(ctx: EnergyContext, cfg: SolverConfig) -> GroundStateResult:
                                        "ascent diverged or stopped at max_inner",
                                        records, ctx.transforms - transforms, inner_iters)
 
-    # a start is certified exactly when it stopped converged; the start index
-    # breaks ties, in start order, before the dicts are compared
-    _, _, residual, _, best = min((o["stop"] != "converged", o["saddle"].psi, o["residual"], i, o)
-                                  for i, o in enumerate(finished))
+    # the start index breaks ties before the dicts are compared
+    _, residual, _, best = min((o["saddle"].psi, o["residual"], i, o) for i, o in enumerate(finished))
     m_hat = best["saddle"].m_hat
     converged = best["stop"] == "converged"
     message = "converged" if converged else (

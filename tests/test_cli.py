@@ -165,6 +165,24 @@ def test_non_finite_grid_file_is_a_config_error(tmp_path, capsys, name, value):
     assert not (tmp_path / "o").exists()
 
 
+def test_a_json_grid_file_weight_solves_as_its_csv_twin(tmp_path):
+    # the README beam operator with a constant weight given as a file, 1 start
+    cat = wavegs.build_catalog(wavegs.DomainSpec.circle(), wavegs.OperatorSpec.laplacian_power(2),
+                               8, 8)
+    values = np.ones(wavegs.ProductGrid.for_catalog(cat).shape)
+    (tmp_path / "q.json").write_text(json.dumps(values.tolist()))
+    np.savetxt(tmp_path / "q.csv", values, delimiter=",")
+    energies = []
+    for name in ("q.json", "q.csv"):
+        doc = {**json.loads(_readme_block("json")), "solver": {"starts": 1},
+               "weight": {"kind": "grid_file", "path": str(tmp_path / name)},
+               "out": str(tmp_path / f"out-{name}")}
+        assert main(["solve", "--config", str(write_config(tmp_path, doc))]) == EXIT_OK
+        energies.append(json.loads((tmp_path / f"out-{name}" / "result.json").read_text())
+                        ["result"]["energy"])
+    assert energies == [6.561345600529661] * 2
+
+
 def test_validate_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -73,6 +73,45 @@ def test_inner_divergence_when_weight_misses_ray():
     assert res.diverged
 
 
+def test_inner_ascent_ends_diverged_when_q_misses_the_ray_exactly(beam_ctx):
+    # q only on the x = 0 node column, where sin x, the lowest plus mode, is 0:
+    # every term of the Nehari equation vanishes and the ray has no maximum
+    cat = beam_ctx.catalog
+    grid = ProductGrid.for_catalog(cat)
+    qv = np.zeros(grid.shape)
+    qv[0, :] = 1.0
+    ctx = EnergyContext(cat, grid, WeightField(grid, qv.ravel()), NonlinearitySpec.pure_power(4))
+    w = lowest_plus_direction(cat)
+    assert not np.any(ctx.qw * ctx.synth(w.coeffs))
+    assert saddle_mod._initial_height(saddle_mod._InnerProblem(w, ctx)) is None
+    res = inner_maximize(w, ctx, SolverConfig())
+    assert (res.stop, res.iterations) == ("diverged", 0)
+    with pytest.raises(NoCoerciveDirectionError) as info:
+        ground_state(ctx, SolverConfig(n_starts=1))
+    assert [rec["stop"] for rec in info.value.history] == ["diverged"]
+
+
+def test_inner_trial_at_a_non_positive_height_is_rejected_and_halved():
+    # p = 6 on the K = L = 4 beam, warm from 1.25 x the cold maximizer: the first
+    # full Riesz step takes the height to -2.76, which the ascent must not accept
+    cat = build_catalog(DomainSpec.circle(), OperatorSpec.laplacian_power(2), 4, 4)
+    ctx = make_context(cat, p=6.0)
+    w = lowest_plus_direction(cat)
+    cold = inner_maximize(w, ctx, SolverConfig())
+    assert cold.psi == pytest.approx(8.32278120327, abs=1e-10)
+    warm = SpectralField(cat, 1.25 * cold.m_hat.coeffs)
+
+    problem = saddle_mod._InnerProblem(w, ctx)
+    x = np.concatenate(([plus_norm(warm)], warm.coeffs))
+    x[1 + cat.plus_idx] = 0.0
+    _, d, _ = problem.gradient(*problem.value(x)[1:])
+    assert x[0] + d[0] == pytest.approx(-2.757, abs=1e-3)
+
+    res = inner_maximize(w, ctx, SolverConfig(), warm=(warm, saddle_mod.TOL_INNER))
+    assert res.converged and res.s_w > 0
+    assert res.psi == pytest.approx(cold.psi, abs=1e-12)
+
+
 def test_start_builders_refuse_a_catalog_without_plus_modes():
     cat = build_catalog(DomainSpec.circle(), OperatorSpec.laplacian_power(2), 0, 0)  # kernel only
     with pytest.raises(ValueError, match="no plus modes"):
@@ -520,8 +559,31 @@ def test_energy_is_the_chosen_starts_last_psi(readme_beam_ctx, seed):
     res = ground_state(readme_beam_ctx, SolverConfig(n_starts=4, seed=seed))
     assert res.converged
     last = [rec for rec in res.history if "stop" in rec]
-    chosen = min(last, key=lambda rec: (rec["stop"] != "converged", rec["psi"], rec["residual"]))
+    chosen = min(last, key=lambda rec: (rec["psi"], rec["residual"]))
     assert res.energy == chosen["psi"]
+
+
+def test_the_lowest_finished_start_is_returned_though_uncertified(monkeypatch):
+    # the README weight on T^2 at K = L = 4 with tol_outer 5e-7: start 0 certifies
+    # the higher level 44.5187 at residual 3.2e-7, and start 1 (seed 0) stalls at
+    # the roundoff floor of Psi on 31.0024 at 6.4e-7; a ranking that put certified
+    # starts first returned 44.5187
+    cat = build_catalog(DomainSpec.torus(2), OperatorSpec.laplacian_power(2), 4, 4)
+    grid = ProductGrid.for_catalog(cat)
+    weight = weight_rectangle(grid, (0.0, 4.71), (0.0, 6.2832), 1.0, 0.0, 0.1)
+    ctx = EnergyContext(cat, grid, weight, NonlinearitySpec(((1.0, 4.0),)))
+    cfg = SolverConfig(tol_outer=5e-7, n_starts=2, seed=0)
+    starts = [lowest_plus_direction(cat), random_plus_direction(cat, np.random.default_rng(0))]
+    outcomes = [saddle_mod._run_start(i, w, ctx, cfg, []) for i, w in enumerate(starts)]
+    certified, stalled = outcomes
+    assert (certified["stop"], stalled["stop"]) == ("converged", "stalled_at_floor")
+    assert stalled["saddle"].psi < certified["saddle"].psi - 10.0
+
+    monkeypatch.setattr(saddle_mod, "_run_start", lambda i, w, ctx, cfg, records: outcomes[i])
+    res = ground_state(ctx, cfg)
+    assert res.energy == stalled["saddle"].psi and res.residual == stalled["residual"]
+    assert np.array_equal(res.u_star.coeffs, stalled["saddle"].m_hat.coeffs)
+    assert not res.converged and res.message.startswith("stalled_at_floor: residual")
 
 
 def test_first_outer_step_takes_no_backtrack():
