@@ -87,10 +87,8 @@ def _inner_evaluations(power, cutoff, count=1000, t_span=T_SPAN, torus_dim=0):
     ctx = wavegs.EnergyContext(cat, grid, weight, wavegs.NonlinearitySpec.pure_power(4.0))
     w = wavegs.lowest_plus_direction(cat)
     res = wavegs.inner_maximize(w, ctx, wavegs.SolverConfig())
-    # the state (t, r) of the maximizer, as a warm start builds it from m_hat
-    x = np.concatenate(([res.s_w], res.m_hat.coeffs))
-    x[1 + cat.plus_idx] = 0.0
     problem = saddle._InnerProblem(w, ctx)
+    x = problem.warm_state(res.m_hat)  # the state (t, r) of the maximizer
 
     def run():
         for _ in range(count):

@@ -193,8 +193,6 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
     task, seed, dom = blocks["task"], blocks["seed"], blocks["domain"]
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
     if ("nx" in blocks["grid"]) != ("nt" in blocks["grid"]):
         raise ConfigError("grid takes both 'nx' and 'nt' or neither")
     if blocks["witness"]["count"] < 1:
@@ -350,8 +348,8 @@ def _run_series(config: RunConfig) -> Outcome:
 
 
 def _run_witness(config: RunConfig) -> Outcome:
-    wit = noncompact_witness(config.domain.dim, 1, config.blocks["witness"]["count"])
-    return EXIT_OK, {"witness": [{"k": list(k), "l": l, "lambda": lam} for k, l, lam in wit]}, {}
+    count = config.blocks["witness"]["count"]
+    return EXIT_OK, {"witness": noncompact_witness(config.domain.dim, count)}, {}
 
 
 _RUNNERS = {

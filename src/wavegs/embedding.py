@@ -133,12 +133,9 @@ def torus_gap_series(N: int, m: int, p: float, cutoff: int = 48) -> SeriesReport
     p_star = compactness_threshold(DomainSpec.torus(N), OperatorSpec.laplacian_power(m))
     if not _half_power_exact(N, m):
         if m == 1:
-            wit = noncompact_witness(N, m, count=8)
-            return SeriesReport(
-                params, np.zeros(0), np.zeros(0), math.inf, None, "diverges",
-                p_star, witness=[{"k": list(k), "l": l, "lambda": lam} for k, l, lam in wit],
-                notes="bounded-gap family: infinitely many unit gaps",
-            )
+            return SeriesReport(params, np.zeros(0), np.zeros(0), math.inf, None, "diverges", p_star,
+                                witness=noncompact_witness(N, count=8),
+                                notes="bounded-gap family: infinitely many unit gaps")
         raise ValueError("odd m >= 3 on higher tori is unsupported (open case)")
     s = p / (p - 2.0)
 
@@ -207,22 +204,12 @@ def sphere_embedding_series(
     return SeriesReport(params, js, terms, total, tail, _verdict_from_tail(tail), p_star)
 
 
-def noncompact_witness(N: int, m: int, count: int = 5):
-    """The bounded-gap family k = (l, 1, 0, ..., 0) with unit eigenvalue.
-
-    Exists only for the classical wave (m = 1) on T^N, N >= 2; for even m the
-    gap |nu^m - l^2| escapes every bounded band, so the request is refused.
-    """
+def noncompact_witness(N: int, count: int = 5) -> list:
+    """The bounded-gap family of the classical wave on T^N, N >= 2, as JSON records: the
+    modes k = (l, 1, 0, ..., 0), l = 1..count, each of eigenvalue |k|^2 - l^2 = 1."""
     if N < 2:
         raise ValueError("need N >= 2")
-    if m != 1:
-        raise ValueError("no bounded-gap family: |k|^(2m) - l^2 is unbounded off zero for even m")
-    out = []
-    for l in range(1, count + 1):
-        k = (l, 1) + (0,) * (N - 2)
-        lam = sum(c * c for c in k) - l * l
-        out.append((k, l, lam))
-    return out
+    return [{"k": [l, 1] + [0] * (N - 2), "l": l, "lambda": 1} for l in range(1, count + 1)]
 
 
 def gap_ratio_bracket(N: int, m: int, l_max: int = 10000):

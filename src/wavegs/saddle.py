@@ -95,7 +95,7 @@ class SolverConfig:
         if self.n_starts < 1:
             raise ValueError("need at least one start")
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -215,6 +215,12 @@ class _InnerProblem:
         self.ctx, self.w, self.V, self.size = ctx, w.coeffs, ctx.kernel_report.basis, 1 + cat.size
         self.zero_idx, self.kernel = cat.zero_idx, 1 + cat.zero_idx  # r's kernel part in x
         self.minus_scale = (cat.classes == -1) / cat.metric  # 1 / |lambda| on minus, else 0
+
+    def warm_state(self, m_hat):
+        """A warm start's state: the height ``m_hat``'s plus-norm (>= 1e-8), r its off-plus part."""
+        x = np.concatenate(([max(plus_norm(m_hat), 1e-8)], m_hat.coeffs))
+        x[1 + self.ctx.catalog.plus_idx] = 0.0
+        return x
 
     def assemble(self, x):
         return x[0] * self.w + x[1:]
@@ -365,8 +371,7 @@ def inner_maximize(
         m_hat, tol = warm
         if getattr(m_hat, "catalog", None) is not ctx.catalog:
             raise ValueError("warm field is not on the context's catalog")
-        x = np.concatenate(([max(plus_norm(m_hat), 1e-8)], m_hat.coeffs))
-        x[1 + ctx.catalog.plus_idx] = 0.0
+        x = problem.warm_state(m_hat)
         value, u, qf = problem.value(x)
     if warm is None or value < 0:
         x = np.zeros(problem.size)
@@ -435,27 +440,22 @@ def _run_start(start_id, w, ctx, cfg, records):
     """
     cat = ctx.catalog
     x = np.sqrt(cat.metric[cat.plus_idx]) * w.coeffs[cat.plus_idx]  # w's L-BFGS coordinates
-    transforms, inner_iters = ctx.transforms, 0
-
-    def ascend(v, warm=None):  # every ascent of the start, its iterations counted
-        nonlocal inner_iters
-        res = inner_maximize(v, ctx, cfg, warm=warm)
-        inner_iters += res.iterations
-        return res
-    saddle, tol = ascend(w), TOL_INNER
+    transforms, first = ctx.transforms, len(records)
+    saddle, tol = inner_maximize(w, ctx, cfg), TOL_INNER
     pending = saddle.iterations  # the ascents that found ``saddle``, in no record yet
     lbfgs, counts, outer, stalled = _LBFGS(), {}, 0, False
     while True:
         if saddle.stop not in _FINISHED:  # the start is dropped
             stop = saddle.stop
-            records.append({"start": start_id, "outer": outer, "event": stop})
+            records.append({"start": start_id, "outer": outer, "event": stop,
+                            "inner_iters": pending, **counts})
             break
         grad = psi_gradient(w, saddle, ctx)
         residual = residual_dual_norm(SpectralField(cat, saddle.grad))
         if tol > TOL_INNER and (stalled or residual <= cfg.tol_outer or outer == MAX_OUTER):
             # stop only at an ascent finished to TOL_INNER, so the residual certifies
             # the same saddle whatever the trial tolerances were
-            saddle, tol = ascend(w, (saddle.m_hat, TOL_INNER)), TOL_INNER
+            saddle, tol = inner_maximize(w, ctx, cfg, warm=(saddle.m_hat, TOL_INNER)), TOL_INNER
             pending += saddle.iterations
             continue
         record = {"start": start_id, "outer": outer, "psi": saddle.psi,
@@ -478,7 +478,7 @@ def _run_start(start_id, w, ctx, cfg, records):
             trial_tol = max(TOL_INNER, INNER_FORCING * math.sqrt(eta * slope))
             # the tolerance rides in ``warm``, so wrappers of the five-argument
             # call shape pass it on unchanged
-            s_trial = ascend(trial, (saddle.m_hat, trial_tol))
+            s_trial = inner_maximize(trial, ctx, cfg, warm=(saddle.m_hat, trial_tol))
             # a Psi value counts only from an ascent that converged or reached
             # the roundoff floor of Phi; an unfinished ascent can sit far below
             # the maximum (toward t -> 0) and fake a decrease
@@ -499,8 +499,8 @@ def _run_start(start_id, w, ctx, cfg, records):
             stop = "stalled_at_floor"
             records.append({**record, "outer": outer, "event": "stalled", **counts})
             break
-    records[-1].update(stop=stop, start_transforms=ctx.transforms - transforms,
-                       start_inner_iters=inner_iters)
+    records[-1].update(stop=stop, start_transforms=ctx.transforms - transforms, start_inner_iters=sum(
+        rec.get("inner_iters", 0) + rec.get("rejected_inner_iters", 0) for rec in records[first:]))
     finished = saddle.stop in _FINISHED
     return {"saddle": saddle, "stop": stop, "residual": residual} if finished else None
 

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from wavegs import embedding
 from wavegs import (
     DomainSpec,
     OperatorSpec,
     _accel,
     compactness_threshold,
+    eigenvalue,
     gap_ratio_bracket,
     noncompact_witness,
     sphere_embedding_series,
@@ -51,6 +53,15 @@ def test_a_series_too_short_for_a_tail_fit_is_inconclusive():
     assert len(rep.index) == 3
     assert rep.tail_exponent is None
     assert rep.verdict == "inconclusive"
+
+
+def test_a_tail_fit_with_fewer_than_three_top_points_takes_the_last_three():
+    # only 100 lies in the top two dyadic blocks [25, 100]: the fit falls back
+    # to the three largest indices, 2, 3 and 100
+    index, values = np.array([1.0, 2.0, 3.0, 100.0]), np.array([1.0, 1.0, 1.0, 1e-4])
+    expected = np.polyfit(np.log(index[1:]), np.log(values[1:]), 1)[0]
+    assert embedding.tail_exponent(index, values) == pytest.approx(expected, rel=1e-12)
+    assert embedding.tail_exponent(index[::-1], values[::-1]) == pytest.approx(expected, rel=1e-12)
 
 
 def test_torus_series_thresholds_and_errors():
@@ -210,13 +221,16 @@ def test_offset_band_inequalities():
 
 
 def test_noncompact_witness_family():
-    wit = noncompact_witness(2, 1, 3)
-    assert wit == [((1, 1), 1, 1), ((2, 1), 2, 1), ((3, 1), 3, 1)]
-    assert noncompact_witness(3, 1, 1) == [((1, 1, 0), 1, 1)]
+    wit = noncompact_witness(2, 3)
+    assert wit == [{"k": [1, 1], "l": 1, "lambda": 1}, {"k": [2, 1], "l": 2, "lambda": 1},
+                   {"k": [3, 1], "l": 3, "lambda": 1}]
+    assert noncompact_witness(3, 1) == [{"k": [1, 1, 0], "l": 1, "lambda": 1}]
+    wave = OperatorSpec.laplacian_power(1)
+    for N in (2, 3, 4):
+        for rec in noncompact_witness(N):
+            assert rec["lambda"] == eigenvalue(wave, DomainSpec.torus(N), tuple(rec["k"]), rec["l"])
     with pytest.raises(ValueError):
-        noncompact_witness(2, 2, 3)  # even power: gaps escape every bounded band
-    with pytest.raises(ValueError):
-        noncompact_witness(1, 1, 3)
+        noncompact_witness(1, 3)
 
 
 def test_gap_ratio_bracket_within_ten():

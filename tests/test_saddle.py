@@ -58,8 +58,11 @@ def test_toy_inner_closed_form(toy_ctx):
     )
 
 
-def test_inner_divergence_when_weight_misses_ray():
-    # q supported only on the zero set of sin(x); all-plus catalog so E_w = R+ w
+def test_inner_divergence_when_the_rays_maximum_lies_beyond_the_divergence_norm():
+    # q on the x = 0 and x = pi node columns, the zero set of sin(x); all-plus
+    # catalog so E_w = R+ w.  sin x at the x = pi node is 1.9e-17, not 0, so q
+    # still meets the ray: c = integral of q |w|^4 > 0, but h(t) = c t^2 reaches
+    # 1 only far beyond DIVERGENCE_NORM
     cat = build_catalog(DomainSpec.circle(), OperatorSpec((1, 1)), 2, 0)
     grid = ProductGrid.for_catalog(cat)
     qv = np.zeros((grid.nx, grid.nt))
@@ -69,6 +72,9 @@ def test_inner_divergence_when_weight_misses_ray():
     w = SpectralField.zeros(cat)
     i = cat.modes.index(ModeKey((-1,), 0))
     w.coeffs[i] = 1.0 / math.sqrt(cat.eig[i])
+    c = float(ctx.qw @ np.abs(ctx.synth(w.coeffs)) ** 4)
+    assert 0 < c < 1 / saddle_mod.DIVERGENCE_NORM ** 2
+    assert saddle_mod._initial_height(saddle_mod._InnerProblem(w, ctx)) is None
     res = inner_maximize(w, ctx, SolverConfig())
     assert res.diverged
 
@@ -102,8 +108,7 @@ def test_inner_trial_at_a_non_positive_height_is_rejected_and_halved():
     warm = SpectralField(cat, 1.25 * cold.m_hat.coeffs)
 
     problem = saddle_mod._InnerProblem(w, ctx)
-    x = np.concatenate(([plus_norm(warm)], warm.coeffs))
-    x[1 + cat.plus_idx] = 0.0
+    x = problem.warm_state(warm)
     _, d, _ = problem.gradient(*problem.value(x)[1:])
     assert x[0] + d[0] == pytest.approx(-2.757, abs=1e-3)
 
@@ -118,6 +123,18 @@ def test_start_builders_refuse_a_catalog_without_plus_modes():
         lowest_plus_direction(cat)
     with pytest.raises(ValueError, match="no plus modes"):
         random_plus_direction(cat, np.random.default_rng(0))
+
+
+def test_inner_requires_a_plus_only_direction(beam_ctx):
+    # a unit plus-field with a kernel coefficient above the 1e-12 allowance
+    cat = beam_ctx.catalog
+    w = lowest_plus_direction(cat)
+    w.coeffs[cat.zero_idx[0]] = 1e-10
+    assert plus_norm(w) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="plus-class only"):
+        inner_maximize(w, beam_ctx, SolverConfig())
+    w.coeffs[cat.zero_idx[0]] = 1e-13  # within roundoff of the plus space
+    assert inner_maximize(w, beam_ctx, SolverConfig()).stop in saddle_mod._FINISHED
 
 
 def test_inner_requires_unit_plus_input(toy_ctx):
@@ -924,7 +941,8 @@ def test_a_start_whose_cold_ascent_stops_at_max_inner_is_dropped(readme_beam_ctx
     (dropped,) = [rec for rec in res.history if rec["start"] == 0]
     spent = {"start_transforms": dropped.pop("start_transforms"),
              "start_inner_iters": dropped.pop("start_inner_iters")}
-    assert dropped == {"start": 0, "outer": 0, "event": "max_inner", "stop": "max_inner"}
+    assert dropped == {"start": 0, "outer": 0, "event": "max_inner", "inner_iters": 3,
+                       "stop": "max_inner"}
     # the cold height's ray, the start state and one per accepted step
     assert spent == {"start_transforms": 5, "start_inner_iters": 3}
     assert [rec["stop"] for rec in res.history if "stop" in rec] == ["max_inner", "converged"]
