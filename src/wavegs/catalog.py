@@ -63,8 +63,12 @@ def _as_fraction(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**12)
+    if isinstance(x, float):  # the nearest rational of denominator <= 1e12, kept only if it is x
+        f = Fraction(x).limit_denominator(10**12)
+        if float(f) != x:
+            raise ValueError(f"float {x!r} is not a rational of denominator <= 1e12; "
+                             'give it exactly as a "num/den" string or a [num, den] pair')
+        return f
     if isinstance(x, str):
         return Fraction(x)
     if isinstance(x, (list, tuple)) and len(x) == 2:
@@ -198,25 +202,36 @@ _CLASS_NAMES = {CLASS_PLUS: "plus", CLASS_ZERO: "zero", CLASS_MINUS: "minus"}
 
 
 class SpectralCatalog:
-    """Immutable truncated mode list: mode i is (``space[i]``, ``l[i]``), as in ``ModeKey``.
+    """Immutable truncated list of every real mode within the cutoffs, classified exactly.
 
-    Eigenvalue i is exactly ``lam_num[i] / lam_den``, with Python-int numerators
-    (int64 overflows for high powers of P) over the lcm of P's denominators.
-    A nonzero eigenvalue below the smallest normal float64 in magnitude is
-    refused (``ValueError``), so ``metric`` is positive.  The transforms refuse
-    a catalog whose ``coords`` are not its box in C order.
+    Torus cutoffs are per-component (|k_j| <= k_max); sphere cutoffs bound the
+    harmonic degree.  Mode i is (``space[i]``, ``l[i]``), as in ``ModeKey``, and
+    the modes are in the C order of the box: the space rows (torus wavevectors
+    in ``meshgrid(indexing="ij")`` order, sphere (degree, index)) outermost,
+    then l.  Eigenvalue i is exactly ``lam_num[i] / lam_den``, with Python-int
+    numerators (int64 overflows for high powers of P) over the lcm of P's
+    denominators, so resonances land in the kernel class exactly.  A nonzero
+    eigenvalue below the smallest normal float64 in magnitude is refused
+    (``ValueError``), so ``metric`` is positive.
     """
 
-    def __init__(self, domain, operator, k_max, l_max, space, l, lam_num, lam_den):
+    def __init__(self, domain: DomainSpec, operator: OperatorSpec, k_max: int, l_max: int):
+        if k_max < 0 or l_max < 0:
+            raise ValueError("cutoffs must be >= 0")
         self.domain = domain
         self.operator = operator
         self.k_max = int(k_max)
         self.l_max = int(l_max)
         self.cutoffs = (self.k_max,) * domain.dim + (self.l_max,)  # per torus axis (x_1.., t)
-        self.space = np.asarray(space, dtype=np.int64)
-        self.l = np.asarray(l, dtype=np.int64)
-        self.lam_num = np.asarray(lam_num, dtype=object)
-        self.lam_den = int(lam_den)
+        self.space, self.l = _mode_box(domain, self.k_max, self.l_max)
+        if domain.kind == TORUS:
+            nu = (self.space * self.space).sum(axis=1)
+        else:
+            nu = self.space[:, 0] * (self.space[:, 0] + domain.dim - 1)
+        self.lam_den = lcm(*(c.denominator for c in operator.coefficients))
+        distinct, inverse = np.unique(nu, return_inverse=True)
+        p_num = np.array([int(operator.evaluate(int(v)) * self.lam_den) for v in distinct], dtype=object)
+        self.lam_num = p_num[inverse] - self.l.astype(object) ** 2 * self.lam_den
         # Python int / int is correctly rounded, so this equals float(Fraction)
         self.eig = (self.lam_num / self.lam_den).astype(np.float64)
         self.classes = np.sign(self.lam_num).astype(np.int8)
@@ -290,23 +305,5 @@ def _mode_box(domain: DomainSpec, k_max: int, l_max: int):
 
 
 def build_catalog(domain: DomainSpec, operator: OperatorSpec, k_max: int, l_max: int) -> SpectralCatalog:
-    """Enumerate all real modes within the cutoffs, classified exactly.
-
-    Torus cutoffs are per-component (|k_j| <= k_max); sphere cutoffs bound the
-    harmonic degree.  Modes are in the C order of the box: the space rows (torus
-    wavevectors in ``meshgrid(indexing="ij")`` order, sphere (degree, index))
-    outermost, then l.  Eigenvalue signs are decided in exact integer
-    arithmetic, so resonances land in the kernel class exactly.
-    """
-    if k_max < 0 or l_max < 0:
-        raise ValueError("cutoffs must be >= 0")
-    space, l = _mode_box(domain, k_max, l_max)
-    if domain.kind == TORUS:
-        nu = (space * space).sum(axis=1)
-    else:
-        nu = space[:, 0] * (space[:, 0] + domain.dim - 1)
-    lam_den = lcm(*(c.denominator for c in operator.coefficients))
-    distinct, inverse = np.unique(nu, return_inverse=True)
-    p_num = np.array([int(operator.evaluate(int(v)) * lam_den) for v in distinct], dtype=object)
-    lam_num = p_num[inverse] - l.astype(object) ** 2 * lam_den
-    return SpectralCatalog(domain, operator, k_max, l_max, space, l, lam_num, lam_den)
+    """Enumerate all real modes within the cutoffs, classified exactly (see ``SpectralCatalog``)."""
+    return SpectralCatalog(domain, operator, k_max, l_max)

@@ -76,14 +76,15 @@ def kernel_gram(q: WeightField, catalog: SpectralCatalog,
         raise ValueError("grid too coarse (or wrong shape) for catalog")
     # On each axis a basis factor is b+ e^{i|r|x} + b- e^{-i|r|x} (r the signed index), so
     # phi_a phi_b sums exponentials e^{if.x}, f = s|r_a| + s'|r_b| per axis, and the rectangle
-    # rule of q e^{if.x} is the DFT of q at -f mod n, aliasing included: window[f] for |f| <= 2c.
-    freqs = [np.arange(-2 * c, 2 * c + 1) for c in catalog.cutoffs]
+    # rule of q e^{if.x} is the DFT of q at -f mod n, aliasing included: window[f] for |f| <= 2c,
+    # c the largest |r| of a kernel mode on the axis.
+    modes = catalog.coords[catalog.zero_idx]
+    freqs = [np.arange(-2 * c, 2 * c + 1) for c in np.abs(modes).max(axis=0)]
     neg, pos = [-f % n for f, n in zip(freqs, grid.shape)], [f % n for f, n in zip(freqs, grid.shape)]
     rft, low = np.fft.rfftn(q.values.reshape(grid.shape)), neg[-1] <= grid.shape[-1] // 2
     window = np.empty([len(f) for f in freqs], dtype=complex)  # rfftn keeps half; Q[-g] = conj Q[g]
     window[..., low] = rft[np.ix_(*neg[:-1], neg[-1][low])]
     window[..., ~low] = rft[np.ix_(*pos[:-1], pos[-1][~low])].conj()
-    modes = catalog.coords[catalog.zero_idx]
     beta = axis_amplitudes(modes)  # b+ = beta, b- = conj(beta)
     steps = np.abs(modes) * (np.array(window.strides) // window.itemsize)
     sides = [(np.prod(np.where(s, beta, beta.conj()), axis=1), steps @ np.where(s, 1, -1))

@@ -129,10 +129,6 @@ def _axis_tables(catalog: SpectralCatalog, grid: ProductGrid, nodes=None) -> lis
     """One ``_axis_table`` per axis, on the grid's nodes or on the ``nodes`` selection."""
     if not grid.compliant_with(catalog):
         raise ValueError("grid too coarse (or wrong shape) for catalog")
-    shift = np.array(catalog.cutoffs)
-    box = np.indices(2 * shift + 1).reshape(len(shift), -1).T - shift
-    if not np.array_equal(catalog.coords, box):
-        raise ValueError("catalog modes are not its coefficient box in C order")
     axes = grid.axes if nodes is None else [a[sel] for a, sel in zip(grid.axes, nodes)]
     return [_axis_table(c, a) for c, a in zip(catalog.cutoffs, axes)]
 

@@ -1,5 +1,8 @@
 import hashlib
+import inspect
+import itertools
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,15 +14,11 @@ from wavegs import (
     DomainSpec,
     ModeKey,
     OperatorSpec,
-    ProductGrid,
     SpectralCatalog,
-    SpectralField,
-    analyze,
     build_catalog,
     eigenvalue,
     laplace_eigenvalue,
     sphere_multiplicity,
-    synthesize,
 )
 
 QUADRATIC = OperatorSpec((Fraction(1, 3), Fraction(1, 2), 1))
@@ -84,6 +83,22 @@ def test_operator_spec_validation():
         with pytest.raises(ValueError, match="operator coefficients must be a list"):
             OperatorSpec(bad)
     assert OperatorSpec(["1/2", 0, 1]) == op
+    assert OperatorSpec((Fraction(1, 2), 0, 1, 0, 0)) == op  # trailing zeros are stripped
+
+
+def test_a_float_coefficient_is_read_only_as_the_rational_it_is():
+    for x, want in ((0.1, Fraction(1, 10)), (1 / 3, Fraction(1, 3)), (2 / 7, Fraction(2, 7)),
+                    (1e-12, Fraction(1, 10**12))):
+        assert OperatorSpec([x, 1]).coefficients[0] == want
+    # the nearest rational of denominator <= 1e12 is another number: 1e-13 + tau was
+    # read as the classical wave, 6e-13 as 1e-12 and the binary float 2^-45 as 0
+    for x in (1e-13, 6e-13, 2.0**-45):
+        with pytest.raises(ValueError, match=re.escape(
+                f'float {x!r} is not a rational of denominator <= 1e12; give it exactly as a '
+                '"num/den" string or a [num, den] pair')):
+            OperatorSpec([x, 1])
+    assert build_catalog(DomainSpec.circle(), OperatorSpec(["1e-13", 1]), 4, 4).kernel_dim() == 0
+    assert build_catalog(DomainSpec.circle(), OperatorSpec([0, 1]), 4, 4).kernel_dim() == 17
 
 
 def test_sphere_multiplicity_values():
@@ -210,11 +225,18 @@ def test_catalog_digest_is_pinned(dom, op, k, l, digest):
 
 
 def test_torus_catalog_is_its_box_in_c_order():
-    cat = build_catalog(DomainSpec.torus(2), OperatorSpec.laplacian_power(2), 2, 1)
-    box = np.array([(k1, k2, l) for k1 in range(-2, 3) for k2 in range(-2, 3) for l in (-1, 0, 1)])
-    np.testing.assert_array_equal(cat.coords, box)
-    assert cat.modes[:4] == (ModeKey((-2, -2), -1), ModeKey((-2, -2), 0), ModeKey((-2, -2), 1),
-                             ModeKey((-2, -1), -1))
+    # a catalog is built from its cutoffs alone, never assembled from mode arrays,
+    # so the transforms read every catalog as its box without checking it
+    params = list(inspect.signature(SpectralCatalog).parameters)
+    assert params == ["domain", "operator", "k_max", "l_max"]
+    for dim in (1, 2, 3):
+        cat = build_catalog(DomainSpec.torus(dim), OperatorSpec.laplacian_power(2), 2, 1)
+        box = np.array([k + (l,) for k in itertools.product(range(-2, 3), repeat=dim)
+                        for l in (-1, 0, 1)])
+        np.testing.assert_array_equal(cat.coords, box)
+        low = (-2,) * dim
+        assert cat.modes[:4] == (ModeKey(low, -1), ModeKey(low, 0), ModeKey(low, 1),
+                                 ModeKey(low[:-1] + (-1,), -1))
 
 
 def test_sphere_catalog_lists_space_rows_then_l():
@@ -252,30 +274,6 @@ def test_catalog_matches_single_mode_reference(dom, op, k):
         assert cat.classes[i] == (lam > 0) - (lam < 0)
 
 
-def test_transform_rejects_a_repeated_box_cell():
-    cat = build_catalog(DomainSpec.torus(2), OperatorSpec.laplacian_power(2), 2, 2)
-    grid = ProductGrid.for_catalog(cat)
-    # mode 1 written over by mode 0: the box keeps its size but one cell twice
-    space, l = cat.space.copy(), cat.l.copy()
-    space[1], l[1] = space[0], l[0]
-    twice = SpectralCatalog(cat.domain, cat.operator, 2, 2, space, l, cat.lam_num, cat.lam_den)
-    with pytest.raises(ValueError, match="not its coefficient box in C order"):
-        synthesize(SpectralField.zeros(twice), grid)
-
-
-def test_transform_rejects_a_permuted_catalog():
-    # every box cell once, but not in C order: refused rather than read as the box
-    cat = build_catalog(DomainSpec.torus(2), OperatorSpec.laplacian_power(2), 2, 2)
-    grid = ProductGrid.for_catalog(cat)
-    order = np.random.default_rng(0).permutation(cat.size)
-    permuted = SpectralCatalog(cat.domain, cat.operator, 2, 2, cat.space[order], cat.l[order],
-                               cat.lam_num[order], cat.lam_den)
-    with pytest.raises(ValueError, match="not its coefficient box in C order"):
-        synthesize(SpectralField.zeros(permuted), grid)
-    with pytest.raises(ValueError, match="not its coefficient box in C order"):
-        analyze(np.zeros(grid.n_points), permuted, grid)
-
-
 @pytest.mark.parametrize("name", ["torus2_cat", "circle_wave_cat", "sphere_kg_cat"])
 def test_metric_is_abs_lambda_off_the_kernel_and_one_on_it(name, request):
     cat = request.getfixturevalue(name)
@@ -294,3 +292,27 @@ def test_catalog_refuses_an_eigenvalue_float64_cannot_hold():
     # a small but normal eigenvalue is kept
     cat = build_catalog(DomainSpec.circle(), OperatorSpec([Fraction(1, 10**300), 1]), 2, 2)
     assert cat.kernel_dim() == 0 and cat.metric.min() == pytest.approx(1e-300, rel=1e-12)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: DomainSpec("disk", 2), ValueError, "unknown domain kind 'disk'"),
+    (lambda: DomainSpec.torus(0), ValueError, "spatial dimension must be >= 1"),
+    (lambda: OperatorSpec((0, 0)), ValueError, "operator polynomial must be nonzero"),
+    # (3, 0) is the constant 3 once its trailing zero is stripped
+    (lambda: OperatorSpec((3, 0)), ValueError,
+     "P must be nonconstant (P(tau) -> infinity required)"),
+    (lambda: OperatorSpec((1, None)), TypeError, "cannot interpret None as a rational"),
+    (lambda: OperatorSpec.laplacian_power(0), ValueError, "power must be >= 1"),
+    (lambda: laplace_eigenvalue(DomainSpec.sphere(2), (2, 6)), ValueError,
+     "sphere degeneracy index 6 out of range for degree 2"),
+    (lambda: sphere_multiplicity(0, 1), ValueError, "need N >= 1 and k >= 0"),
+    (lambda: sphere_multiplicity(2, -1), ValueError, "need N >= 1 and k >= 0"),
+    (lambda: build_catalog(DomainSpec.circle(), LAPLACE_12, -1, 2), ValueError, "cutoffs must be >= 0"),
+    (lambda: SpectralCatalog(DomainSpec.sphere(2), LAPLACE_12, 2, -1), ValueError,
+     "cutoffs must be >= 0"),
+], ids=["domain-kind", "domain-dim", "operator-zero", "operator-constant-after-strip",
+        "operator-not-a-rational", "laplacian-power-0", "sphere-index", "multiplicity-dim",
+        "multiplicity-degree", "negative-k-max", "negative-l-max"])
+def test_input_checks_name_the_fault(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

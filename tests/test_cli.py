@@ -522,6 +522,12 @@ NAMED_FAULTS = {
                            "operator klein_gordon must be true"),
     "coefficients-string": ({"task": "solve", "operator": {"coefficients": "12"}},
                             "operator coefficients must be a list, got '12'"),
+    # a float was read as its nearest rational of denominator <= 1e12: 1e-13 + tau as the
+    # classical wave
+    "coefficients-float-not-that-rational": (
+        {"task": "solve", "operator": {"coefficients": [1e-13, 1]}},
+        'float 1e-13 is not a rational of denominator <= 1e12; give it exactly as a "num/den" '
+        "string or a [num, den] pair"),
     # a third span entry was dropped by the weight and crashed the raster
     "weight-x-three-entries": ({"task": "gram", "weight": {
         "kind": "rectangle", "x": [0.0, 1.0, 2.0], "t": [0.0, 1.0]}},

@@ -140,6 +140,18 @@ def test_gram_rejects_sphere_catalogs(sphere_kg_cat):
         kernel_gram(WeightField.constant(grid), sphere_kg_cat, grid)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda cat: kernel_gram(WeightField.constant(ProductGrid(1, 18, 18)), cat,
+                             ProductGrid(1, 20, 20)), "weight grid mismatch"),
+    (lambda cat: RasterSet(np.ones((64, 63))), "raster mask must be square"),
+    (lambda cat: RasterSet.from_weight(WeightField.constant(ProductGrid(2, 8, 8))),
+     "raster sets live on the square cylinder"),
+], ids=["gram-weight-grid", "raster-not-square", "raster-from-torus-weight"])
+def test_input_checks_name_the_fault(circle_wave_cat, call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(circle_wave_cat)
+
+
 # signs of (k, l) -> (cos_n, sin_n) of phi and of psi for the coefficient pi on (nk, nl)
 _SPLITS = {
     (1, 1): ((0.5, 0.0), (0.5, 0.0)),  # cos(nx) cos(nt)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,10 +67,17 @@ def test_a_tail_fit_with_fewer_than_three_top_points_takes_the_last_three():
 
 def test_torus_series_thresholds_and_errors():
     assert torus_gap_series(3, 2, 3.0, cutoff=12).p_star == pytest.approx(6.0)
-    with pytest.raises(ValueError):
-        torus_gap_series(2, 2, 2.0)
-    with pytest.raises(ValueError):
-        torus_gap_series(2, 3, 3.0)  # odd m >= 3: open case
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2, 2, 2.0), "need p > 2"),
+    ((0, 2, 3.0), "need N >= 1 and m >= 1"),
+    ((2, 0, 3.0), "need N >= 1 and m >= 1"),
+    ((2, 3, 3.0), "odd m >= 3 on higher tori is unsupported (open case)"),
+], ids=["p-2", "N-0", "m-0", "odd-m-open-case"])
+def test_torus_series_checks_name_the_fault(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        torus_gap_series(*args)
 
 
 @pytest.mark.parametrize("call, name", [

@@ -30,13 +30,18 @@ from conftest import make_context, phi_gradient, random_field
 TWO_PI = 2 * np.pi
 
 
+@pytest.mark.parametrize("terms, message", [
+    ((), "need at least one nonlinearity term"),
+    (((1.0, 2.0),), "exponents must exceed 2 and be finite"),
+    (((-1.0, 3.0),), "amplitudes must be positive"),
+    (((1.0, 4.0), (1.0, 3.0)), "exponents must be strictly increasing"),
+], ids=["no-terms", "p-2", "negative-amplitude", "not-increasing"])
+def test_nonlinearity_checks_name_the_fault(terms, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        NonlinearitySpec(terms)
+
+
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        NonlinearitySpec(((1.0, 2.0),))  # p must exceed 2
-    with pytest.raises(ValueError):
-        NonlinearitySpec(((-1.0, 3.0),))
-    with pytest.raises(ValueError):
-        NonlinearitySpec(((1.0, 4.0), (1.0, 3.0)))  # not increasing
     # NaN passed the old a <= 0 and p <= 2 tests and failed deep in a solve
     for bad in (((math.nan, 4.0),), ((1.0, math.nan),), ((1.0, math.inf),),
                 ((1.0, 3.0), (1.0, math.inf))):

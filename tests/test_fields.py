@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,6 @@ from wavegs import (
     synthesize,
     weight_rectangle,
 )
-from wavegs.catalog import SpectralCatalog
 from wavegs.fields import _axis_table, _smooth_indicator, arc, axis_amplitudes, basis_rows
 from conftest import random_field
 
@@ -246,23 +246,33 @@ def test_round_trip_beyond_old_table_cap():
     np.testing.assert_allclose(back.coeffs, u.coeffs, rtol=0, atol=1e-12)
 
 
-def test_transform_rejects_catalog_that_misses_box_modes(torus2_cat):
-    cat = torus2_cat
-    partial = SpectralCatalog(
-        cat.domain, cat.operator, cat.k_max, cat.l_max,
-        cat.space[:-1], cat.l[:-1], cat.lam_num[:-1], cat.lam_den,
-    )
-    grid = ProductGrid.for_catalog(cat)
-    with pytest.raises(ValueError):
-        synthesize(SpectralField.zeros(partial), grid)
-
-
 def test_weight_field_validation():
     grid = ProductGrid(1, 8, 8)
     with pytest.raises(ValueError):
         WeightField(grid, -np.ones(grid.n_points))
     w = WeightField.constant(grid, 0.0)
     assert w.is_trivial()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda cat, grid: SpectralField(cat, np.zeros(cat.size - 1)),
+     "coefficient count (80,) does not match catalog size 81"),
+    (lambda cat, grid: SpectralField(cat, np.full(cat.size, np.nan)), "coefficients must be finite"),
+    (lambda cat, grid: WeightField(grid, np.ones(grid.n_points + 1)),
+     "weight values do not match grid point count"),
+    (lambda cat, grid: analyze(np.zeros(grid.n_points - 1), cat, grid),
+     "value array does not match grid"),
+    (lambda cat, grid: ProductGrid(1, 1, 8), "need at least two points per axis"),
+    (lambda cat, grid: ProductGrid(2, 8, 1), "need at least two points per axis"),
+    (lambda cat, grid: ProductGrid.for_catalog(cat, oversample=0), "oversample must be >= 1"),
+    (lambda cat, grid: norm_zero(SpectralField.zeros(cat), WeightField.constant(grid), 2.0),
+     "norm_zero needs p > 2"),
+], ids=["field-length", "field-nan", "weight-length", "analyze-length", "grid-nx-1", "grid-nt-1",
+        "oversample-0", "norm-zero-p-2"])
+def test_input_checks_name_the_fault(circle_beam_cat, call, message):
+    grid = ProductGrid.for_catalog(circle_beam_cat)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(circle_beam_cat, grid)
 
 
 def test_support_hull_is_the_product_of_the_per_axis_supports():
