@@ -69,10 +69,13 @@ def _as_fraction(x) -> Fraction:
             raise ValueError(f"float {x!r} is not a rational of denominator <= 1e12; "
                              'give it exactly as a "num/den" string or a [num, den] pair')
         return f
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        return Fraction(int(x[0]), int(x[1]))
+    try:
+        if isinstance(x, str):
+            return Fraction(x)
+        if isinstance(x, (list, tuple)) and len(x) == 2:
+            return Fraction(int(x[0]), int(x[1]))
+    except ZeroDivisionError:
+        raise ValueError(f"rational {x!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 

@@ -1,6 +1,6 @@
 """Batch front-end: validate a JSON run configuration, dispatch, write artifacts.
 
-Subcommands mirror the tasks: solve, gram, dalembert, series, witness.
+Subcommands mirror the tasks: solve, gram, dalembert, series.
 ``validate_config`` decides every refusal and warning, a task's runner only
 computes, and ``run`` alone writes: a config error leaves no output directory,
 a refusal only result.json.  Every result.json embeds its configuration as
@@ -27,8 +27,7 @@ from . import __version__
 from .catalog import DomainSpec, OperatorSpec, SpectralCatalog, build_catalog
 from .control import (RasterSet, dalembert_split, kernel_gram, rectangle_margin,
                       slice_profiles, xi_eta_infimum)
-from .embedding import (compactness_threshold, noncompact_witness, sphere_embedding_series,
-                        torus_gap_series)
+from .embedding import compactness_threshold, sphere_embedding_series, torus_gap_series
 from .energy import EnergyContext, NonlinearitySpec
 from .fields import (ProductGrid, SpectralField, WeightField, field_to_csv, synthesize,
                      weight_rectangle)
@@ -63,10 +62,9 @@ _SCHEMA = {
         "rectangle": {"x": ..., "t": ..., "inside": 1.0, "outside": 0.0, "smoothing": 0.1},
         "grid_file": {"path": ...},
     }},
-    "grid": {"nx": None, "nt": None, "oversample": 2},
+    "grid": {"oversample": 2},
     "solver": {"starts": SolverConfig.n_starts, "tol_outer": SolverConfig.tol_outer},
     "series": {"p": None, "cutoff": 48, "j_cut": 64, "l_cut": 10000},
-    "witness": {"count": 5},
     "raster": {"resolution": 256, "set": {"kind": {
         "weight_support": {"threshold": 0.0},
         "rectangle": {"x": ..., "t": ...},
@@ -75,8 +73,8 @@ _SCHEMA = {
     "seed": 0,
     "out": "out",
 }
-_INTEGER_KEYS = {"k_max", "l_max", "starts", "count", "resolution", "oversample", "nx", "nt",
-                 "cutoff", "j_cut", "l_cut", "dim", "power", "seed"}
+_INTEGER_KEYS = {"k_max", "l_max", "starts", "resolution", "oversample", "cutoff", "j_cut",
+                 "l_cut", "dim", "power", "seed"}
 # the keys whose values may hold text (coefficients "1/2"; klein_gordon is checked as true)
 _TEXT_KEYS = {"task", "kind", "path", "out", "coefficients", "klein_gordon"}
 
@@ -193,10 +191,6 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
     task, seed, dom = blocks["task"], blocks["seed"], blocks["domain"]
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-    if ("nx" in blocks["grid"]) != ("nt" in blocks["grid"]):
-        raise ConfigError("grid takes both 'nx' and 'nt' or neither")
-    if blocks["witness"]["count"] < 1:
-        raise ConfigError("witness count must be at least 1")
     try:
         domain = DomainSpec.circle() if dom["kind"] == "circle" else DomainSpec(dom["kind"], dom["dim"])
         nonlinearity = NonlinearitySpec(tuple((a, p) for a, p in blocks["nonlinearity"]["terms"]))
@@ -223,9 +217,6 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
         )
     if task in ("solve", "gram") and domain.kind == "sphere":
         config.refusal = f"the {task} task needs a grid, and spheres carry none (series only)"
-    if task == "witness" and not bounded_gap:
-        config.refusal = ("the bounded-gap witness family exists only for the classical wave "
-                          "on T^N, N >= 2")
     if task == "dalembert" and not (domain.is_circle and operator.power_degree == 1):
         config.refusal = "d'Alembert diagnostics need the classical wave on the circle"
     # p* is None where no series criterion applies, bar the witness of the classical wave
@@ -242,16 +233,9 @@ def validate_config(path, overrides: dict | None = None) -> RunConfig:
 
 def _discretize(config: RunConfig) -> tuple[SpectralCatalog, ProductGrid, WeightField]:
     """The catalog, grid and weight that the solve, gram and dalembert tasks share."""
-    cutoffs, node = config.blocks["cutoffs"], config.blocks["grid"]
+    cutoffs = config.blocks["cutoffs"]
     catalog = build_catalog(config.domain, config.operator, cutoffs["k_max"], cutoffs["l_max"])
-    if "nx" in node:
-        grid = ProductGrid(catalog.domain.dim, node["nx"], node["nt"])
-        if not grid.compliant_with(catalog):
-            least = ProductGrid.for_catalog(catalog, 1)  # which refuses a sphere
-            raise ConfigError(f"grid nx = {grid.nx}, nt = {grid.nt} is too coarse: the cutoffs need "
-                              f"nx >= {least.nx} and nt >= {least.nt}")
-    else:
-        grid = ProductGrid.for_catalog(catalog, node["oversample"])
+    grid = ProductGrid.for_catalog(catalog, config.blocks["grid"]["oversample"])
     return catalog, grid, _build_weight(config.blocks["weight"], grid)
 
 
@@ -272,13 +256,13 @@ def _run_solve(config: RunConfig) -> Outcome:
     except NoCoerciveDirectionError as exc:  # every start dropped: its records and counts
         result = exc
     writers = {"solver_log.jsonl": lambda path: path.write_text(
-        "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in result.history))}
+        "".join(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n" for rec in result.history))}
     counts = {"transforms": result.transforms, "inner_iters": result.inner_iters}
     if isinstance(result, NoCoerciveDirectionError):
         return EXIT_NO_CONVERGENCE, {"error": str(result), **counts}, writers
 
     writers["coefficients.json"] = lambda path: path.write_text(
-        json.dumps(result.u_star.to_json(), sort_keys=True))
+        json.dumps(result.u_star.to_json(), sort_keys=True, allow_nan=False))
     writers["field.csv"] = lambda path: field_to_csv(result.u_star, grid, path)
     payload = {
         "energy": result.energy,
@@ -347,17 +331,11 @@ def _run_series(config: RunConfig) -> Outcome:
     return EXIT_OK, {"series": report.to_json()}, {"series_terms.csv": report.terms_to_csv}
 
 
-def _run_witness(config: RunConfig) -> Outcome:
-    count = config.blocks["witness"]["count"]
-    return EXIT_OK, {"witness": noncompact_witness(config.domain.dim, count)}, {}
-
-
 _RUNNERS = {
     "solve": _run_solve,
     "gram": _run_gram,
     "dalembert": _run_dalembert,
     "series": _run_series,
-    "witness": _run_witness,
 }
 TASKS = tuple(_RUNNERS)
 
@@ -383,7 +361,7 @@ def run(config: RunConfig) -> int:
     doc = {"version": __version__, "task": config.blocks["task"], "seed": config.blocks["seed"],
            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"), "config": config.resolved(),
            "warnings": config.warnings, "result": payload}
-    (out / "result.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
+    (out / "result.json").write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False))
     return code
 
 

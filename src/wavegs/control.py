@@ -51,7 +51,7 @@ class GramReport:
             "kernel_dim": self.dim,
             "eig_min": self.eig_min,
             "eig_max": self.eig_max,
-            "constant": self.constant,
+            "constant": "inf" if self.constant == math.inf else self.constant,  # JSON has no inf
             "below_floor": list(self.below_floor),
             "floor": self.floor,
             "gram": self.gram.tolist(),

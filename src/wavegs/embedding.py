@@ -42,10 +42,10 @@ class SeriesReport:
             "index": self.index.tolist(),
             "term_sums": self.term_sums.tolist(),
             "partial_sums": np.cumsum(self.term_sums).tolist(),
-            "total": self.total,
+            # JSON has no infinity: "inf" stands for it, and a null p_star for no threshold
+            "total": "inf" if self.total == math.inf else self.total,
             "tail_exponent": self.tail_exponent,
             "verdict": self.verdict,
-            # JSON has no infinity: "inf" marks the covered case, null no threshold
             "p_star": "inf" if self.p_star == math.inf else self.p_star,
             "witness": self.witness,
             "notes": self.notes,

@@ -302,6 +302,7 @@ def test_catalog_refuses_an_eigenvalue_float64_cannot_hold():
     (lambda: OperatorSpec((3, 0)), ValueError,
      "P must be nonconstant (P(tau) -> infinity required)"),
     (lambda: OperatorSpec((1, None)), TypeError, "cannot interpret None as a rational"),
+    (lambda: OperatorSpec(("1/0", 1)), ValueError, "rational '1/0' has a zero denominator"),
     (lambda: OperatorSpec.laplacian_power(0), ValueError, "power must be >= 1"),
     (lambda: laplace_eigenvalue(DomainSpec.sphere(2), (2, 6)), ValueError,
      "sphere degeneracy index 6 out of range for degree 2"),
@@ -311,8 +312,9 @@ def test_catalog_refuses_an_eigenvalue_float64_cannot_hold():
     (lambda: SpectralCatalog(DomainSpec.sphere(2), LAPLACE_12, 2, -1), ValueError,
      "cutoffs must be >= 0"),
 ], ids=["domain-kind", "domain-dim", "operator-zero", "operator-constant-after-strip",
-        "operator-not-a-rational", "laplacian-power-0", "sphere-index", "multiplicity-dim",
-        "multiplicity-degree", "negative-k-max", "negative-l-max"])
+        "operator-not-a-rational", "operator-zero-denominator", "laplacian-power-0",
+        "sphere-index", "multiplicity-dim", "multiplicity-degree", "negative-k-max",
+        "negative-l-max"])
 def test_input_checks_name_the_fault(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

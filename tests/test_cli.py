@@ -16,6 +16,7 @@ from wavegs.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_REFUSED,
+    TASKS,
     _SCHEMA,
     ConfigError,
     main,
@@ -38,7 +39,7 @@ def toy_solve_doc(out):
         "cutoffs": {"k_max": 0, "l_max": 0},
         "nonlinearity": {"terms": [[1.0, 4.0]]},
         "weight": {"kind": "constant", "value": 1.0},
-        "grid": {"nx": 4, "nt": 4},
+        "grid": {"oversample": 2},
         "solver": {"starts": 1},
         "seed": 3,
         "out": str(out),
@@ -139,7 +140,7 @@ def test_a_grid_file_of_booleans_or_strings_is_a_config_error(tmp_path, capsys, 
     # JSON true once ran as the weight 1.0, and "1" as the number it spells
     qpath = tmp_path / "q.json"
     qpath.write_text(json.dumps([value] * 16))
-    doc = {**_WAVE, "task": "gram", "cutoffs": {"k_max": 1, "l_max": 1}, "grid": {"nx": 4, "nt": 4},
+    doc = {**_WAVE, "task": "gram", "cutoffs": {"k_max": 1, "l_max": 1}, "grid": {"oversample": 1},
            "weight": {"kind": "grid_file", "path": str(qpath)}, "out": str(tmp_path / "o")}
     assert main(["gram", "--config", str(write_config(tmp_path, doc))]) == EXIT_CONFIG
     assert capsys.readouterr().err == (f"config error: {qpath}: weight values must be numbers, "
@@ -362,39 +363,36 @@ def test_series_without_a_criterion_is_refused(tmp_path, capsys, domain, operato
     assert [path.name for path in out.iterdir()] == ["result.json"]
 
 
-def test_witness_task_and_refusal(tmp_path, capsys):
-    out = tmp_path / "w"
-    doc = {
-        "task": "witness",
-        "domain": {"kind": "torus", "dim": 2},
-        "operator": {"power": 1},
-        "witness": {"count": 3},
-        "out": str(out),
-    }
-    assert main(["witness", "--config", str(write_config(tmp_path, doc))]) == EXIT_OK
-    saved = json.loads((out / "result.json").read_text())
-    assert len(saved["result"]["witness"]) == 3
-
-    doc["operator"] = {"power": 2}
-    doc["out"] = str(tmp_path / "w2")
-    capsys.readouterr()
-    assert main(["witness", "--config", str(write_config(tmp_path, doc, "c2.json"))]) == EXIT_REFUSED
-    error = json.loads((tmp_path / "w2" / "result.json").read_text())["result"]["error"]
-    assert capsys.readouterr().err == f"refused: {error}\n"
-    assert [path.name for path in (tmp_path / "w2").iterdir()] == ["result.json"]
+def test_the_witness_task_is_gone(tmp_path, capsys):
+    # the bounded-gap family is the series report's witness; a config that asks for the
+    # old task is refused with the task message, and the subcommand is an argparse error
+    doc = {"task": "witness", **_T2, "operator": {"power": 1}, "out": str(tmp_path / "o")}
+    path = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError, match=re.escape(f"task must be one of {TASKS}, got 'witness'")):
+        validate_config(path)
+    with pytest.raises(SystemExit) as exit_:
+        main(["witness", "--config", str(path)])
+    assert exit_.value.code == EXIT_CONFIG
+    assert "invalid choice: 'witness'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
-def test_witness_is_refused_off_the_higher_tori(tmp_path, capsys):
-    # the family k = (l, 1) of the classical wave on T^2 was once printed for the sphere
-    out = tmp_path / "w"
-    doc = {"task": "witness", "domain": {"kind": "sphere", "dim": 2}, "operator": {"power": 1},
-           "out": str(out)}
-    assert main(["witness", "--config", str(write_config(tmp_path, doc))]) == EXIT_REFUSED
-    error = json.loads((out / "result.json").read_text())["result"]["error"]
-    assert error == ("the bounded-gap witness family exists only for the classical wave "
-                     "on T^N, N >= 2")
-    assert capsys.readouterr().err == f"refused: {error}\n"
-    assert [path.name for path in out.iterdir()] == ["result.json"]
+def test_result_json_is_strict_json(tmp_path):
+    # the series total of the classical wave on T^2 and the Gram constant of a weight that
+    # vanishes on the kernel were once written as a bare Infinity, which RFC 8259 lacks
+    def refuse(text):
+        raise ValueError(f"non-finite {text}")
+
+    docs = {"series": {"task": "series", **_T2, "operator": {"power": 1}, "series": {"p": 3}},
+            "gram": {**_WAVE, "task": "gram", "weight": {"kind": "constant", "value": 0.0}}}
+    results = {}
+    for task, doc in docs.items():
+        out = tmp_path / task
+        path = write_config(tmp_path, {**doc, "out": str(out)}, f"{task}.json")
+        assert main([task, "--config", str(path)]) == EXIT_OK
+        results[task] = json.loads((out / "result.json").read_text(), parse_constant=refuse)
+    assert results["series"]["result"]["series"]["total"] == "inf"
+    assert results["gram"]["result"]["gram"]["constant"] == "inf"
 
 
 @pytest.mark.parametrize("task", ["solve", "gram"])
@@ -505,8 +503,6 @@ NAMED_FAULTS = {
                         "unknown raster.set key(s) ['thresh']"),
     "series-typo": ({"task": "series", **_T2, "operator": {"power": 2}, "series": {"cutof": 8}},
                     "unknown series key(s) ['cutof']"),
-    "witness-typo": ({"task": "witness", **_T2, "witness": {"cnt": 3}},
-                     "unknown witness key(s) ['cnt']"),
     "domain-typo": ({"task": "solve", "domain": {"kind": "torus", "dimm": 2}},
                     "unknown domain key(s) ['dimm']"),
     "nonlinearity-extra-key": ({"task": "solve", "nonlinearity": {"terms": [[1.0, 4.0]], "p": 4}},
@@ -514,7 +510,12 @@ NAMED_FAULTS = {
     "circle-with-dim": ({"task": "solve", "domain": {"kind": "circle", "dim": 2}},
                         "unknown domain key(s) ['dim']"),
     "unknown-domain-kind": ({"task": "solve", "domain": {"kind": "ball"}}, "unknown domain kind"),
-    "grid-nx-without-nt": ({"task": "gram", "grid": {"nx": 40}}, "grid takes both"),
+    # the grid is set by oversample alone, and the witness family is the series report's
+    "grid-nx-without-nt": ({"task": "gram", "grid": {"nx": 40}}, "unknown grid key(s) ['nx']"),
+    "dalembert-grid-too-coarse": ({"task": "dalembert", "cutoffs": {"k_max": 8, "l_max": 8},
+                                   "grid": {"nx": 4, "nt": 4}}, "unknown grid key(s) ['nt', 'nx']"),
+    "witness-block": ({"task": "series", **_T2, "witness": {"count": 5}},
+                      "unknown config key(s) ['witness']"),
     "power-and-klein-gordon": ({"task": "solve", "operator": {"power": 2, "klein_gordon": True}},
                                "operator takes exactly one"),
     "operator-empty": ({"task": "solve", "operator": {}}, "operator takes exactly one"),
@@ -528,6 +529,9 @@ NAMED_FAULTS = {
         {"task": "solve", "operator": {"coefficients": [1e-13, 1]}},
         'float 1e-13 is not a rational of denominator <= 1e12; give it exactly as a "num/den" '
         "string or a [num, den] pair"),
+    # Fraction(1, 0) ended the run with a ZeroDivisionError traceback
+    "coefficients-zero-denominator": ({"task": "gram", "operator": {"coefficients": [[1, 0], 1]}},
+                                      "rational [1, 0] has a zero denominator"),
     # a third span entry was dropped by the weight and crashed the raster
     "weight-x-three-entries": ({"task": "gram", "weight": {
         "kind": "rectangle", "x": [0.0, 1.0, 2.0], "t": [0.0, 1.0]}},
@@ -549,7 +553,7 @@ NAMED_FAULTS = {
     "seed-negative-dalembert": ({"task": "dalembert", "seed": -1},
                                 "seed must be non-negative, got -1"),
     "seed-negative-solve": ({"task": "solve", "seed": -1}, "seed must be non-negative, got -1"),
-    "dim-fraction": ({"task": "witness", "domain": {"kind": "torus", "dim": 2.5}},
+    "dim-fraction": ({"task": "series", "domain": {"kind": "torus", "dim": 2.5}},
                      "domain dim must be an integer"),
     # series truncations are checked by the embedding module
     "series-negative-cutoff": ({"task": "series", **_T2, "operator": {"power": 2},
@@ -557,11 +561,6 @@ NAMED_FAULTS = {
     "series-negative-j-cut": ({"task": "series", "domain": {"kind": "sphere", "dim": 2},
                                "operator": {"power": 2}, "series": {"j_cut": -2}},
                               "j_cut must be >= 0"),
-    # a grid below the cutoffs failed only after slices.csv was written
-    "dalembert-grid-too-coarse": ({"task": "dalembert", "cutoffs": {"k_max": 8, "l_max": 8},
-                                   "grid": {"nx": 4, "nt": 4}},
-                                  "grid nx = 4, nt = 4 is too coarse: the cutoffs need "
-                                  "nx >= 18 and nt >= 18"),
     # a negative ramp width ran as a hard indicator, without the zero width's warning
     "smoothing-negative": ({"task": "gram", "weight": {
         "kind": "rectangle", "x": [0.0, 3.0], "t": [0.0, 3.0], "smoothing": -0.5}},
@@ -620,16 +619,13 @@ NAMED_FAULTS = {
     {"task": "gram", "grid": []},
     {"task": "gram", "weight": []},
     {"task": "dalembert", "raster": {"set": "full"}},
-    {"task": "witness", "domain": {"kind": "torus", "dim": 2}, "witness": {"count": "x"}},
-    {"task": "witness", "domain": {"kind": "torus", "dim": 2}, "witness": {"count": 0}},
 ]), *NAMED_FAULTS.values()],
     ids=["weight-without-x", "weight-x-not-a-pair", "raster-without-t", "series-cutoff-list",
          "removed-solver-key",
          *(f"removed-solver-key-{key}" for key, _ in REMOVED_SOLVER_KEYS),
          "unknown-top-level-key", "tol-outer-infinity", "tol-outer-nan", "tol-outer-overflow",
          "weight-int-overflow", "cutoffs-list", "domain-string", "operator-string", "series-list",
-         "raster-list", "grid-list", "weight-list", "raster-set-string", "witness-count-string",
-         "witness-count-zero", *NAMED_FAULTS])
+         "raster-list", "grid-list", "weight-list", "raster-set-string", *NAMED_FAULTS])
 def test_malformed_task_blocks_are_config_errors(tmp_path, capsys, doc, message):
     doc = {**_WAVE, **doc, "out": str(tmp_path / "o")}
     assert main([doc["task"], "--config", str(write_config(tmp_path, doc))]) == EXIT_CONFIG
@@ -734,7 +730,6 @@ def test_result_config_names_every_default(tmp_path):
                                           "set": {"kind": "rectangle", "x": [0, 4], "t": [0, 4]}}},
         "series": {"domain": {"kind": "sphere", "dim": 3}, "operator": {"klein_gordon": True},
                    "series": {"p": 3.0, "j_cut": 8, "l_cut": 200}},
-        "witness": {**_T2, "operator": {"power": 1}},
     }
     for task, doc in docs.items():
         out = tmp_path / task
@@ -822,7 +817,6 @@ def test_readme_examples_run(tmp_path, capsys):
     assert cfg.resolved() == {
         **{key: value for key, value in doc.items() if key != "out"},
         "series": {"cutoff": 48, "j_cut": 64, "l_cut": 10000},
-        "witness": {"count": 5},
         "raster": {"resolution": 256, "set": {"kind": "weight_support", "threshold": 0.0}},
     }
     # the library quick start runs as written
@@ -830,6 +824,14 @@ def test_readme_examples_run(tmp_path, capsys):
     exec(_readme_block("python"), namespace)
     assert namespace["res"].converged
     assert capsys.readouterr().out.split()[-1] == "True"
+
+
+def test_readme_command_list_is_the_cli_tasks():
+    (block,) = [block.split("```", 1)[0] for block in README.read_text().split("```bash\n")[1:]
+                if block.startswith("wavegs ")]
+    commands = [line.split() for line in block.splitlines()]
+    assert tuple(command[1] for command in commands) == TASKS
+    assert all(command[2] == "--config" for command in commands)
 
 
 def test_readme_api_list_is_what_wavegs_exports():
